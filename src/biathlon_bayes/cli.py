@@ -49,6 +49,7 @@ from .explore import (
     stage_deviation_matrix,
     summary_csv_rows,
 )
+from .intervals import sorted_quantile
 from .model import ModelSpec
 from .oracles import (
     gradient_check,
@@ -619,18 +620,13 @@ def _cmd_predict(args) -> int:
         rows = [["athlete", "stage", "race_type", "position", "race_seq", "bout_seq",
                  "mean", "median", "lower", "upper"]]
         srt = np.sort(fdraws, axis=0)
-        n = srt.shape[0]
-
-        def q(col, level):
-            k = min(n, max(1, math.ceil(level * n)))
-            return float(srt[k - 1, col])
-
+        med, lo, hi = (sorted_quantile(srt, level) for level in (0.5, 0.025, 0.975))
         for j, rec in enumerate(future.records):
             rows.append(
                 [rec.athlete, str(rec.stage), rec.race_type, rec.position,
                  str(rec.race_seq), str(rec.bout_seq),
-                 _fmt(float(fdraws[:, j].mean())), _fmt(q(j, 0.5)),
-                 _fmt(q(j, 0.025)), _fmt(q(j, 0.975))]
+                 _fmt(float(fdraws[:, j].mean())), _fmt(float(med[j])),
+                 _fmt(float(lo[j])), _fmt(float(hi[j]))]
             )
         emit_csv("forecast.csv", rows)
 

@@ -421,18 +421,3 @@ def validate_dataset(d: Dataset) -> ValidationReport:
         checks=checks,
         warnings=tuple(warnings),
     )
-
-
-# spec-facing alias: the operation is called plain "validate" at the API level
-validate = validate_dataset
-
-
-def __getattr__(name):
-    # generate_synthetic lives in synth.py (it needs the model); re-exported
-    # lazily here so dataset construction and simulation share one API home
-    # without a circular import.
-    if name == "generate_synthetic":
-        from .synth import generate_synthetic
-
-        return generate_synthetic
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,16 +15,24 @@ import numpy as np
 from .errors import DataError
 
 
-def empirical_quantile(values, q: float):
-    """Type-1 (inverse-CDF) empirical quantile of a 1-D collection."""
+def sorted_quantile(sorted_values: np.ndarray, q: float, axis: int = 0):
+    """Type-1 (inverse-CDF) empirical quantile of values already sorted along
+    ``axis``; one order statistic per position on the other axes."""
     if not 0.0 <= q <= 1.0:
         raise DataError(f"quantile level outside [0, 1]: {q}")
-    arr = np.sort(np.asarray(values).ravel())
-    n = arr.size
+    n = sorted_values.shape[axis]
     if n == 0:
         raise DataError("no draws")
     k = min(n, max(1, math.ceil(q * n)))
-    return arr[k - 1]
+    return np.take(sorted_values, k - 1, axis=axis)
+
+
+def empirical_quantile(values, q: float, axis: int | None = None):
+    """Type-1 empirical quantile of the flattened values, or along ``axis``."""
+    arr = np.asarray(values)
+    if axis is None:
+        arr, axis = arr.ravel(), 0
+    return sorted_quantile(np.sort(arr, axis=axis), q, axis)
 
 
 def central_interval(values, level: float = 0.95):

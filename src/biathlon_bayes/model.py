@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit
 
-from .data import Dataset, RACE_TYPES, SHOTS_PER_BOUT, SessionRecord
+from .data import Dataset, RACE_TYPES, SHOTS_PER_BOUT
 from .errors import DataError
 
 LN2 = float(np.log(2.0))
@@ -123,15 +123,6 @@ class ParameterState:
             log_sigma=np.zeros(4),
         )
 
-    def copy(self) -> "ParameterState":
-        return ParameterState(
-            self.mu.copy(),
-            self.beta_free.copy(),
-            self.gamma_free.copy(),
-            self.omega_free.copy(),
-            self.log_sigma.copy(),
-        )
-
 
 class Effects(NamedTuple):
     """Constrained effect arrays produced by :func:`expand`."""
@@ -193,20 +184,6 @@ def linear_predictors(p: ParameterState, d: Dataset, spec: ModelSpec) -> np.ndar
         + eff.gamma[a.athlete, a.position]
         + eff.omega[a.athlete, a.race]
     )
-
-
-def linear_predictor(p: ParameterState, r: SessionRecord, d: Dataset, spec: ModelSpec) -> float:
-    """Log-odds for a single record (athlete resolved through the dataset)."""
-    if r.athlete not in d.athlete_index:
-        raise DataError(f"athlete {r.athlete!r} not in dataset")
-    s = d.athlete_index[r.athlete]
-    t = r.stage - 1
-    x = 0 if r.position == "prone" else 1
-    z = RACE_TYPES.index(r.race_type)
-    if s >= spec.S or t >= spec.T or z >= spec.Z:
-        raise DataError("record indices out of range for model spec")
-    eff = expand(p, spec)
-    return float(eff.mu[t] + eff.beta[s, t] + eff.gamma[s, x] + eff.omega[s, z])
 
 
 def bout_log_likelihoods(hits: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -359,17 +336,12 @@ def from_vector(vec: np.ndarray, spec: ModelSpec) -> ParameterState:
     if spec.mu_only:
         p.mu = vec.copy()
         return p
-    S, T, Z = spec.S, spec.T, spec.Z
-    i = 0
-    p.mu = vec[i : i + T].copy()
-    i += T
-    p.beta_free = vec[i : i + (S - 1) * T].reshape(S - 1, T).copy()
-    i += (S - 1) * T
-    p.gamma_free = vec[i : i + S].copy()
-    i += S
-    p.omega_free = vec[i : i + S * (Z - 1)].reshape(S, Z - 1).copy()
-    i += S * (Z - 1)
-    p.log_sigma = vec[i : i + 4].copy()
+    lay = layout(spec)
+    p.mu = vec[lay.mu].copy()
+    p.beta_free = vec[lay.beta].reshape(spec.S - 1, spec.T).copy()
+    p.gamma_free = vec[lay.gamma].copy()
+    p.omega_free = vec[lay.omega].reshape(spec.S, spec.Z - 1).copy()
+    p.log_sigma = vec[lay.sigma].copy()
     return p
 
 

@@ -22,6 +22,7 @@ from scipy import stats
 
 from .data import Dataset, SessionRecord
 from .errors import DataError, NumericalError
+from .intervals import sorted_quantile
 from .model import (
     ModelSpec,
     from_vector,
@@ -365,13 +366,9 @@ def sbc(
 
         ranks_rows.append((pooled < truth_vec).sum(axis=0))
         srt = np.sort(pooled, axis=0)
-
-        def _q(q: float) -> np.ndarray:
-            k = min(n_pooled, max(1, int(np.ceil(q * n_pooled))))
-            return srt[k - 1]
-
-        cov50_rows.append((_q(0.25) <= truth_vec) & (truth_vec <= _q(0.75)))
-        cov90_rows.append((_q(0.05) <= truth_vec) & (truth_vec <= _q(0.95)))
+        lo90, lo50, hi50, hi90 = (sorted_quantile(srt, q) for q in (0.05, 0.25, 0.75, 0.95))
+        cov50_rows.append((lo50 <= truth_vec) & (truth_vec <= hi50))
+        cov90_rows.append((lo90 <= truth_vec) & (truth_vec <= hi90))
 
     if len(failures) > 0.1 * replications:
         raise NumericalError(

@@ -10,7 +10,6 @@ templates permutes the output columns and changes nothing else.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +18,7 @@ from scipy.special import expit
 
 from .data import RACE_TYPES, SHOTS_PER_BOUT, Dataset, SessionRecord
 from .errors import DataError
-from .intervals import empirical_quantile, mid_p_tail
+from .intervals import mid_p_tail, sorted_quantile
 from .model import layout
 from .sampler import PosteriorSamples
 
@@ -111,14 +110,6 @@ def expand_draws(samples: PosteriorSamples) -> EffectDraws:
 # interval summaries
 
 
-def _q0(sorted_draws: np.ndarray, q: float) -> np.ndarray:
-    # sorted_draws is sorted along axis 0; same order statistic as
-    # intervals.empirical_quantile, vectorized over trailing axes.
-    n = sorted_draws.shape[0]
-    k = min(n, max(1, math.ceil(q * n)))
-    return sorted_draws[k - 1]
-
-
 @dataclass(frozen=True)
 class PredictiveSummary:
     """Summary of one predictive (or posterior) scalar distribution.
@@ -149,13 +140,14 @@ class PredictiveSummary:
         if draws.ndim != 1 or draws.size == 0:
             raise DataError("predictive draws must be a non-empty 1-D array")
         tail = mid_p_tail(draws, observed) if observed is not None else None
+        srt = np.sort(draws)
         return cls(
             label=label,
             draws=draws,
             mean=float(draws.mean()),
-            median=float(empirical_quantile(draws, 0.5)),
-            lower=float(empirical_quantile(draws, 0.025)),
-            upper=float(empirical_quantile(draws, 0.975)),
+            median=float(sorted_quantile(srt, 0.5)),
+            lower=float(sorted_quantile(srt, 0.025)),
+            upper=float(sorted_quantile(srt, 0.975)),
             observed=None if observed is None else float(observed),
             tail_prob=tail,
         )
@@ -201,9 +193,9 @@ def mu_summary(
             StageAccuracySummary(
                 stage=t + 1,
                 mean=float(probs[:, t].mean()),
-                median=float(_q0(srt[:, t], 0.5)),
-                lower=float(_q0(srt[:, t], 0.025)),
-                upper=float(_q0(srt[:, t], 0.975)),
+                median=float(sorted_quantile(srt[:, t], 0.5)),
+                lower=float(sorted_quantile(srt[:, t], 0.025)),
+                upper=float(sorted_quantile(srt[:, t], 0.975)),
                 observed=observed.get(t + 1),
             )
         )
@@ -233,9 +225,9 @@ def beta_trajectories(samples: PosteriorSamples) -> BetaTrajectories:
     return BetaTrajectories(
         or_mean=ors.mean(axis=0),
         or_geomean=np.exp(eff.beta.mean(axis=0)),
-        or_median=_q0(srt, 0.5),
-        or_lower=_q0(srt, 0.025),
-        or_upper=_q0(srt, 0.975),
+        or_median=sorted_quantile(srt, 0.5),
+        or_lower=sorted_quantile(srt, 0.025),
+        or_upper=sorted_quantile(srt, 0.975),
     )
 
 
@@ -262,9 +254,9 @@ def position_effects(samples: PosteriorSamples) -> PositionEffects:
     return PositionEffects(
         gamma_mean=eff.gamma.mean(axis=0),
         prone_or_mean=ors.mean(axis=0),
-        prone_or_median=_q0(srt, 0.5),
-        prone_or_lower=_q0(srt, 0.025),
-        prone_or_upper=_q0(srt, 0.975),
+        prone_or_median=sorted_quantile(srt, 0.5),
+        prone_or_lower=sorted_quantile(srt, 0.025),
+        prone_or_upper=sorted_quantile(srt, 0.975),
     )
 
 
@@ -287,9 +279,9 @@ def race_effects(samples: PosteriorSamples) -> RaceEffects:
     return RaceEffects(
         omega_mean=eff.omega.mean(axis=0),
         or_mean=ors.mean(axis=0),
-        or_median=_q0(srt, 0.5),
-        or_lower=_q0(srt, 0.025),
-        or_upper=_q0(srt, 0.975),
+        or_median=sorted_quantile(srt, 0.5),
+        or_lower=sorted_quantile(srt, 0.025),
+        or_upper=sorted_quantile(srt, 0.975),
         race_types=RACE_TYPES[: samples.spec.Z],
     )
 

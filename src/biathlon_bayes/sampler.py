@@ -21,8 +21,14 @@ Chains draw from independent RNG streams keyed by (seed, chain index), so
 results are identical no matter how chains are scheduled across workers.
 
 Likelihood deltas are computed from cached per-record log-odds: a block
-move touches only its own records (its athlete plus the constrained last
-athlete for trajectory blocks), and scale moves touch none.  The cache is
+move touches only its own record groups (every record for the stage
+baseline, the athlete plus the constrained last athlete for a trajectory
+block, the athlete for position and race blocks), and scale moves touch
+none.  Each block carries one description of those groups and of how a
+block step shifts their log-odds; the proposal, the commit and the block
+gradient all read it.  ``propose_delta`` returns the log-posterior delta
+together with a stash of everything it computed, and ``commit`` applies
+exactly that delta from the stash without recomputing a sum.  The cache is
 rebuilt from scratch periodically and at the burn-in boundary so float
 accumulation cannot drift.
 """
@@ -37,8 +43,10 @@ import os
 import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import reduce
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -46,6 +54,7 @@ from scipy.special import expit
 from . import model as _model
 from .data import Dataset
 from .errors import DataError, NumericalError
+from .intervals import sorted_quantile
 from .model import ModelSpec, SHOTS_PER_BOUT
 from .streams import rng_for
 
@@ -94,15 +103,7 @@ class SamplerConfig:
         return self.kept_iterations // self.thin
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_chains": self.n_chains,
-            "burn_in": self.burn_in,
-            "kept_iterations": self.kept_iterations,
-            "thin": self.thin,
-            "seed": self.seed,
-            "adapt_window": self.adapt_window,
-            "proposal_mode": self.proposal_mode,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -132,6 +133,9 @@ class Block:
 # propose_delta(x, cache, block, prop) -> (delta_logp, stash),
 # commit(x, cache, block, prop, stash), and for gradient_assisted mode
 # block_grad(x, cache, block) / block_grad_at(x, cache, block, prop, stash).
+# The stash is the target's own record of the proposal: commit, called only
+# on acceptance and before x changes, must raise cache.logp by exactly the
+# delta that propose_delta returned with it.
 # Optionally proposal_transform(x, block) -> (L, A) with L the lower
 # Cholesky factor of the block's proposal precision and A = inv(L).T, or
 # None to use the block's fixed diagonal scale.
@@ -265,82 +269,106 @@ class _Cache:
 
 def _rw_precision(T: int) -> np.ndarray:
     """Precision of the anchored random walk: x_1 ~ N(0,1), increments N(0,1)."""
-    q = np.zeros((T, T))
-    q[0, 0] = 1.0
-    for t in range(1, T):
-        q[t - 1, t - 1] += 1.0
-        q[t, t] += 1.0
-        q[t, t - 1] -= 1.0
-        q[t - 1, t] -= 1.0
+    q = 2.0 * np.eye(T) - np.eye(T, k=1) - np.eye(T, k=-1)
+    q[-1, -1] = 1.0  # the last coordinate enters one increment only
     return q
 
 
+class _Group(NamedTuple):
+    """Records that one block move touches.  A block step ``d`` shifts their
+    log-odds by ``shift(d)``; ``pull`` is the transpose of that map, taking
+    their residuals (hits minus expected hits) to the block's gradient."""
+
+    rec: np.ndarray | slice
+    hits: np.ndarray
+    shift: Callable[[np.ndarray], np.ndarray]
+    pull: Callable[[np.ndarray], np.ndarray]
+
+
+# The mu move touches every record; its old log-likelihood sum is the
+# cache's running total rather than a fresh sum.
+_ALL = slice(None)
+
+
+def _stage_group(rec, hits, t, T, sign=1.0) -> _Group:
+    # trajectory coordinate t[i] enters record i's log-odds with ``sign``
+    return _Group(
+        rec,
+        hits,
+        lambda d: sign * d[t],
+        lambda r: sign * np.bincount(t, weights=r, minlength=T),
+    )
+
+
+def _position_group(rec, hits, possign) -> _Group:
+    # the one gamma coordinate enters prone records with +1, standing with -1
+    return _Group(
+        rec, hits, lambda d: d[0] * possign, lambda r: np.array([float(np.sum(r * possign))])
+    )
+
+
+def _design_group(rec, hits, m) -> _Group:
+    return _Group(rec, hits, lambda d: m @ d, lambda r: m.T @ r)
+
+
+class _Stash(NamedTuple):
+    """What ``propose_delta`` hands to ``commit``."""
+
+    groups: tuple  # (rec, new eta, new log-likelihoods) per touched group
+    d_ll: float
+    k: int  # prior class of the block
+    ss: float  # the class's new sufficient statistic
+    delta: float  # the log-posterior change returned with the stash
+
+
+def _sum_sq(v: np.ndarray) -> float:
+    return float(np.sum(v**2))
+
+
+# prior class (index into the cache's ``ss`` and the four scales) per latent
+# block kind; the mu and beta classes are random walks, the others iid
+_PRIOR_CLASS = {"mu": 0, "beta": 1, "gamma": 2, "omega": 3}
+_RANDOM_WALK = ("mu", "beta")
+# a block's share of its class's sufficient statistic.  The gamma block is
+# one scalar, squared as a scalar: numpy's scalar and array squares can
+# differ in the last bit, and the draws depend on which one is used.
+_BLOCK_SS = {
+    "mu": _model._rw_ss,
+    "beta": _model._rw_ss,
+    "gamma": lambda v: v[0] ** 2,
+    "omega": _sum_sq,
+}
+
+
 class ModelTarget:
-    """Posterior of the hierarchical model over its free coordinates."""
+    """Posterior of the hierarchical model over its free coordinates.
+
+    Every block's ``payload`` is ``(k, groups)``: its prior class and the
+    record groups its move touches (none for the scale blocks)."""
 
     def __init__(self, spec: ModelSpec, dataset: Dataset):
         self.spec = spec
-        a = _model._check_indices(dataset, spec)
-        self.hits = a.hits
-        self.stage0 = a.stage0
-        self.athlete = a.athlete
-        self.race = a.race
-        self.possign = 1.0 - 2.0 * a.position
         self.dataset = dataset
         self.dim = spec.dim
-        self._layout()
-        self._group_records()
-        self._build_blocks()
+        self.lay = _model.layout(spec)
+        self.class_n = np.array([spec.n_mu, spec.n_beta, spec.n_gamma, spec.n_omega], dtype=float)
+        a = _model._check_indices(dataset, spec)
+        self.hits = a.hits
+        self._build_blocks(a)
 
     # ---- layout ----------------------------------------------------------
 
-    def _layout(self):
-        spec = self.spec
+    def _build_blocks(self, a):
+        spec, lay, hits = self.spec, self.lay, self.hits
         S, T, Z = spec.S, spec.T, spec.Z
-        self.sl_mu = slice(0, T)
-        if spec.mu_only:
-            return
-        off = T
-        self.sl_beta = slice(off, off + (S - 1) * T)
-        off += (S - 1) * T
-        self.sl_gamma = slice(off, off + S)
-        off += S
-        self.sl_omega = slice(off, off + S * (Z - 1))
-        off += S * (Z - 1)
-        self.sl_sigma = slice(off, off + 4)
-        self.class_n = np.array([T, (S - 1) * T, S, S * (Z - 1)], dtype=float)
-
-    def _group_records(self):
-        S, Z = self.spec.S, self.spec.Z
-        self.rec_of = [np.where(self.athlete == s)[0] for s in range(S)]
-        self.last_rec = self.rec_of[S - 1]
-        self.last_t = self.stage0[self.last_rec]
-        # per-athlete race design matrix against the constrained last type
-        self.race_design = []
-        for s in range(S):
-            rec = self.rec_of[s]
-            races = self.race[rec]
-            m = np.zeros((len(rec), Z - 1))
-            for j in range(Z - 1):
-                m[:, j] = (races == j).astype(float) - (races == Z - 1).astype(float)
-            self.race_design.append(m)
-
-    def _session_counts(self):
-        S, T, Z = self.spec.S, self.spec.T, self.spec.Z
+        shots = SHOTS_PER_BOUT * len(hits)
+        pbar = np.clip(hits.sum() / shots, 0.1, 0.9) if shots else 0.5
+        w = SHOTS_PER_BOUT * pbar * (1.0 - pbar)  # Fisher info of eta per session
         n_st = np.zeros((S, T))
-        np.add.at(n_st, (self.athlete, self.stage0), 1.0)
+        np.add.at(n_st, (a.athlete, a.stage0), 1.0)
         n_s = n_st.sum(axis=1)
         n_sz = np.zeros((S, Z))
-        np.add.at(n_sz, (self.athlete, self.race), 1.0)
-        return n_st, n_s, n_sz
-
-    def _build_blocks(self):
-        spec = self.spec
-        S, T, Z = spec.S, spec.T, spec.Z
-        shots = SHOTS_PER_BOUT * len(self.hits)
-        pbar = np.clip(self.hits.sum() / shots, 0.1, 0.9) if shots else 0.5
-        w = SHOTS_PER_BOUT * pbar * (1.0 - pbar)  # Fisher info of eta per session
-        n_st, n_s, n_sz = self._session_counts()
+        np.add.at(n_sz, (a.athlete, a.race), 1.0)
         self._rw_Q = _rw_precision(T)
         self._chol: dict[str, tuple[float, np.ndarray, np.ndarray]] = {}
 
@@ -353,14 +381,20 @@ class ModelTarget:
                 T == 1,
                 1.0 / np.sqrt(info_mu + 1.0),
                 kind="mu",
+                payload=(_PRIOR_CLASS["mu"], (_stage_group(_ALL, hits, a.stage0, T),)),
                 fisher=np.diag(info_mu) if T > 1 else None,
             )
         )
         if spec.mu_only:
             self.blocks = blocks
             return
+        rec_of = [np.where(a.athlete == s)[0] for s in range(S)]
+        last = rec_of[S - 1]
+        # athlete S's trajectory is minus the sum of the free ones
+        last_group = _stage_group(last, hits[last], a.stage0[last], T, -1.0)
         for s in range(S - 1):
-            idx = np.arange(self.sl_beta.start + s * T, self.sl_beta.start + (s + 1) * T)
+            own = rec_of[s]
+            idx = np.arange(lay.beta.start + s * T, lay.beta.start + (s + 1) * T)
             info = w * (n_st[s] + n_st[S - 1])
             # Two tries per visit: trajectory wiggles are prior-dominated, so
             # their amplitudes (which drive the beta scale's conditional) need
@@ -372,21 +406,37 @@ class ModelTarget:
                     T == 1,
                     1.0 / np.sqrt(info + 1.0),
                     kind="beta",
-                    payload=s,
+                    payload=(
+                        _PRIOR_CLASS["beta"],
+                        (_stage_group(own, hits[own], a.stage0[own], T), last_group),
+                    ),
                     fisher=np.diag(info) if T > 1 else None,
                     repeats=2 if T > 1 else 1,
                 )
             )
         for s in range(S):
-            idx = np.array([self.sl_gamma.start + s])
+            rec = rec_of[s]
+            idx = np.array([lay.gamma.start + s])
             info = np.array([w * n_s[s] + 1.0])
+            group = _position_group(rec, hits[rec], 1.0 - 2.0 * a.position[rec])
             blocks.append(
-                Block(f"gamma[{s + 1}]", idx, True, 1.0 / np.sqrt(info), kind="gamma", payload=s)
+                Block(
+                    f"gamma[{s + 1}]",
+                    idx,
+                    True,
+                    1.0 / np.sqrt(info),
+                    kind="gamma",
+                    payload=(_PRIOR_CLASS["gamma"], (group,)),
+                )
             )
         for s in range(S):
-            start = self.sl_omega.start + s * (Z - 1)
+            rec = rec_of[s]
+            start = lay.omega.start + s * (Z - 1)
             idx = np.arange(start, start + Z - 1)
             info = w * (n_sz[s, : Z - 1] + n_sz[s, Z - 1])
+            # race design against the constrained last type
+            races = a.race[rec]
+            design = (races[:, None] == np.arange(Z - 1)) - (races[:, None] == Z - 1).astype(float)
             # race records of the constrained last type hit every free
             # coordinate with sign -1, giving a rank-one Fisher cross term
             fisher = np.diag(w * n_sz[s, : Z - 1]) + w * n_sz[s, Z - 1] * np.ones(
@@ -399,12 +449,12 @@ class ModelTarget:
                     Z == 2,
                     1.0 / np.sqrt(info + 1.0),
                     kind="omega",
-                    payload=s,
+                    payload=(_PRIOR_CLASS["omega"], (_design_group(rec, hits[rec], design),)),
                     fisher=fisher if Z > 2 else None,
                 )
             )
         for k, name in enumerate(_model.SIGMA_NAMES):
-            idx = np.array([self.sl_sigma.start + k])
+            idx = np.array([lay.sigma.start + k])
             info = np.array([2.0 * self.class_n[k] + 2.0])
             # Scale conditionals are sharp (curvature ~ 2n) while their modes
             # track the trajectory sum of squares; several cheap O(1) tries
@@ -417,13 +467,11 @@ class ModelTarget:
                     True,
                     1.0 / np.sqrt(info),
                     kind="sigma",
-                    payload=k,
+                    payload=(k, ()),
                     repeats=8,
                 )
             )
         self.blocks = blocks
-
-    _PRIOR_CLASS = {"mu": 0, "beta": 1, "omega": 3}
 
     def proposal_transform(self, x, block):
         """Cholesky pair (L, inv(L).T) of the block's Gaussian-approximation
@@ -431,12 +479,11 @@ class ModelTarget:
         for scalar blocks.  Cached per block until its scale moves."""
         if block.fisher is None:
             return None
-        k = self._PRIOR_CLASS[block.kind]
-        v = 0.0 if self.spec.mu_only else float(x[self.sl_sigma.start + k])
+        v = self._log_sigma(x, block.payload[0])
         hit = self._chol.get(block.name)
         if hit is not None and hit[0] == v:
             return hit[1], hit[2]
-        prior = self._rw_Q if block.kind in ("mu", "beta") else np.eye(len(block.idx))
+        prior = self._rw_Q if block.kind in _RANDOM_WALK else np.eye(len(block.idx))
         L = np.linalg.cholesky(block.fisher + np.exp(-2.0 * v) * prior)
         A = np.linalg.solve(L, np.eye(len(block.idx))).T
         self._chol[block.name] = (v, L, A)
@@ -448,229 +495,101 @@ class ModelTarget:
         # overdispersed: free coords N(0, 0.5); log scales N(0, 0.25)
         x = rng.normal(0.0, 0.5, self.dim)
         if not self.spec.mu_only:
-            x[self.sl_sigma] = rng.normal(0.0, 0.25, 4)
+            x[self.lay.sigma] = rng.normal(0.0, 0.25, 4)
         return x
 
     def make_cache(self, x: np.ndarray) -> _Cache:
         state = _model.from_vector(x, self.spec)
         eta = _model.linear_predictors(state, self.dataset, self.spec)
         ll = _model.bout_log_likelihoods(self.hits, eta)
-        ss = self._suff_stats(x)
+        lay = self.lay
+        ss = np.array(
+            [
+                _model._rw_ss(x[lay.mu]),
+                _model._rw_ss(x[lay.beta].reshape(-1, self.spec.T)),
+                _sum_sq(x[lay.gamma]),
+                _sum_sq(x[lay.omega]),
+            ]
+        )
         logp = float(np.sum(ll)) + _model.log_prior(state, self.spec)
         return _Cache(eta=eta, ll=ll, ll_sum=float(np.sum(ll)), ss=ss, logp=logp)
 
-    def _suff_stats(self, x: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        if spec.mu_only:
-            return np.array([_model._rw_ss(x[self.sl_mu]), 0.0, 0.0, 0.0])
-        beta = x[self.sl_beta].reshape(spec.S - 1, spec.T)
-        return np.array(
-            [
-                _model._rw_ss(x[self.sl_mu]),
-                _model._rw_ss(beta),
-                float(np.sum(x[self.sl_gamma] ** 2)),
-                float(np.sum(x[self.sl_omega] ** 2)),
-            ]
-        )
+    def _log_sigma(self, x: np.ndarray, k: int) -> float:
+        return 0.0 if self.spec.mu_only else float(x[self.lay.sigma.start + k])
 
-    def _sigma_of(self, x: np.ndarray) -> np.ndarray:
-        if self.spec.mu_only:
-            return np.ones(4)
-        return np.exp(x[self.sl_sigma])
-
-    # ---- block proposal evaluation ----------------------------------------
+    # ---- block moves -------------------------------------------------------
 
     def propose_delta(self, x, cache, block, prop):
-        kind = block.kind
+        k, groups = block.payload
         cur = x[block.idx]
-        if kind == "mu":
-            d_eta = (prop - cur)[self.stage0]
-            eta_new = cache.eta + d_eta
-            ll_new = _model.bout_log_likelihoods(self.hits, eta_new)
-            ss_new = _model._rw_ss(prop)
-            v = 0.0 if self.spec.mu_only else float(x[self.sl_sigma.start])
-            d_prior = -0.5 * (ss_new - cache.ss[0]) * np.exp(-2.0 * v)
-            d_ll = float(np.sum(ll_new)) - cache.ll_sum
-            return d_ll + d_prior, ("mu", eta_new, ll_new, ss_new)
-        if kind == "beta":
-            s = block.payload
-            own = self.rec_of[s]
-            d_row = prop - cur
-            eta_own = cache.eta[own] + d_row[self.stage0[own]]
-            eta_last = cache.eta[self.last_rec] - d_row[self.last_t]
-            ll_own = _model.bout_log_likelihoods(self.hits[own], eta_own)
-            ll_last = _model.bout_log_likelihoods(self.hits[self.last_rec], eta_last)
-            d_ll = (
-                float(np.sum(ll_own))
-                - float(np.sum(cache.ll[own]))
-                + float(np.sum(ll_last))
-                - float(np.sum(cache.ll[self.last_rec]))
+        if block.kind == "sigma":
+            # likelihood untouched, O(1)
+            n, ss = self.class_n[k], cache.ss[k]
+            c = self.spec.sigma_scale
+            d_prior = (
+                _model._gauss_class_logp(n, ss, prop[0])
+                + _model._halfnormal_log_logp(prop[0], c)
+                - _model._gauss_class_logp(n, ss, cur[0])
+                - _model._halfnormal_log_logp(cur[0], c)
             )
-            ss_new = cache.ss[1] - _model._rw_ss(cur) + _model._rw_ss(prop)
-            v = float(x[self.sl_sigma.start + 1])
-            d_prior = -0.5 * (ss_new - cache.ss[1]) * np.exp(-2.0 * v)
-            return d_ll + d_prior, ("beta", eta_own, ll_own, eta_last, ll_last, ss_new)
-        if kind == "gamma":
-            s = block.payload
-            rec = self.rec_of[s]
-            d_eta = (prop[0] - cur[0]) * self.possign[rec]
-            eta_new = cache.eta[rec] + d_eta
-            ll_new = _model.bout_log_likelihoods(self.hits[rec], eta_new)
-            d_ll = float(np.sum(ll_new)) - float(np.sum(cache.ll[rec]))
-            ss_new = cache.ss[2] - cur[0] ** 2 + prop[0] ** 2
-            v = float(x[self.sl_sigma.start + 2])
-            d_prior = -0.5 * (ss_new - cache.ss[2]) * np.exp(-2.0 * v)
-            return d_ll + d_prior, ("gamma", eta_new, ll_new, ss_new)
-        if kind == "omega":
-            s = block.payload
-            rec = self.rec_of[s]
-            eta_new = cache.eta[rec] + self.race_design[s] @ (prop - cur)
-            ll_new = _model.bout_log_likelihoods(self.hits[rec], eta_new)
-            d_ll = float(np.sum(ll_new)) - float(np.sum(cache.ll[rec]))
-            ss_new = cache.ss[3] - float(np.sum(cur**2)) + float(np.sum(prop**2))
-            v = float(x[self.sl_sigma.start + 3])
-            d_prior = -0.5 * (ss_new - cache.ss[3]) * np.exp(-2.0 * v)
-            return d_ll + d_prior, ("omega", eta_new, ll_new, ss_new)
-        # sigma: likelihood untouched, O(1)
-        k = block.payload
-        n, ss = self.class_n[k], cache.ss[k]
-        c = self.spec.sigma_scale
-        d_prior = (
-            _model._gauss_class_logp(n, ss, prop[0])
-            + _model._halfnormal_log_logp(prop[0], c)
-            - _model._gauss_class_logp(n, ss, cur[0])
-            - _model._halfnormal_log_logp(cur[0], c)
-        )
-        return float(d_prior), ("sigma",)
+            return float(d_prior), _Stash((), 0.0, k, ss, d_prior)
+        d = prop - cur
+        d_ll = 0.0
+        touched = []
+        for g in groups:
+            eta = cache.eta[g.rec] + g.shift(d)
+            ll = _model.bout_log_likelihoods(g.hits, eta)
+            old = cache.ll_sum if g.rec is _ALL else float(np.sum(cache.ll[g.rec]))
+            # summed group by group, left to right: the order sets the last
+            # bits of the delta, and through it the draws
+            d_ll = d_ll + float(np.sum(ll)) - old
+            touched.append((g.rec, eta, ll))
+        ss_of = _BLOCK_SS[block.kind]
+        if block.kind == "mu":  # the block is its whole class
+            ss_new = ss_of(prop)
+        else:
+            ss_new = cache.ss[k] - ss_of(cur) + ss_of(prop)
+        d_prior = -0.5 * (ss_new - cache.ss[k]) * np.exp(-2.0 * self._log_sigma(x, k))
+        delta = d_ll + d_prior
+        return delta, _Stash(tuple(touched), d_ll, k, ss_new, delta)
 
     def commit(self, x, cache, block, prop, stash):
-        kind = stash[0]
-        if kind == "mu":
-            _, eta_new, ll_new, ss_new = stash
-            d_ll = float(np.sum(ll_new)) - cache.ll_sum
-            cache.eta = eta_new
-            cache.ll = ll_new
-            cache.ll_sum += d_ll
-            v = 0.0 if self.spec.mu_only else float(x[self.sl_sigma.start])
-            cache.logp += d_ll - 0.5 * (ss_new - cache.ss[0]) * np.exp(-2.0 * v)
-            cache.ss[0] = ss_new
-            return
-        if kind == "beta":
-            _, eta_own, ll_own, eta_last, ll_last, ss_new = stash
-            s = block.payload
-            own = self.rec_of[s]
-            d_ll = (
-                float(np.sum(ll_own))
-                - float(np.sum(cache.ll[own]))
-                + float(np.sum(ll_last))
-                - float(np.sum(cache.ll[self.last_rec]))
-            )
-            cache.eta[own] = eta_own
-            cache.ll[own] = ll_own
-            cache.eta[self.last_rec] = eta_last
-            cache.ll[self.last_rec] = ll_last
-            cache.ll_sum += d_ll
-            v = float(x[self.sl_sigma.start + 1])
-            cache.logp += d_ll - 0.5 * (ss_new - cache.ss[1]) * np.exp(-2.0 * v)
-            cache.ss[1] = ss_new
-            return
-        if kind in ("gamma", "omega"):
-            _, eta_new, ll_new, ss_new = stash
-            s = block.payload
-            rec = self.rec_of[s]
-            d_ll = float(np.sum(ll_new)) - float(np.sum(cache.ll[rec]))
-            cache.eta[rec] = eta_new
-            cache.ll[rec] = ll_new
-            cache.ll_sum += d_ll
-            k = 2 if kind == "gamma" else 3
-            v = float(x[self.sl_sigma.start + k])
-            cache.logp += d_ll - 0.5 * (ss_new - cache.ss[k]) * np.exp(-2.0 * v)
-            cache.ss[k] = ss_new
-            return
-        # sigma
-        k = block.payload
-        cur = x[block.idx][0]
-        n, ss = self.class_n[k], cache.ss[k]
-        c = self.spec.sigma_scale
-        cache.logp += (
-            _model._gauss_class_logp(n, ss, prop[0])
-            + _model._halfnormal_log_logp(prop[0], c)
-            - _model._gauss_class_logp(n, ss, cur)
-            - _model._halfnormal_log_logp(cur, c)
-        )
+        """Apply an accepted move: exactly the delta ``propose_delta`` returned."""
+        for rec, eta, ll in stash.groups:
+            cache.eta[rec] = eta
+            cache.ll[rec] = ll
+        cache.ll_sum += stash.d_ll
+        cache.ss[stash.k] = stash.ss
+        cache.logp += stash.delta
 
     # ---- block gradients (gradient_assisted mode) --------------------------
 
-    def _resid(self, hits, eta):
-        return hits - SHOTS_PER_BOUT * expit(eta)
-
     def block_grad(self, x, cache, block):
-        kind = block.kind
-        cur = x[block.idx]
-        spec = self.spec
-        sigma = self._sigma_of(x)
-        if kind == "mu":
-            resid = self._resid(self.hits, cache.eta)
-            g = np.bincount(self.stage0, weights=resid, minlength=spec.T)
-            return g + _model._rw_grad(cur, sigma[0] if not spec.mu_only else 1.0)
-        if kind == "beta":
-            s = block.payload
-            own = self.rec_of[s]
-            r_own = self._resid(self.hits[own], cache.eta[own])
-            r_last = self._resid(self.hits[self.last_rec], cache.eta[self.last_rec])
-            g = np.bincount(self.stage0[own], weights=r_own, minlength=spec.T) - np.bincount(
-                self.last_t, weights=r_last, minlength=spec.T
-            )
-            return g + _model._rw_grad(cur, sigma[1])
-        if kind == "gamma":
-            s = block.payload
-            rec = self.rec_of[s]
-            r = self._resid(self.hits[rec], cache.eta[rec])
-            return np.array([float(np.sum(r * self.possign[rec]))]) - cur / sigma[2] ** 2
-        if kind == "omega":
-            s = block.payload
-            rec = self.rec_of[s]
-            r = self._resid(self.hits[rec], cache.eta[rec])
-            return self.race_design[s].T @ r - cur / sigma[3] ** 2
-        k = block.payload
-        n, ss = self.class_n[k], cache.ss[k]
-        c = self.spec.sigma_scale
-        v = cur[0]
-        return np.array([-n + ss * np.exp(-2.0 * v) - np.exp(2.0 * v) / c**2 + 1.0])
+        etas = [cache.eta[g.rec] for g in block.payload[1]]
+        return self._grad(x, cache, block, x[block.idx], etas)
 
     def block_grad_at(self, x, cache, block, prop, stash):
-        kind = block.kind
-        spec = self.spec
-        sigma = self._sigma_of(x)
-        if kind == "mu":
-            eta_new = stash[1]
-            resid = self._resid(self.hits, eta_new)
-            g = np.bincount(self.stage0, weights=resid, minlength=spec.T)
-            return g + _model._rw_grad(prop, sigma[0] if not spec.mu_only else 1.0)
-        if kind == "beta":
-            s = block.payload
-            own = self.rec_of[s]
-            r_own = self._resid(self.hits[own], stash[1])
-            r_last = self._resid(self.hits[self.last_rec], stash[3])
-            g = np.bincount(self.stage0[own], weights=r_own, minlength=spec.T) - np.bincount(
-                self.last_t, weights=r_last, minlength=spec.T
-            )
-            return g + _model._rw_grad(prop, sigma[1])
-        if kind == "gamma":
-            s = block.payload
-            rec = self.rec_of[s]
-            r = self._resid(self.hits[rec], stash[1])
-            return np.array([float(np.sum(r * self.possign[rec]))]) - prop / sigma[2] ** 2
-        if kind == "omega":
-            s = block.payload
-            rec = self.rec_of[s]
-            r = self._resid(self.hits[rec], stash[1])
-            return self.race_design[s].T @ r - prop / sigma[3] ** 2
-        k = block.payload
-        n, ss = self.class_n[k], cache.ss[k]
-        c = self.spec.sigma_scale
-        v = prop[0]
-        return np.array([-n + ss * np.exp(-2.0 * v) - np.exp(2.0 * v) / c**2 + 1.0])
+        return self._grad(x, cache, block, prop, [eta for _, eta, _ in stash.groups])
+
+    def _grad(self, x, cache, block, value, etas):
+        """Log-posterior gradient on the block at ``value``, where the touched
+        groups' log-odds are ``etas``."""
+        k, groups = block.payload
+        if block.kind == "sigma":
+            n, ss = self.class_n[k], cache.ss[k]
+            c = self.spec.sigma_scale
+            v = value[0]
+            return np.array([-n + ss * np.exp(-2.0 * v) - np.exp(2.0 * v) / c**2 + 1.0])
+        g = reduce(
+            np.add,
+            (grp.pull(grp.hits - SHOTS_PER_BOUT * expit(eta)) for grp, eta in zip(groups, etas)),
+        )
+        # exp over the whole scale vector: numpy's vector and scalar exp can
+        # differ in the last bit, and the draws depend on which one is used
+        sd = 1.0 if self.spec.mu_only else np.exp(x[self.lay.sigma])[k]
+        if block.kind in _RANDOM_WALK:
+            return g + _model._rw_grad(value, sd)
+        return g - value / sd**2
 
 
 # ---------------------------------------------------------------------------
@@ -869,21 +788,20 @@ class ParamSummary:
 def summarize(samples: PosteriorSamples) -> list[ParamSummary]:
     """Posterior summary rows (moments, central interval, diagnostics) for
     every free coordinate."""
-    from .intervals import empirical_quantile
-
     out = []
     pooled = samples.pooled()
     for j, name in enumerate(samples.param_names):
         col = pooled[:, j]
+        srt = np.sort(col)
         chains = samples.draws[:, :, j]
         out.append(
             ParamSummary(
                 name=name,
                 mean=float(col.mean()),
                 sd=float(col.std(ddof=1)) if len(col) > 1 else 0.0,
-                median=float(empirical_quantile(col, 0.5)),
-                q025=float(empirical_quantile(col, 0.025)),
-                q975=float(empirical_quantile(col, 0.975)),
+                median=float(sorted_quantile(srt, 0.5)),
+                q025=float(sorted_quantile(srt, 0.025)),
+                q975=float(sorted_quantile(srt, 0.975)),
                 rhat=split_rhat(chains),
                 ess=ess(chains),
             )
@@ -906,23 +824,13 @@ def _manifest_dict(samples: PosteriorSamples) -> dict:
         "n_retained": samples.n_retained,
         "dim": samples.dim,
         "param_names": list(samples.param_names),
-        "model": {
-            "S": samples.spec.S,
-            "T": samples.spec.T,
-            "Z": samples.spec.Z,
-            "sigma_scale": samples.spec.sigma_scale,
-            "mu_only": samples.spec.mu_only,
-        },
+        "model": asdict(samples.spec),
         "sampler": samples.config.to_json_dict(),
         "seed": samples.config.seed,
         "source_digest": samples.source_digest,
         "acceptance_rates": {k: list(v) for k, v in samples.acceptance_rates.items()},
         "proposal_scales": {k: list(v) for k, v in samples.proposal_scales.items()},
     }
-
-
-def _manifest_bytes(samples: PosteriorSamples) -> bytes:
-    return json.dumps(_manifest_dict(samples), sort_keys=True, separators=(",", ":")).encode()
 
 
 def export_draws(samples: PosteriorSamples, sink, fmt: str = "binary"):
@@ -974,12 +882,28 @@ def _export_binary(samples: PosteriorSamples, fh):
         fh.write(chunk)
 
     put(_MAGIC)
-    manifest = _manifest_bytes(samples)
+    manifest = json.dumps(_manifest_dict(samples), sort_keys=True, separators=(",", ":")).encode()
     put(struct.pack("<Q", len(manifest)))
     put(manifest)
     for c in range(samples.n_chains):  # stream chain by chain
         put(np.ascontiguousarray(samples.draws[c], dtype=_DTYPE).tobytes())
     fh.write(digest.digest())
+
+
+def _parse_manifest(raw: bytes) -> dict:
+    """Decode a draws manifest (binary header or CSV sidecar): a JSON
+    object whose draw counts are non-negative integers, else DataError."""
+    try:
+        manifest = json.loads(raw.decode())
+    except ValueError as e:  # undecodable bytes or malformed JSON
+        raise DataError(f"bad draws manifest: {e}") from None
+    if not isinstance(manifest, dict):
+        raise DataError("bad draws manifest: not a JSON object")
+    for key in ("n_chains", "n_retained", "dim"):
+        n = manifest.get(key)
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise DataError(f"bad draws manifest: {key} must be a non-negative integer")
+    return manifest
 
 
 def _samples_from_manifest(manifest: dict, draws: np.ndarray) -> PosteriorSamples:
@@ -1020,7 +944,7 @@ def import_draws(source) -> PosteriorSamples:
     if raw[: len(_MAGIC)] == _MAGIC:
         return _import_binary(raw)
     if side is not None and side.exists():
-        return _import_csv(raw, json.loads(side.read_text()))
+        return _import_csv(raw, _parse_manifest(side.read_bytes()))
     raise DataError("unrecognized draws container (bad magic, no manifest sidecar)")
 
 
@@ -1033,7 +957,7 @@ def _import_binary(raw: bytes) -> PosteriorSamples:
     off = len(_MAGIC)
     (mlen,) = struct.unpack_from("<Q", body, off)
     off += 8
-    manifest = json.loads(body[off : off + mlen].decode())
+    manifest = _parse_manifest(body[off : off + mlen])
     off += mlen
     c, r, d = manifest["n_chains"], manifest["n_retained"], manifest["dim"]
     expected = c * r * d * 8
@@ -1048,7 +972,10 @@ def _import_csv(raw: bytes, manifest: dict) -> PosteriorSamples:
     if manifest.get("csv_sha256") != hashlib.sha256(raw).hexdigest():
         raise DataError("draws CSV checksum mismatch against manifest sidecar")
     c, r, d = manifest["n_chains"], manifest["n_retained"], manifest["dim"]
-    names = {name: j for j, name in enumerate(manifest["param_names"])}
+    try:
+        names = {name: j for j, name in enumerate(manifest["param_names"])}
+    except (KeyError, TypeError) as e:
+        raise DataError(f"bad draws manifest: {e}") from None
     draws = np.full((c, r, d), np.nan)
     reader = csv.reader(io.StringIO(raw.decode()))
     try:

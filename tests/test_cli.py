@@ -198,6 +198,16 @@ class TestDiagnose:
         sampler.export_draws(frozen, fitdir / "draws.bin")
         assert cli.main(["diagnose", "--fit", str(fitdir), "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("sidecar", ["{not json", "[]"])
+    def test_malformed_csv_sidecar_exit_2(self, ws, tmp_path, capsys, sidecar):
+        fitdir = tmp_path / "csvfit"
+        fitdir.mkdir()
+        samples = sampler.import_draws(ws / "fit" / "draws.bin")
+        sampler.export_draws(samples, fitdir / "draws.csv", fmt="csv")
+        (fitdir / "draws.csv.manifest.json").write_text(sidecar)
+        assert cli.main(["diagnose", "--fit", str(fitdir), "--out", str(tmp_path)]) == 2
+        assert "manifest" in capsys.readouterr().err
+
 
 class TestPredict:
     def test_full_output_set(self, ws, tmp_path, capsys):

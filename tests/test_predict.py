@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from biathlon_bayes import model, predict, sampler
 from biathlon_bayes.data import RACE_TYPES, Dataset, SessionRecord
 from biathlon_bayes.errors import DataError
-from biathlon_bayes.intervals import central_interval, empirical_quantile, mid_p_tail
+from biathlon_bayes.intervals import (
+    central_interval,
+    empirical_quantile,
+    mid_p_tail,
+    sorted_quantile,
+)
 from biathlon_bayes.model import ModelSpec
 from biathlon_bayes.predict import (
     PredictiveSummary,
@@ -126,6 +131,18 @@ class TestIntervalPrimitives:
         assert empirical_quantile(draws, 0.975) == 79
         assert empirical_quantile(draws, 0.0) == 1
         assert empirical_quantile(draws, 1.0) == 81
+        # along an axis: one order statistic per column (or row)
+        grid = np.stack([draws, 2 * draws[::-1]], axis=1)  # (81, 2)
+        assert empirical_quantile(grid, 0.5, axis=0).tolist() == [41, 82]
+        assert empirical_quantile(grid.T, 0.975, axis=1).tolist() == [79, 158]
+        assert empirical_quantile(grid, 0.025, axis=-2).tolist() == [3, 6]
+        assert sorted_quantile(np.sort(grid, axis=0), 0.025).tolist() == [3, 6]
+        cube = np.random.default_rng(1).standard_normal((40, 3, 2))
+        for q in (0.0, 0.1, 0.5, 1.0):
+            got = empirical_quantile(cube, q, axis=0)
+            assert got.shape == (3, 2)
+            for i, j in np.ndindex(3, 2):
+                assert got[i, j] == empirical_quantile(cube[:, i, j], q)
 
     @given(
         st.lists(st.integers(0, 5), min_size=1, max_size=60),
@@ -145,6 +162,10 @@ class TestIntervalPrimitives:
             empirical_quantile([1.0], 1.5)
         with pytest.raises(DataError):
             empirical_quantile([], 0.5)
+        with pytest.raises(DataError):
+            empirical_quantile(np.ones((0, 3)), 0.5, axis=0)
+        with pytest.raises(DataError):
+            sorted_quantile(np.ones((4, 3)), -0.1)
 
     def test_central_interval_matches_quantiles(self):
         rng = np.random.default_rng(3)

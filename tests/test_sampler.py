@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from biathlon_bayes import model, sampler
+from biathlon_bayes import model, sampler, synth
 from biathlon_bayes.errors import DataError, NumericalError
 from biathlon_bayes.sampler import (
     Block,
@@ -191,6 +191,89 @@ class TestModelTargetBlocks:
         assert all(by_name[n].repeats == 8 for n in names[-4:])
         assert by_name["beta[1]"].repeats == 2  # multi-stage season
         assert by_name["gamma[1]"].scalar and len(by_name["gamma[1]"].idx) == 1
+
+
+@pytest.fixture(scope="module", params=["small", "scalar_blocks", "mu_only"])
+def target(request, small_dataset, golden):
+    """ModelTarget on three shapes: the small season, an S=4 T=1 Z=2 season
+    whose mu, beta and omega blocks are all scalar, and the golden reduced
+    model."""
+    if request.param == "small":
+        return sampler.ModelTarget(model.ModelSpec.for_dataset(small_dataset), small_dataset)
+    if request.param == "scalar_blocks":
+        cfg = synth.SynthConfig(
+            n_athletes=4, n_stages=1, schedule={1: ("individual", "sprint")}, seed=5
+        )
+        d, _ = synth.generate_synthetic(cfg)
+        return sampler.ModelTarget(model.ModelSpec(S=4, T=1, Z=2), d)
+    d, spec = golden
+    return sampler.ModelTarget(spec, d)
+
+
+class TestModelTargetMoves:
+    """The delta-cached block moves agree with the model's own densities."""
+
+    @staticmethod
+    def _log_posterior(target, x):
+        return model.log_posterior(model.from_vector(x, target.spec), target.dataset, target.spec)
+
+    @staticmethod
+    def _step(target, x, block, rng, scale=0.3):
+        xp = x.copy()
+        xp[block.idx] = x[block.idx] + scale * rng.standard_normal(len(block.idx))
+        return xp
+
+    def test_every_block_kind_is_covered(self, target):
+        kinds = {b.kind for b in target.blocks}
+        want = {"mu"} if target.spec.mu_only else {"mu", "beta", "gamma", "omega", "sigma"}
+        assert kinds == want
+
+    def test_delta_matches_log_posterior_difference(self, target):
+        rng = np.random.default_rng(3)
+        for block in target.blocks:
+            x = target.initial_vector(rng)
+            cache = target.make_cache(x)
+            xp = self._step(target, x, block, rng)
+            delta, _ = target.propose_delta(x, cache, block, xp[block.idx])
+            want = self._log_posterior(target, xp) - self._log_posterior(target, x)
+            assert delta == pytest.approx(want, abs=1e-9), block.name
+
+    def test_commits_keep_the_cache_exact(self, target):
+        rng = np.random.default_rng(4)
+        x = target.initial_vector(rng)
+        cache = target.make_cache(x)
+        for _ in range(300):
+            block = target.blocks[rng.integers(len(target.blocks))]
+            prop = self._step(target, x, block, rng, scale=0.1)[block.idx]
+            _, stash = target.propose_delta(x, cache, block, prop)
+            target.commit(x, cache, block, prop, stash)
+            x[block.idx] = prop
+        fresh = target.make_cache(x)
+        for field in ("eta", "ll", "ss"):
+            np.testing.assert_allclose(getattr(cache, field), getattr(fresh, field), rtol=0, atol=1e-9)
+        assert cache.ll_sum == pytest.approx(fresh.ll_sum, abs=1e-9)
+        assert cache.logp == pytest.approx(fresh.logp, abs=1e-9)
+        assert cache.logp == pytest.approx(self._log_posterior(target, x), abs=1e-9)
+
+    def test_block_gradients_match_the_model_gradient(self, target):
+        rng = np.random.default_rng(5)
+        spec, d = target.spec, target.dataset
+        for block in target.blocks:
+            x = target.initial_vector(rng)
+            cache = target.make_cache(x)
+            xp = self._step(target, x, block, rng)
+            _, stash = target.propose_delta(x, cache, block, xp[block.idx])
+            g = model.grad_log_posterior(model.from_vector(x, spec), d, spec)
+            gp = model.grad_log_posterior(model.from_vector(xp, spec), d, spec)
+            np.testing.assert_allclose(
+                target.block_grad(x, cache, block), g[block.idx], rtol=1e-9, atol=1e-9
+            )
+            np.testing.assert_allclose(
+                target.block_grad_at(x, cache, block, xp[block.idx], stash),
+                gp[block.idx],
+                rtol=1e-9,
+                atol=1e-9,
+            )
 
 
 class TestRunChains:
@@ -455,4 +538,30 @@ class TestDrawsContainer:
         body = raw[:header_end] + raw[header_end:-32][:-8]  # drop one value
         path.write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(DataError, match="payload"):
+            import_draws(path)
+
+    _BAD_MANIFESTS = [
+        b"{not json",
+        b"[]",
+        b"\xff\xfe\x00\x81",
+        b'{"n_chains": 1, "n_retained": 1}',
+        b'{"n_chains": 1, "n_retained": "2", "dim": 3}',
+    ]
+
+    @pytest.mark.parametrize("bad", _BAD_MANIFESTS)
+    def test_bad_csv_sidecar_is_a_data_error(self, small_fit, tmp_path, bad):
+        path = tmp_path / "draws.csv"
+        export_draws(small_fit, path, fmt="csv")
+        (tmp_path / "draws.csv.manifest.json").write_bytes(bad)
+        with pytest.raises(DataError, match="manifest"):
+            import_draws(path)
+
+    @pytest.mark.parametrize("bad", _BAD_MANIFESTS)
+    def test_bad_binary_header_is_a_data_error(self, tmp_path, bad):
+        import hashlib
+
+        body = sampler._MAGIC + struct.pack("<Q", len(bad)) + bad
+        path = tmp_path / "draws.bin"
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(DataError, match="manifest"):
             import_draws(path)
