@@ -25,9 +25,10 @@ from biathlon_bayes import (
     run_chains,
     sbc,
 )
+from biathlon_bayes.data import RACE_TYPES
 from biathlon_bayes.oracles import golden_quadrature_dataset
 from biathlon_bayes.sampler import ess
-from biathlon_bayes.synth import SynthConfig
+from biathlon_bayes.synth import SynthConfig, generate_synthetic
 
 
 def main() -> None:
@@ -62,7 +63,11 @@ def main() -> None:
     print("\n=== Oracle 2: finite-difference gradient check ===")
     for shape in ((2, 1, 2), (3, 4, 3), (30, 11, 4)):
         s, t, z = shape
-        res = gradient_check(ModelSpec(S=s, T=t, Z=z), n_points=25, seed=1)
+        schedule = {stage: RACE_TYPES[:z] for stage in range(1, t + 1)}
+        d, _ = generate_synthetic(
+            SynthConfig(n_athletes=s, n_stages=t, schedule=schedule, seed=1 + s)
+        )
+        res = gradient_check(ModelSpec(S=s, T=t, Z=z), d, n_points=25, seed=1)
         print(f"  S={s:>2} T={t:>2} Z={z}: max relative error {res.max_rel_error:.2e} "
               f"at {res.coordinate_name} -> {'OK' if res.max_rel_error < 1e-6 else 'FAIL'}")
 
@@ -74,7 +79,7 @@ def main() -> None:
     # at full size; here a 2-athlete model keeps the loop ~2 minutes.)
     print("\n=== Oracle 3: simulation-based calibration (40 replications) ===")
     report = sbc(
-        ModelSpec(S=2, T=1, Z=2),
+        ModelSpec(S=2, T=1, Z=4),
         SynthConfig(n_athletes=2, n_stages=1, schedule={1: ("individual", "sprint")}),
         replications=40,
         sampler_cfg=SamplerConfig(n_chains=1, burn_in=300, kept_iterations=1200, thin=2),
@@ -87,9 +92,9 @@ def main() -> None:
           f"{'OK' if report.uniform_ok else 'REJECTED'}")
     print(f"  mean 90%-interval coverage: {report.coverage90.mean():.3f} (nominal 0.90)")
     print(f"  mean 50%-interval coverage: {report.coverage50.mean():.3f} (nominal 0.50)")
-    band = report.coverage90_in_band()
-    print(f"  parameters with 90% coverage in [0.84, 0.96]: {band:.0%}")
-    ok = report.uniform_ok and band >= 0.8
+    print(f"  every 90% coverage count in its Binomial({report.replications}, 0.9) band: "
+          f"{'yes' if report.coverage90_ok() else 'NO'}")
+    ok = report.uniform_ok and report.coverage90_ok()
     print(f"  verdict: {'calibrated' if ok else 'MISCALIBRATED'} "
           f"(40 replications is a smoke test; the acceptance suite runs 100)")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -49,7 +50,7 @@ from .explore import (
     stage_deviation_matrix,
     summary_csv_rows,
 )
-from .intervals import sorted_quantile
+from .intervals import summary
 from .model import ModelSpec
 from .oracles import (
     gradient_check,
@@ -94,9 +95,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
-_SAMPLER_FLAGS = ("seed", "chains", "burnin", "keep", "thin", "proposal")
-
-
 def _add_sampler_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--chains", type=int, default=4, help="number of chains")
@@ -130,7 +128,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("ingest", help="parse and validate a sessions file")
     p.add_argument("--data", required=True, help="sessions CSV path")
     p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(func=_cmd_ingest, _keys=("data", "out"))
+    p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("explore", help="descriptive summaries and clustering")
     p.add_argument("--data", required=True)
@@ -138,7 +136,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ranks", help="optional athlete,final_rank CSV")
     p.add_argument("--clusters", type=int, metavar="K", help="emit K cluster labels")
     p.add_argument("--standardize", action="store_true", help="z-score cluster features")
-    p.set_defaults(func=_cmd_explore, _keys=("data", "out", "ranks", "clusters", "standardize"))
+    p.set_defaults(func=_cmd_explore)
 
     p = sub.add_parser("fit", help="sample the posterior")
     p.add_argument("--data", required=True)
@@ -146,12 +144,12 @@ def _build_parser() -> _Parser:
     _add_sampler_flags(p)
     p.add_argument("--format", choices=("binary", "csv"), default="binary", dest="fmt",
                    help="draws container format")
-    p.set_defaults(func=_cmd_fit, _keys=("data", "out", "fmt") + _SAMPLER_FLAGS)
+    p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("diagnose", help="convergence diagnostics for a fit")
     p.add_argument("--fit", required=True, help="output directory of a previous fit")
     p.add_argument("--out", default=".")
-    p.set_defaults(func=_cmd_diagnose, _keys=("fit", "out"))
+    p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("predict", help="effect summaries and predictive checks")
     p.add_argument("--fit", required=True, help="output directory of a previous fit")
@@ -163,8 +161,7 @@ def _build_parser() -> _Parser:
                    help="athlete for cumulative paths (repeatable; default all)")
     p.add_argument("--future-schedule", dest="future_schedule",
                    help="sessions CSV of races to forecast (hits ignored)")
-    p.set_defaults(func=_cmd_predict,
-                   _keys=("fit", "data", "out", "seed", "reps", "athlete", "future_schedule"))
+    p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("validate", help="independent correctness oracles")
     p.add_argument("which", choices=("oracle", "gradcheck", "sbc"))
@@ -174,8 +171,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=100, help="sbc replications")
     p.add_argument("--athletes", type=int, default=5, help="sbc athletes")
     p.add_argument("--stages", type=int, default=4, help="sbc stages")
-    p.set_defaults(func=_cmd_validate,
-                   _keys=("which", "out", "points", "reps", "athletes", "stages") + _SAMPLER_FLAGS)
+    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("simulate", help="generate a synthetic season")
     p.add_argument("--out", default=".")
@@ -183,8 +179,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--athletes", type=int, default=30)
     p.add_argument("--stages", type=int, default=11)
     p.add_argument("--participation", type=float, default=1.0)
-    p.set_defaults(func=_cmd_simulate,
-                   _keys=("out", "seed", "athletes", "stages", "participation"))
+    p.set_defaults(func=_cmd_simulate)
 
     return parser
 
@@ -320,13 +315,15 @@ def _fmt(x) -> str:
 
 
 def _write_manifest(args, inputs: dict):
-    """Write manifest.json to the output directory before any other output."""
+    """Write manifest.json to the output directory before any other output;
+    its ``config`` is every argument of the subcommand, for ``--config``."""
     os.makedirs(args.out, exist_ok=True)
     manifest = {
         "tool": "biathlon-bayes",
         "version": __version__,
         "subcommand": args.subcommand,
-        "config": {k: getattr(args, k) for k in args._keys},
+        "config": {k: v for k, v in vars(args).items()
+                   if k not in ("subcommand", "func", "config")},
         "inputs": inputs,
     }
     _write_json(os.path.join(args.out, "manifest.json"), manifest)
@@ -491,19 +488,36 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-def _interval_row(label_cells, summary):
-    return label_cells + [
-        str(summary.n_draws),
-        _fmt(summary.mean),
-        _fmt(summary.median),
-        _fmt(summary.lower),
-        _fmt(summary.upper),
-        _fmt(summary.observed),
-        _fmt(summary.tail_prob),
+_INTERVAL_FIELDS = ["n_draws", "mean", "median", "lower", "upper", "observed", "tail_prob"]
+
+
+def _interval_rows(label_header, labelled):
+    """A PPC table: one row per ``(label tuple, PredictiveSummary)`` pair."""
+    return [label_header + _INTERVAL_FIELDS] + [
+        [_fmt(v) for v in label] + [_fmt(getattr(s, f)) for f in _INTERVAL_FIELDS]
+        for label, s in labelled
     ]
 
 
-_INTERVAL_HEADER = ["n_draws", "mean", "median", "lower", "upper", "observed", "tail_prob"]
+def _effect_rows(axes: dict, effects):
+    """An effect table: a row per element of the dataclass's arrays, labelled
+    from ``axes`` ({column: labels along that axis}), a column per array."""
+    names = [f.name for f in dataclasses.fields(effects)
+             if isinstance(getattr(effects, f.name), np.ndarray)]
+    arrays = [getattr(effects, name) for name in names]
+    return [list(axes) + names] + [
+        [_fmt(labels[i]) for labels, i in zip(axes.values(), idx)]
+        + [_fmt(float(a[idx])) for a in arrays]
+        for idx in np.ndindex(arrays[0].shape)
+    ]
+
+
+def _replicate_rows(columns, summaries):
+    """A draws matrix: one row per predictive replicate, one column per summary."""
+    matrix = np.column_stack([s.draws for s in summaries])
+    return [["rep"] + columns] + [
+        [str(i + 1)] + [_fmt(float(v)) for v in row] for i, row in enumerate(matrix)
+    ]
 
 
 def _cmd_predict(args) -> int:
@@ -526,109 +540,55 @@ def _cmd_predict(args) -> int:
         files.append(name)
 
     # --- effect summaries -------------------------------------------------
-    rows = [["stage", "mean", "median", "lower", "upper", "observed"]]
-    for s in mu_summary(samples, d):
-        rows.append([str(s.stage)] + [_fmt(v) for v in (s.mean, s.median, s.lower, s.upper, s.observed)])
-    emit_csv("mu_summary.csv", rows)
-
-    beta = beta_trajectories(samples)
-    rows = [["athlete", "stage", "or_mean", "or_geomean", "or_median", "or_lower", "or_upper"]]
-    for s, name in enumerate(d.athletes):
-        for t in range(samples.spec.T):
-            rows.append(
-                [name, str(t + 1)]
-                + [
-                    _fmt(float(arr[s, t]))
-                    for arr in (beta.or_mean, beta.or_geomean, beta.or_median, beta.or_lower, beta.or_upper)
-                ]
-            )
-    emit_csv("beta_or.csv", rows)
-
-    pos = position_effects(samples)
-    rows = [["athlete", "gamma_mean", "prone_or_mean", "prone_or_median", "prone_or_lower", "prone_or_upper"]]
-    for s, name in enumerate(d.athletes):
-        rows.append(
-            [name]
-            + [
-                _fmt(float(arr[s]))
-                for arr in (pos.gamma_mean, pos.prone_or_mean, pos.prone_or_median, pos.prone_or_lower, pos.prone_or_upper)
-            ]
-        )
-    emit_csv("gamma_or.csv", rows)
-
+    mu = [[_fmt(v) for v in dataclasses.astuple(s)] for s in mu_summary(samples, d)]
+    emit_csv("mu_summary.csv", [["stage", "mean", "median", "lower", "upper", "observed"]] + mu)
+    stages = range(1, samples.spec.T + 1)
+    emit_csv("beta_or.csv",
+             _effect_rows({"athlete": d.athletes, "stage": stages}, beta_trajectories(samples)))
+    emit_csv("gamma_or.csv", _effect_rows({"athlete": d.athletes}, position_effects(samples)))
     race = race_effects(samples)
-    rows = [["athlete", "race_type", "omega_mean", "or_mean", "or_median", "or_lower", "or_upper"]]
-    for s, name in enumerate(d.athletes):
-        for z, rt in enumerate(race.race_types):
-            rows.append(
-                [name, rt]
-                + [
-                    _fmt(float(arr[s, z]))
-                    for arr in (race.omega_mean, race.or_mean, race.or_median, race.or_lower, race.or_upper)
-                ]
-            )
-    emit_csv("omega_or.csv", rows)
+    emit_csv("omega_or.csv",
+             _effect_rows({"athlete": d.athletes, "race_type": race.race_types}, race))
 
     # --- posterior predictive checks (one joint draw set) -----------------
     joint = simulate_schedule(samples, d, n_rep=args.reps, seed=args.seed)
 
     stage_ppc = stage_totals_ppc(samples, d, joint_draws=joint)
-    rows = [["stage"] + _INTERVAL_HEADER]
-    for t, summary in stage_ppc.items():
-        rows.append(_interval_row([str(t)], summary))
-    emit_csv("ppc_stage_totals.csv", rows)
-
-    stages = list(stage_ppc)
-    rows = [["rep"] + [f"stage_{t}" for t in stages]]
-    draws_matrix = np.column_stack([stage_ppc[t].draws for t in stages])
-    for i in range(draws_matrix.shape[0]):
-        rows.append([str(i + 1)] + [_fmt(float(v)) for v in draws_matrix[i]])
-    emit_csv("ppc_stage_totals_draws.csv", rows)
+    emit_csv("ppc_stage_totals.csv",
+             _interval_rows(["stage"], (((t,), s) for t, s in stage_ppc.items())))
+    emit_csv("ppc_stage_totals_draws.csv",
+             _replicate_rows([f"stage_{t}" for t in stage_ppc], stage_ppc.values()))
 
     cell_ppc = race_position_ppc(samples, d, joint_draws=joint)
-    rows = [["race_type", "position"] + _INTERVAL_HEADER]
-    for (rt, posn), summary in cell_ppc.items():
-        rows.append(_interval_row([rt, posn], summary))
-    emit_csv("ppc_race_position.csv", rows)
+    emit_csv("ppc_race_position.csv", _interval_rows(["race_type", "position"], cell_ppc.items()))
+    emit_csv("ppc_race_position_draws.csv",
+             _replicate_rows([f"{rt}_{posn}" for rt, posn in cell_ppc], cell_ppc.values()))
 
-    cells = list(cell_ppc)
-    rows = [["rep"] + [f"{rt}_{posn}" for rt, posn in cells]]
-    cell_matrix = np.column_stack([cell_ppc[c].draws for c in cells])
-    for i in range(cell_matrix.shape[0]):
-        rows.append([str(i + 1)] + [_fmt(float(v)) for v in cell_matrix[i]])
-    emit_csv("ppc_race_position_draws.csv", rows)
-
-    requested = args.athlete if args.athlete else list(d.athletes)
-    for name in requested:
+    for name in args.athlete or d.athletes:
         path = cumulative_hits(samples, d, name, joint_draws=joint)
-        rows = [["stage", "race_seq", "race_type"] + _INTERVAL_HEADER]
-        for (stage, seq, rt), summary in zip(path.races, path.summaries):
-            rows.append(_interval_row([str(stage), str(seq), rt], summary))
-        emit_csv(f"cumulative_{_safe_name(name)}.csv", rows)
+        races = zip(path.races, path.summaries)
+        emit_csv(f"cumulative_{_safe_name(name)}.csv",
+                 _interval_rows(["stage", "race_seq", "race_type"], races))
         if args.athlete:
-            rows = [["rep"] + [f"s{stage}r{seq}" for stage, seq, _ in path.races]]
-            matrix = np.column_stack([s.draws for s in path.summaries])
-            for i in range(matrix.shape[0]):
-                rows.append([str(i + 1)] + [_fmt(float(v)) for v in matrix[i]])
-            emit_csv(f"cumulative_{_safe_name(name)}_draws.csv", rows)
+            emit_csv(f"cumulative_{_safe_name(name)}_draws.csv",
+                     _replicate_rows([f"s{stage}r{seq}" for stage, seq, _ in path.races],
+                                     path.summaries))
 
     if args.future_schedule:
         future = load_sessions(args.future_schedule)
         fdraws = predictive_draws(
             samples, future.records, d, n_rep=args.reps, seed=args.seed
         )
-        rows = [["athlete", "stage", "race_type", "position", "race_seq", "bout_seq",
-                 "mean", "median", "lower", "upper"]]
-        srt = np.sort(fdraws, axis=0)
-        med, lo, hi = (sorted_quantile(srt, level) for level in (0.5, 0.025, 0.975))
-        for j, rec in enumerate(future.records):
-            rows.append(
-                [rec.athlete, str(rec.stage), rec.race_type, rec.position,
-                 str(rec.race_seq), str(rec.bout_seq),
-                 _fmt(float(fdraws[:, j].mean())), _fmt(float(med[j])),
-                 _fmt(float(lo[j])), _fmt(float(hi[j]))]
-            )
-        emit_csv("forecast.csv", rows)
+        # integer hit counts: the column sums are exact in any order
+        columns = summary(fdraws)
+        emit_csv("forecast.csv", [
+            ["athlete", "stage", "race_type", "position", "race_seq", "bout_seq",
+             "mean", "median", "lower", "upper"]
+        ] + [
+            [rec.athlete, str(rec.stage), rec.race_type, rec.position,
+             str(rec.race_seq), str(rec.bout_seq)] + [_fmt(float(c[j])) for c in columns]
+            for j, rec in enumerate(future.records)
+        ])
 
     report = {
         "draws_file": draws_path,
@@ -720,12 +680,12 @@ def _validate_sbc(args) -> int:
     report = sbc(spec, synth_cfg, replications=args.reps,
                  sampler_cfg=_sampler_config(args), seed=args.seed)
     payload = report.to_json_dict()
-    payload["pass"] = bool(report.uniform_ok and report.coverage90_in_band() >= 0.95)
+    payload["pass"] = bool(report.uniform_ok and payload["coverage90_ok"])
     _write_json(os.path.join(args.out, "sbc.json"), payload)
     print(
         f"sbc: {report.replications}/{report.attempted} replications, "
         f"uniformity {'ok' if report.uniform_ok else 'REJECTED'}, "
-        f"90% coverage in band for {report.coverage90_in_band():.0%} of parameters -> "
+        f"90% coverage {'ok' if payload['coverage90_ok'] else 'OUTSIDE the Binomial band'} -> "
         f"{'PASS' if payload['pass'] else 'FAIL'}"
     )
     return 0 if payload["pass"] else 3

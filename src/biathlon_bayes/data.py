@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -171,14 +170,6 @@ class Dataset:
         for r in self.records:
             seen.setdefault((r.stage, r.race_seq), r.race_type)
         return tuple((s, q, t) for (s, q), t in sorted(seen.items()))
-
-    @cached_property
-    def schedule(self) -> dict[tuple[int, str], int]:
-        """Race counts per (stage, race_type)."""
-        counts: Counter = Counter()
-        for stage, _seq, rtype in self.races:
-            counts[(stage, rtype)] += 1
-        return dict(counts)
 
     @cached_property
     def arrays(self) -> IndexedArrays:

@@ -4,6 +4,9 @@ Every interval in this package is an *empirical* quantile pair, recomputable
 by an independent sort of the same draws: the q-quantile of n sorted values
 is element ceil(q*n) (1-based, clamped to 1..n).  No interpolation, so hit
 counts stay integers and bounds are exactly reproducible.
+
+:func:`summary` is the one "mean, median and central 95% band of the draws"
+that every posterior and predictive summary reports.
 """
 
 from __future__ import annotations
@@ -27,18 +30,16 @@ def sorted_quantile(sorted_values: np.ndarray, q: float, axis: int = 0):
     return np.take(sorted_values, k - 1, axis=axis)
 
 
-def empirical_quantile(values, q: float, axis: int | None = None):
-    """Type-1 empirical quantile of the flattened values, or along ``axis``."""
-    arr = np.asarray(values)
-    if axis is None:
-        arr, axis = arr.ravel(), 0
-    return sorted_quantile(np.sort(arr, axis=axis), q, axis)
-
-
-def central_interval(values, level: float = 0.95):
-    """Central empirical interval (defaults to the 2.5%/97.5% pair)."""
-    tail = (1.0 - level) / 2.0
-    return empirical_quantile(values, tail), empirical_quantile(values, 1.0 - tail)
+def summary(draws):
+    """``(mean, median, lower, upper)`` over the leading axis of ``draws``,
+    the type-1 quantiles from one sort, in the summary dataclasses' field
+    order.  numpy sums a 1-D array pairwise but axis 0 of a larger array row
+    by row, which can differ in the last bit, so a caller passes the shape
+    whose mean it reports."""
+    arr = np.asarray(draws)
+    srt = np.sort(arr, axis=0)
+    median, lower, upper = (sorted_quantile(srt, q) for q in (0.5, 0.025, 0.975))
+    return arr.mean(axis=0), median, lower, upper
 
 
 def mid_p_tail(draws, observed: float) -> float:

@@ -275,10 +275,15 @@ class SBCReport:
     failures: tuple[int, ...]
     seeds: tuple[tuple[int, int, int], ...]
 
-    def coverage90_in_band(self, lo: float = 0.84, hi: float = 0.96) -> float:
-        """Fraction of parameters whose 90%-interval coverage lies in [lo, hi]."""
-        ok = (self.coverage90 >= lo) & (self.coverage90 <= hi)
-        return float(ok.mean())
+    def coverage90_ok(self) -> bool:
+        """Whether every parameter's 90%-interval coverage count lies in the
+        central Binomial(replications, 0.9) band at level ``alpha``: under a
+        correct pipeline each count is Binomial(R, 0.9) at any R."""
+        r = self.replications
+        lo = stats.binom.ppf(self.alpha / 2.0, r, 0.9)
+        hi = stats.binom.isf(self.alpha / 2.0, r, 0.9)
+        counts = np.rint(self.coverage90 * r)
+        return bool(((counts >= lo) & (counts <= hi)).all())
 
     def to_json_dict(self) -> dict:
         return {
@@ -292,7 +297,7 @@ class SBCReport:
             "min_p_value": float(self.p_values.min()),
             "coverage50_mean": float(self.coverage50.mean()),
             "coverage90_mean": float(self.coverage90.mean()),
-            "coverage90_in_band": self.coverage90_in_band(),
+            "coverage90_ok": self.coverage90_ok(),
         }
 
 

@@ -5,11 +5,15 @@ and is deterministic given ``(samples, seed)``.  Predictive hit counts are
 drawn with one dedicated RNG stream per session template, keyed by the
 template's identity rather than its position in the schedule, so reordering
 templates permutes the output columns and changes nothing else.
+
+Every summary here is :func:`~biathlon_bayes.intervals.summary` of some
+draws; the predictive checks group sessions through :func:`_totals`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,7 +22,7 @@ from scipy.special import expit
 
 from .data import RACE_TYPES, SHOTS_PER_BOUT, Dataset, SessionRecord
 from .errors import DataError
-from .intervals import mid_p_tail, sorted_quantile
+from .intervals import mid_p_tail, summary
 from .model import layout
 from .sampler import PosteriorSamples
 
@@ -140,17 +144,8 @@ class PredictiveSummary:
         if draws.ndim != 1 or draws.size == 0:
             raise DataError("predictive draws must be a non-empty 1-D array")
         tail = mid_p_tail(draws, observed) if observed is not None else None
-        srt = np.sort(draws)
-        return cls(
-            label=label,
-            draws=draws,
-            mean=float(draws.mean()),
-            median=float(sorted_quantile(srt, 0.5)),
-            lower=float(sorted_quantile(srt, 0.025)),
-            upper=float(sorted_quantile(srt, 0.975)),
-            observed=None if observed is None else float(observed),
-            tail_prob=tail,
-        )
+        obs = None if observed is None else float(observed)
+        return cls(label, draws, *map(float, summary(draws)), obs, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -179,27 +174,15 @@ def mu_summary(
     probs = expit(eff.mu)  # (M, T)
     observed: dict[int, float] = {}
     if dataset is not None:
-        hits: dict[int, int] = {}
-        shots: dict[int, int] = {}
-        for rec in dataset.records:
-            hits[rec.stage] = hits.get(rec.stage, 0) + rec.hits
-            shots[rec.stage] = shots.get(rec.stage, 0) + SHOTS_PER_BOUT
-        observed = {t: hits[t] / shots[t] for t in hits}
+        a = dataset.arrays
+        shots = SHOTS_PER_BOUT * np.bincount(a.stage0)
+        hits = np.bincount(a.stage0, weights=a.hits)  # integers, exact in float64
+        observed = {int(t) + 1: float(hits[t] / shots[t]) for t in np.flatnonzero(shots)}
 
-    srt = np.sort(probs, axis=0)
-    out = []
-    for t in range(samples.spec.T):
-        out.append(
-            StageAccuracySummary(
-                stage=t + 1,
-                mean=float(probs[:, t].mean()),
-                median=float(sorted_quantile(srt[:, t], 0.5)),
-                lower=float(sorted_quantile(srt[:, t], 0.025)),
-                upper=float(sorted_quantile(srt[:, t], 0.975)),
-                observed=observed.get(t + 1),
-            )
-        )
-    return tuple(out)
+    return tuple(
+        StageAccuracySummary(t + 1, *map(float, summary(probs[:, t])), observed.get(t + 1))
+        for t in range(samples.spec.T)
+    )
 
 
 @dataclass(frozen=True)
@@ -220,15 +203,8 @@ class BetaTrajectories:
 
 def beta_trajectories(samples: PosteriorSamples) -> BetaTrajectories:
     eff = expand_draws(samples)
-    ors = np.exp(eff.beta)  # (M, S, T)
-    srt = np.sort(ors, axis=0)
-    return BetaTrajectories(
-        or_mean=ors.mean(axis=0),
-        or_geomean=np.exp(eff.beta.mean(axis=0)),
-        or_median=sorted_quantile(srt, 0.5),
-        or_lower=sorted_quantile(srt, 0.025),
-        or_upper=sorted_quantile(srt, 0.975),
-    )
+    mean, median, lower, upper = summary(np.exp(eff.beta))  # (M, S, T)
+    return BetaTrajectories(mean, np.exp(eff.beta.mean(axis=0)), median, lower, upper)
 
 
 @dataclass(frozen=True)
@@ -249,15 +225,7 @@ class PositionEffects:
 
 def position_effects(samples: PosteriorSamples) -> PositionEffects:
     eff = expand_draws(samples)
-    ors = np.exp(eff.gamma)  # (M, S)
-    srt = np.sort(ors, axis=0)
-    return PositionEffects(
-        gamma_mean=eff.gamma.mean(axis=0),
-        prone_or_mean=ors.mean(axis=0),
-        prone_or_median=sorted_quantile(srt, 0.5),
-        prone_or_lower=sorted_quantile(srt, 0.025),
-        prone_or_upper=sorted_quantile(srt, 0.975),
-    )
+    return PositionEffects(eff.gamma.mean(axis=0), *summary(np.exp(eff.gamma)))
 
 
 @dataclass(frozen=True)
@@ -274,15 +242,8 @@ class RaceEffects:
 
 def race_effects(samples: PosteriorSamples) -> RaceEffects:
     eff = expand_draws(samples)
-    ors = np.exp(eff.omega)  # (M, S, Z)
-    srt = np.sort(ors, axis=0)
     return RaceEffects(
-        omega_mean=eff.omega.mean(axis=0),
-        or_mean=ors.mean(axis=0),
-        or_median=sorted_quantile(srt, 0.5),
-        or_lower=sorted_quantile(srt, 0.025),
-        or_upper=sorted_quantile(srt, 0.975),
-        race_types=RACE_TYPES[: samples.spec.Z],
+        eff.omega.mean(axis=0), *summary(np.exp(eff.omega)), RACE_TYPES[: samples.spec.Z]
     )
 
 
@@ -406,6 +367,26 @@ def _joint(samples, dataset, joint_draws, n_rep, seed) -> np.ndarray:
     return simulate_schedule(samples, dataset, n_rep=n_rep, seed=seed)
 
 
+def _totals(joint: np.ndarray, dataset: Dataset, key) -> dict:
+    """Hit totals per group of sessions, in first-appearance order: each
+    ``key(record)`` (``None`` leaves the record out) maps to the group's
+    total in every replicate row of ``joint``, its observed total and its
+    session count."""
+    cols: dict = {}
+    for i, rec in enumerate(dataset.records):
+        k = key(rec)
+        if k is not None:
+            cols.setdefault(k, []).append(i)
+    return {
+        k: (
+            joint[:, c].sum(axis=1, dtype=np.int64),
+            sum(dataset.records[i].hits for i in c),
+            len(c),
+        )
+        for k, c in cols.items()
+    }
+
+
 def stage_totals_ppc(
     samples: PosteriorSamples,
     dataset: Dataset,
@@ -415,14 +396,11 @@ def stage_totals_ppc(
 ) -> dict[int, PredictiveSummary]:
     """Predictive distribution of total hits per stage vs the observed total."""
     joint = _joint(samples, dataset, joint_draws, n_rep, seed)
-    stages = sorted({rec.stage for rec in dataset.records})
-    out: dict[int, PredictiveSummary] = {}
-    for t in stages:
-        cols = [i for i, rec in enumerate(dataset.records) if rec.stage == t]
-        totals = joint[:, cols].sum(axis=1, dtype=np.int64)
-        obs = sum(dataset.records[i].hits for i in cols)
-        out[t] = PredictiveSummary.from_draws(f"stage {t}", totals, observed=obs)
-    return out
+    groups = _totals(joint, dataset, lambda rec: rec.stage)
+    return {
+        t: PredictiveSummary.from_draws(f"stage {t}", groups[t][0], observed=groups[t][1])
+        for t in sorted(groups)
+    }
 
 
 def race_position_ppc(
@@ -434,20 +412,14 @@ def race_position_ppc(
 ) -> dict[tuple[str, str], PredictiveSummary]:
     """Predictive accuracy (percent) per race type x shooting position."""
     joint = _joint(samples, dataset, joint_draws, n_rep, seed)
-    cells: dict[tuple[str, str], list[int]] = {}
-    for i, rec in enumerate(dataset.records):
-        cells.setdefault((rec.race_type, rec.position), []).append(i)
+    groups = _totals(joint, dataset, lambda rec: (rec.race_type, rec.position))
     out: dict[tuple[str, str], PredictiveSummary] = {}
-    for race in RACE_TYPES:
-        for pos in ("prone", "standing"):
-            cols = cells.get((race, pos))
-            if not cols:
-                continue
-            shots = SHOTS_PER_BOUT * len(cols)
-            pct = 100.0 * joint[:, cols].sum(axis=1, dtype=np.int64) / shots
-            obs = 100.0 * sum(dataset.records[i].hits for i in cols) / shots
-            out[(race, pos)] = PredictiveSummary.from_draws(
-                f"{race}/{pos}", pct, observed=obs
+    for cell in itertools.product(RACE_TYPES, ("prone", "standing")):
+        if cell in groups:
+            totals, obs, n = groups[cell]
+            shots = SHOTS_PER_BOUT * n
+            out[cell] = PredictiveSummary.from_draws(
+                "/".join(cell), 100.0 * totals / shots, observed=100.0 * obs / shots
             )
     return out
 
@@ -478,33 +450,20 @@ def cumulative_hits(
     if athlete not in dataset.athlete_index:
         raise DataError(f"athlete {athlete!r} not in the dataset")
     joint = _joint(samples, dataset, joint_draws, n_rep, seed)
+    def race_of(rec):  # (stage, race_seq) names a race, which has one race type
+        return (rec.stage, rec.race_seq, rec.race_type) if rec.athlete == athlete else None
 
-    by_race: dict[tuple[int, int], list[int]] = {}
-    race_type: dict[tuple[int, int], str] = {}
-    for i, rec in enumerate(dataset.records):
-        if rec.athlete != athlete:
-            continue
-        key = (rec.stage, rec.race_seq)
-        by_race.setdefault(key, []).append(i)
-        race_type[key] = rec.race_type
-    if not by_race:
+    groups = _totals(joint, dataset, race_of)
+    if not groups:
         raise DataError(f"athlete {athlete!r} has no recorded sessions")
 
-    order = sorted(by_race)
-    cum = np.zeros(joint.shape[0], dtype=np.int64)
-    obs_cum = 0
-    races: list[tuple[int, int, str]] = []
-    summaries: list[PredictiveSummary] = []
-    for key in order:
-        cols = by_race[key]
-        cum = cum + joint[:, cols].sum(axis=1, dtype=np.int64)
-        obs_cum += sum(dataset.records[i].hits for i in cols)
-        races.append((key[0], key[1], race_type[key]))
-        summaries.append(
-            PredictiveSummary.from_draws(
-                f"{athlete} through stage {key[0]} race {key[1]}",
-                cum,
-                observed=obs_cum,
-            )
+    races = tuple(sorted(groups))
+    cum = np.cumsum([groups[race][0] for race in races], axis=0)
+    obs_cum = itertools.accumulate(groups[race][1] for race in races)
+    summaries = tuple(
+        PredictiveSummary.from_draws(
+            f"{athlete} through stage {stage} race {seq}", draws, observed=obs
         )
-    return CumulativePath(athlete=athlete, races=tuple(races), summaries=tuple(summaries))
+        for (stage, seq, _), draws, obs in zip(races, cum, obs_cum)
+    )
+    return CumulativePath(athlete=athlete, races=races, summaries=summaries)

@@ -54,7 +54,7 @@ from scipy.special import expit
 from . import model as _model
 from .data import Dataset
 from .errors import DataError, NumericalError
-from .intervals import sorted_quantile
+from .intervals import summary
 from .model import ModelSpec, SHOTS_PER_BOUT
 from .streams import rng_for
 
@@ -792,19 +792,11 @@ def summarize(samples: PosteriorSamples) -> list[ParamSummary]:
     pooled = samples.pooled()
     for j, name in enumerate(samples.param_names):
         col = pooled[:, j]
-        srt = np.sort(col)
+        mean, median, q025, q975 = map(float, summary(col))
+        sd = float(col.std(ddof=1)) if len(col) > 1 else 0.0
         chains = samples.draws[:, :, j]
         out.append(
-            ParamSummary(
-                name=name,
-                mean=float(col.mean()),
-                sd=float(col.std(ddof=1)) if len(col) > 1 else 0.0,
-                median=float(sorted_quantile(srt, 0.5)),
-                q025=float(sorted_quantile(srt, 0.025)),
-                q975=float(sorted_quantile(srt, 0.975)),
-                rhat=split_rhat(chains),
-                ess=ess(chains),
-            )
+            ParamSummary(name, mean, sd, median, q025, q975, split_rhat(chains), ess(chains))
         )
     return out
 

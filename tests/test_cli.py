@@ -1,13 +1,14 @@
 """End-to-end command-line tests: every subcommand on a small synthetic
 season, exit-code conventions, config replay, and determinism."""
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from biathlon_bayes import cli, model, sampler
+from biathlon_bayes import cli, model, oracles, sampler
 from biathlon_bayes.data import load_sessions
 
 
@@ -289,8 +290,26 @@ class TestValidate:
         assert [r["shape"] for r in result["shapes"]] == [[2, 1, 2], [3, 4, 3], [30, 11, 4]]
         assert all(r["max_rel_error"] <= 1e-6 for r in result["shapes"])
 
-    def test_sbc_failure_exits_3(self, tmp_path, capsys):
-        # deliberately undersized protocol: calibration check must FAIL
+    _SBC = ["--reps", "20", "--athletes", "3", "--stages", "2", "--chains", "1",
+            "--burnin", "100", "--keep", "200", "--thin", "2", "--seed", "0"]
+
+    def test_sbc_passes_for_the_real_sampler(self, tmp_path, capsys):
+        out = tmp_path / "sbc"
+        assert cli.main(["validate", "sbc", "--out", str(out)] + self._SBC) == 0
+        result = json.loads((out / "sbc.json").read_text())
+        assert result["pass"] is True
+        assert result["uniform_ok"] is True and result["coverage90_ok"] is True
+        assert "PASS" in capsys.readouterr().out
+
+    def test_sbc_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a sampler defect: every draw shifted off the posterior
+        real = oracles.run_chains
+
+        def shifted(*args, **kwargs):
+            samples = real(*args, **kwargs)
+            return dataclasses.replace(samples, draws=samples.draws + 0.5)
+
+        monkeypatch.setattr(oracles, "run_chains", shifted)
         out = tmp_path / "sbc"
         rc = cli.main(["validate", "sbc", "--out", str(out), "--reps", "20",
                        "--athletes", "2", "--stages", "1", "--chains", "1",
@@ -336,6 +355,9 @@ class TestConfigAndUsage:
     def test_manifest_replays_a_fit(self, ws, tmp_path):
         replay = tmp_path / "replay"
         manifest = ws / "fit" / "manifest.json"
+        assert set(json.loads(manifest.read_text())["config"]) == {
+            "data", "out", "fmt", "seed", "chains", "burnin", "keep", "thin", "proposal"
+        }
         assert cli.main(["fit", "--config", str(manifest),
                          "--out", str(replay)]) == 0
         assert (replay / "draws.bin").read_bytes() == (ws / "fit" / "draws.bin").read_bytes()

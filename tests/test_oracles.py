@@ -6,6 +6,9 @@ single-coordinate posterior (standard-normal prior, binomial likelihood,
 trapezoid rule on [-10, 10]); everything here must keep reproducing them.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -226,7 +229,7 @@ class TestSBCHarness:
         assert report.uniform_ok
         assert report.replications == 100 and not report.failures
         assert report.n_pooled == 400
-        assert report.coverage90_in_band() >= 0.9
+        assert report.coverage90_ok()
         assert abs(float(report.coverage90.mean()) - 0.9) < 0.03
         assert abs(float(report.coverage50.mean()) - 0.5) < 0.05
 
@@ -262,7 +265,7 @@ class TestSBCHarness:
             fit_fn=narrowed,
         )
         assert not report.uniform_ok
-        assert report.coverage90_in_band() < 0.5
+        assert not report.coverage90_ok()
 
     def test_ranks_and_bins_are_consistent(self):
         report = sbc(
@@ -278,6 +281,25 @@ class TestSBCHarness:
         assert (report.bins.sum(axis=1) == 40).all()
         assert report.param_names == model.param_names(_SBC_SPEC)
         assert report.alpha == pytest.approx(0.01 / _SBC_SPEC.dim)
+
+    def test_coverage_band_is_binomial_at_the_report_alpha(self):
+        report = sbc(
+            _SBC_SPEC,
+            _SBC_SYNTH,
+            replications=20,
+            sampler_cfg=_SBC_FIT_CFG,
+            seed=0,
+            fit_fn=_prior_draws_fit(60),
+        )
+        assert report.alpha == pytest.approx(0.01 / 22)
+        # the central Binomial(20, 0.9) band at that level is [12, 20]
+        pmf = [math.comb(20, k) * 0.9**k * 0.1 ** (20 - k) for k in range(21)]
+        assert sum(pmf[:12]) <= report.alpha / 2 < sum(pmf[:13])
+        dim = _SBC_SPEC.dim
+        for count, ok in ((12, True), (20, True), (11, False)):
+            edge = np.full(dim, 18 / 20)
+            edge[dim // 2] = count / 20
+            assert dataclasses.replace(report, coverage90=edge).coverage90_ok() is ok
 
     def test_deterministic_and_seed_sensitive(self):
         kwargs = dict(
@@ -386,7 +408,7 @@ class TestSBCHarness:
         assert set(d) >= {
             "uniform_ok",
             "min_p_value",
-            "coverage90_in_band",
+            "coverage90_ok",
             "coverage50_mean",
             "coverage90_mean",
         }

@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 from biathlon_bayes import model, predict, sampler
 from biathlon_bayes.data import RACE_TYPES, Dataset, SessionRecord
 from biathlon_bayes.errors import DataError
-from biathlon_bayes.intervals import (
-    central_interval,
-    empirical_quantile,
-    mid_p_tail,
-    sorted_quantile,
-)
+from biathlon_bayes.intervals import mid_p_tail, sorted_quantile, summary
 from biathlon_bayes.model import ModelSpec
 from biathlon_bayes.predict import (
     PredictiveSummary,
@@ -125,24 +120,23 @@ class TestExpandDraws:
 
 class TestIntervalPrimitives:
     def test_quantile_known_values(self):
-        draws = np.arange(1, 82)  # 1..81, no ties
-        assert empirical_quantile(draws, 0.025) == 3  # ceil(2.025) = 3
-        assert empirical_quantile(draws, 0.5) == 41
-        assert empirical_quantile(draws, 0.975) == 79
-        assert empirical_quantile(draws, 0.0) == 1
-        assert empirical_quantile(draws, 1.0) == 81
+        draws = np.arange(1, 82)  # 1..81, sorted, no ties
+        assert sorted_quantile(draws, 0.025) == 3  # ceil(2.025) = 3
+        assert sorted_quantile(draws, 0.5) == 41
+        assert sorted_quantile(draws, 0.975) == 79
+        assert sorted_quantile(draws, 0.0) == 1
+        assert sorted_quantile(draws, 1.0) == 81
         # along an axis: one order statistic per column (or row)
-        grid = np.stack([draws, 2 * draws[::-1]], axis=1)  # (81, 2)
-        assert empirical_quantile(grid, 0.5, axis=0).tolist() == [41, 82]
-        assert empirical_quantile(grid.T, 0.975, axis=1).tolist() == [79, 158]
-        assert empirical_quantile(grid, 0.025, axis=-2).tolist() == [3, 6]
-        assert sorted_quantile(np.sort(grid, axis=0), 0.025).tolist() == [3, 6]
-        cube = np.random.default_rng(1).standard_normal((40, 3, 2))
+        grid = np.sort(np.stack([draws, 2 * draws[::-1]], axis=1), axis=0)  # (81, 2)
+        assert sorted_quantile(grid, 0.5).tolist() == [41, 82]
+        assert sorted_quantile(grid.T, 0.975, axis=1).tolist() == [79, 158]
+        assert sorted_quantile(grid, 0.025, axis=-2).tolist() == [3, 6]
+        cube = np.sort(np.random.default_rng(1).standard_normal((40, 3, 2)), axis=0)
         for q in (0.0, 0.1, 0.5, 1.0):
-            got = empirical_quantile(cube, q, axis=0)
+            got = sorted_quantile(cube, q)
             assert got.shape == (3, 2)
             for i, j in np.ndindex(3, 2):
-                assert got[i, j] == empirical_quantile(cube[:, i, j], q)
+                assert got[i, j] == sorted_quantile(cube[:, i, j], q)
 
     @given(
         st.lists(st.integers(0, 5), min_size=1, max_size=60),
@@ -150,8 +144,8 @@ class TestIntervalPrimitives:
     )
     def test_quantile_is_smallest_value_covering_q(self, values, q):
         # independent characterization: smallest x with ECDF(x) >= q
-        v = empirical_quantile(values, q)
         arr = np.asarray(values)
+        v = sorted_quantile(np.sort(arr), q)
         assert np.mean(arr <= v) >= q
         smaller = arr[arr < v]
         if smaller.size:
@@ -159,25 +153,32 @@ class TestIntervalPrimitives:
 
     def test_quantile_validation(self):
         with pytest.raises(DataError):
-            empirical_quantile([1.0], 1.5)
+            sorted_quantile(np.array([1.0]), 1.5)
         with pytest.raises(DataError):
-            empirical_quantile([], 0.5)
+            sorted_quantile(np.array([]), 0.5)
         with pytest.raises(DataError):
-            empirical_quantile(np.ones((0, 3)), 0.5, axis=0)
+            sorted_quantile(np.ones((0, 3)), 0.5)
         with pytest.raises(DataError):
             sorted_quantile(np.ones((4, 3)), -0.1)
+        with pytest.raises(DataError):
+            summary([])
 
-    def test_central_interval_matches_quantiles(self):
+    def test_summary_matches_sorted_quantiles(self):
         rng = np.random.default_rng(3)
         draws = rng.standard_normal(511)
-        lo, hi = central_interval(draws)
-        assert lo == empirical_quantile(draws, 0.025)
-        assert hi == empirical_quantile(draws, 0.975)
-        lo50, hi50 = central_interval(draws, level=0.5)
-        assert (lo50, hi50) == (
-            empirical_quantile(draws, 0.25),
-            empirical_quantile(draws, 0.75),
-        )
+        mean, median, lower, upper = summary(draws)
+        srt = np.sort(draws)
+        assert mean == draws.mean()
+        # elements ceil(q * 511), 1-based
+        assert (median, lower, upper) == (srt[255], srt[12], srt[498])
+        # over the leading axis: one summary per element of the other axes,
+        # the mean reduced over axis 0 of the whole array
+        cube = rng.standard_normal((101, 3, 2))
+        got = summary(cube)
+        assert all(g.shape == (3, 2) for g in got)
+        assert np.array_equal(got[0], cube.mean(axis=0))
+        for i, j in np.ndindex(3, 2):
+            assert tuple(g[i, j] for g in got[1:]) == summary(cube[:, i, j])[1:]
 
     @pytest.mark.parametrize(
         "obs, expected",

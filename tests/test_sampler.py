@@ -276,6 +276,25 @@ class TestModelTargetMoves:
             )
 
 
+def test_cache_drift_between_rebuilds_at_paper_scale(season_dataset):
+    # run_chain rebuilds the running cache every _CACHE_REFRESH sweeps; in
+    # between, every accepted move adds its rounding to eta, ll_sum and logp
+    target = sampler.ModelTarget(model.ModelSpec.for_dataset(season_dataset), season_dataset)
+    rng = np.random.default_rng(8)
+    x = target.initial_vector(rng)
+    cache = target.make_cache(x)
+    for _ in range(sampler._CACHE_REFRESH):
+        for block in target.blocks:
+            prop = x[block.idx] + 0.05 * rng.standard_normal(len(block.idx))
+            _, stash = target.propose_delta(x, cache, block, prop)
+            target.commit(x, cache, block, prop, stash)
+            x[block.idx] = prop
+    fresh = target.make_cache(x)
+    assert abs(cache.logp - fresh.logp) <= 1e-8
+    assert abs(cache.ll_sum - fresh.ll_sum) <= 1e-9
+    np.testing.assert_allclose(cache.eta, fresh.eta, rtol=0, atol=1e-9)
+
+
 class TestRunChains:
     def test_draw_shapes_and_names(self, small_dataset):
         spec = model.ModelSpec.for_dataset(small_dataset)
