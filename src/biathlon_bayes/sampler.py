@@ -38,8 +38,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
+import re
 import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -827,59 +829,66 @@ def _manifest_dict(samples: PosteriorSamples) -> dict:
 
 def export_draws(samples: PosteriorSamples, sink, fmt: str = "binary"):
     """Write draws + manifest. ``fmt="binary"`` streams chains into a
-    checksummed single-file container; ``fmt="csv"`` writes
-    ``chain,iter,param,value`` rows with a JSON manifest sidecar at
-    ``<path>.manifest.json``.  Paths are written atomically."""
+    checksummed single-file container; ``fmt="csv"`` streams
+    ``chain,iter,param,value`` rows one draw at a time, and a JSON manifest
+    sidecar at ``<path>.manifest.json`` holding the sha256 of the bytes
+    written.  Paths are written atomically."""
     if fmt == "binary":
         if hasattr(sink, "write"):
             _export_binary(samples, sink)
-            return
-        path = Path(sink)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            _export_binary(samples, fh)
-        os.replace(tmp, path)
+        else:
+            _write_atomic(Path(sink), lambda fh: _export_binary(samples, fh))
         return
     if fmt == "csv":
         if hasattr(sink, "write"):
             raise DataError("csv export requires a path (it writes a manifest sidecar)")
         path = Path(sink)
-        body = io.StringIO()
-        writer = csv.writer(body, lineterminator="\n")
-        writer.writerow(["chain", "iter", "param", "value"])
-        for c in range(samples.n_chains):
-            for i in range(samples.n_retained):
-                row = samples.draws[c, i]
-                for j, name in enumerate(samples.param_names):
-                    writer.writerow([c + 1, i + 1, name, repr(float(row[j]))])
-        csv_bytes = body.getvalue().encode()
         manifest = _manifest_dict(samples)
-        manifest["csv_sha256"] = hashlib.sha256(csv_bytes).hexdigest()
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(csv_bytes)
-        os.replace(tmp, path)
-        side = path.with_name(path.name + ".manifest.json")
-        tmp = side.with_name(side.name + ".tmp")
-        tmp.write_bytes(json.dumps(manifest, sort_keys=True, indent=2).encode())
-        os.replace(tmp, side)
+        digest = _write_atomic(path, lambda fh: _put_hashed(fh, _csv_chunks(samples)))
+        manifest["csv_sha256"] = digest.hexdigest()
+        side = json.dumps(manifest, sort_keys=True, indent=2).encode()
+        _write_atomic(path.with_name(path.name + ".manifest.json"), lambda fh: fh.write(side))
         return
     raise DataError(f"unknown draws format {fmt!r}")
 
 
-def _export_binary(samples: PosteriorSamples, fh):
-    digest = hashlib.sha256()
+def _write_atomic(path: Path, write):
+    """Call ``write(fh)`` on ``<path>.tmp``, then move it onto ``path``."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        result = write(fh)
+    os.replace(tmp, path)
+    return result
 
-    def put(chunk: bytes):
+
+def _put_hashed(fh, chunks):
+    """Write each chunk and hash the same bytes; returns the sha256."""
+    digest = hashlib.sha256()
+    for chunk in chunks:
         digest.update(chunk)
         fh.write(chunk)
+    return digest
 
-    put(_MAGIC)
+
+def _export_binary(samples: PosteriorSamples, fh):
     manifest = json.dumps(_manifest_dict(samples), sort_keys=True, separators=(",", ":")).encode()
-    put(struct.pack("<Q", len(manifest)))
-    put(manifest)
-    for c in range(samples.n_chains):  # stream chain by chain
-        put(np.ascontiguousarray(samples.draws[c], dtype=_DTYPE).tobytes())
-    fh.write(digest.digest())
+    head = [_MAGIC, struct.pack("<Q", len(manifest)), manifest]
+    chains = (np.ascontiguousarray(samples.draws[c], dtype=_DTYPE).tobytes()
+              for c in range(samples.n_chains))  # stream chain by chain
+    fh.write(_put_hashed(fh, itertools.chain(head, chains)).digest())
+
+
+def _csv_chunks(samples: PosteriorSamples):
+    """The long CSV body, one chunk per draw."""
+    quoted = []
+    for name in samples.param_names:  # a two-field row quotes as a data row does
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([name, ""])
+        quoted.append(buf.getvalue()[:-1])  # "name," or '"beta[1,2]",'
+    yield b"chain,iter,param,value\n"
+    for c, chain in enumerate(samples.draws, 1):
+        for i, draw in enumerate(chain.tolist(), 1):  # repr of a float round-trips exactly
+            yield "".join([f"{c},{i},{q}{v!r}\n" for q, v in zip(quoted, draw)]).encode()
 
 
 def _parse_manifest(raw: bytes) -> dict:
@@ -925,7 +934,8 @@ def _samples_from_manifest(manifest: dict, draws: np.ndarray) -> PosteriorSample
 
 
 def import_draws(source) -> PosteriorSamples:
-    """Read a draws container (binary or CSV+sidecar); verifies checksums."""
+    """Read a draws container (binary or CSV+sidecar); verifies checksums.
+    One ``np.loadtxt`` call parses exactly the CSV bytes that were hashed."""
     side = None
     if hasattr(source, "read"):
         raw = source.read()
@@ -943,13 +953,13 @@ def import_draws(source) -> PosteriorSamples:
 def _import_binary(raw: bytes) -> PosteriorSamples:
     if len(raw) < len(_MAGIC) + 8 + 32:
         raise DataError("draws file truncated")
-    body, trailer = raw[:-32], raw[-32:]
+    body, trailer = memoryview(raw)[:-32], raw[-32:]  # no copy of the payload
     if hashlib.sha256(body).digest() != trailer:
         raise DataError("draws file checksum mismatch (truncated or corrupted)")
     off = len(_MAGIC)
     (mlen,) = struct.unpack_from("<Q", body, off)
     off += 8
-    manifest = _parse_manifest(body[off : off + mlen])
+    manifest = _parse_manifest(bytes(body[off : off + mlen]))
     off += mlen
     c, r, d = manifest["n_chains"], manifest["n_retained"], manifest["dim"]
     expected = c * r * d * 8
@@ -968,19 +978,28 @@ def _import_csv(raw: bytes, manifest: dict) -> PosteriorSamples:
         names = {name: j for j, name in enumerate(manifest["param_names"])}
     except (KeyError, TypeError) as e:
         raise DataError(f"bad draws manifest: {e}") from None
-    draws = np.full((c, r, d), np.nan)
-    reader = csv.reader(io.StringIO(raw.decode()))
+    body = io.BytesIO(raw)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("draws CSV: empty file") from None
+        header = next(csv.reader([body.readline().decode()]), None)
+    except (ValueError, csv.Error):  # undecodable bytes or a stray carriage return
+        header = None
     if header != ["chain", "iter", "param", "value"]:
-        raise DataError("draws CSV: bad header")
+        raise DataError("draws CSV: missing or bad header")
+    if re.compile(rb"[^\r\n]").search(raw, body.tell()) is None:  # loadtxt only warns
+        raise DataError("draws CSV: no rows")
     try:
-        for chain_s, iter_s, name, value_s in reader:
-            draws[int(chain_s) - 1, int(iter_s) - 1, names[name]] = float(value_s)
-    except (KeyError, ValueError, IndexError) as e:
-        raise DataError(f"draws CSV: malformed row near line {reader.line_num}: {e}") from None
-    if np.isnan(draws).any():
-        raise DataError("draws CSV: missing entries")
+        rows = np.loadtxt(io.TextIOWrapper(body, encoding="utf-8"), delimiter=",", quotechar='"',
+                          dtype=[("chain", "i8"), ("iter", "i8"), ("param", "i8"), ("value", "f8")],
+                          comments=None, ndmin=1, converters={2: names.__getitem__})
+    except ValueError as e:  # numpy names the row (counted after the header)
+        raise DataError(f"draws CSV: malformed row: {e}") from None
+    chain, it = rows["chain"], rows["iter"]
+    if len(rows) != c * r * d:
+        raise DataError(f"draws CSV: {len(rows)} rows, expected {c * r * d}")
+    if not ((chain >= 1) & (chain <= c) & (it >= 1) & (it <= r)).all():
+        raise DataError("draws CSV: a chain or iter index outside the manifest's counts")
+    draws = np.full((c, r, d), np.nan)
+    draws[chain - 1, it - 1, rows["param"]] = rows["value"]
+    if np.isnan(draws).any():  # with the row count, every cell came exactly once
+        raise DataError("draws CSV: missing or repeated entries")
     return _samples_from_manifest(manifest, draws)

@@ -2,6 +2,7 @@
 season, exit-code conventions, config replay, and determinism."""
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -208,6 +209,20 @@ class TestDiagnose:
         (fitdir / "draws.csv.manifest.json").write_text(sidecar)
         assert cli.main(["diagnose", "--fit", str(fitdir), "--out", str(tmp_path)]) == 2
         assert "manifest" in capsys.readouterr().err
+
+    def test_malformed_csv_body_exit_2(self, ws, tmp_path, capsys):
+        fitdir = tmp_path / "csvfit"
+        fitdir.mkdir()
+        samples = sampler.import_draws(ws / "fit" / "draws.bin")
+        sampler.export_draws(samples, fitdir / "draws.csv", fmt="csv")
+        body = (fitdir / "draws.csv").read_bytes().replace(b"\n1,1,", b"\n1x,1,", 1)
+        (fitdir / "draws.csv").write_bytes(body)
+        side = fitdir / "draws.csv.manifest.json"
+        manifest = json.loads(side.read_text())
+        manifest["csv_sha256"] = hashlib.sha256(body).hexdigest()  # a valid forged checksum
+        side.write_text(json.dumps(manifest))
+        assert cli.main(["diagnose", "--fit", str(fitdir), "--out", str(tmp_path)]) == 2
+        assert "malformed row" in capsys.readouterr().err
 
 
 class TestPredict:

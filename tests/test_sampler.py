@@ -1,7 +1,11 @@
 """Sampler tests: the generic block runner on analytically known targets,
 adaptation bookkeeping, convergence diagnostics, and the draws container."""
 
+import csv
+import hashlib
 import io
+import json
+import re
 import struct
 from types import SimpleNamespace
 
@@ -583,4 +587,84 @@ class TestDrawsContainer:
         path = tmp_path / "draws.bin"
         path.write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(DataError, match="manifest"):
+            import_draws(path)
+
+
+_EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@pytest.fixture
+def tiny_samples():
+    """2 chains x 3 draws of 3 coordinates, two of whose names need quoting."""
+    values = np.array(_EDGE_VALUES + [-v for v in _EDGE_VALUES] + _EDGE_VALUES[::-1])
+    return PosteriorSamples(
+        draws=values.reshape(2, 3, 3),
+        param_names=("mu[1]", "beta[1,1]", "omega[1,individual]"),
+        spec=model.ModelSpec(S=2, T=1, Z=2),
+        config=SamplerConfig(n_chains=2, burn_in=0, kept_iterations=3, thin=1),
+        source_digest="x",
+        acceptance_rates={},
+        proposal_scales={},
+    )
+
+
+def _forge_csv(path, text):
+    """Rewrite a CSV container's body and give the sidecar its checksum."""
+    body = text.encode()
+    path.write_bytes(body)
+    side = path.with_name(path.name + ".manifest.json")
+    manifest = json.loads(side.read_text())
+    manifest["csv_sha256"] = hashlib.sha256(body).hexdigest()
+    side.write_text(json.dumps(manifest))
+
+
+class TestCsvContainer:
+    def test_long_layout_is_pinned(self, tiny_samples, tmp_path):
+        ref = io.StringIO()
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(["chain", "iter", "param", "value"])
+        for c in range(2):
+            for i in range(3):
+                for j, name in enumerate(tiny_samples.param_names):
+                    writer.writerow([c + 1, i + 1, name, repr(float(tiny_samples.draws[c, i, j]))])
+        path = tmp_path / "draws.csv"
+        export_draws(tiny_samples, path, fmt="csv")
+        assert path.read_bytes() == ref.getvalue().encode()
+        assert '1,1,"beta[1,1]",5e-324\n' in ref.getvalue()
+        back = import_draws(path)
+        assert back.draws.tobytes() == tiny_samples.draws.tobytes()  # keeps the sign of -0.0
+        assert back.param_names == tiny_samples.param_names
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda t: re.sub(r"\n2,3,mu\[1\],[^\n]*", "\n0,3,mu[1],999.0", t), "outside"),
+        (lambda t: t.replace("\n1,3,mu[1],", "\n1,0,mu[1],", 1), "outside"),
+        (lambda t: t.replace("\n1,2,mu[1],", "\n1,4,mu[1],", 1), "outside"),
+        (lambda t: t.replace("\n1,2,mu[1],", "\n1,1,mu[1],", 1), "missing or repeated"),
+        (lambda t: t + t.splitlines(keepends=True)[1], "rows, expected"),
+        (lambda t: "".join(t.splitlines(keepends=True)[:-1]), "rows, expected"),
+    ], ids=["chain-0", "iter-0", "iter-past-end", "duplicate-cell", "extra-row", "missing-row"])
+    def test_every_cell_exactly_once(self, tiny_samples, tmp_path, edit, match):
+        path = tmp_path / "draws.csv"
+        export_draws(tiny_samples, path, fmt="csv")
+        _forge_csv(path, edit(path.read_text()))
+        with pytest.raises(DataError, match=match):
+            import_draws(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda t: t.replace("\n1,1,mu[1],-0.0\n", "\n1,1,mu[1]\n"), "malformed row"),
+        (lambda t: t.replace("\n1,1,mu[1],-0.0\n", "\n1,1,mu[1],-0.0,7\n"), "malformed row"),
+        (lambda t: t.replace("\n1,1,mu[1],", "\n1,1,mu[9],"), "malformed row"),
+        (lambda t: t.replace("\n1,1,mu[1],", "\n1x,1,mu[1],"), "malformed row"),
+        (lambda t: t.replace("\n1,1,mu[1],-0.0\n", "\n1,1,mu[1],abc\n"), "malformed row"),
+        (lambda t: t.replace("chain,iter,param,value", "chain,iter,name,value"), "header"),
+        (lambda t: "", "header"),
+        (lambda t: "chain,iter,param,value\n", "no rows"),
+        (lambda t: "chain,iter,param,value\r\n\r\n", "no rows"),
+    ], ids=["3-fields", "5-fields", "unknown-param", "chain-1x", "value-abc", "bad-header",
+            "empty-file", "header-only", "blank-lines-only"])
+    def test_malformed_body_is_a_data_error(self, tiny_samples, tmp_path, edit, match):
+        path = tmp_path / "draws.csv"
+        export_draws(tiny_samples, path, fmt="csv")
+        _forge_csv(path, edit(path.read_text()))
+        with pytest.raises(DataError, match=match):
             import_draws(path)
