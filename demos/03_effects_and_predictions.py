@@ -25,6 +25,7 @@ from biathlon_bayes import (
     predictive_draws,
     race_effects,
     run_chains,
+    simulate_schedule,
     stage_totals_ppc,
 )
 from biathlon_bayes.model import ParameterState
@@ -94,7 +95,9 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Posterior predictive check: do simulated stage totals cover what
     # actually happened?  (A systematic miss would mean a model defect.)
-    ppc = stage_totals_ppc(samples, dataset, seed=17)
+    # One joint set of replicates of the whole season feeds every check.
+    joint = simulate_schedule(samples, dataset, seed=17)
+    ppc = stage_totals_ppc(joint, dataset)
     print("\n=== Stage-total posterior predictive check ===")
     print(f"  {'stage':>5} {'observed':>9} {'95% predictive':>17} {'mid-p tail':>11}")
     misses = 0
@@ -125,7 +128,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Cumulative path: one athlete's running hit total, race by race.
     athlete = athletes[0]
-    path = cumulative_hits(samples, dataset, athlete, seed=4)
+    path = cumulative_hits(joint, dataset, athlete)
     print(f"\n=== Cumulative hits for {athlete} (every 5th race) ===")
     print(f"  {'race':<26} {'observed':>8} {'predictive mean':>16} {'95% interval':>16}")
     checkpoints = list(range(0, len(path.races), 5)) + [len(path.races) - 1]

@@ -50,7 +50,7 @@ def main() -> None:
     pooled = samples.pooled()[:, 0]
     mcmc_mean = pooled.mean()
     mcmc_sd = pooled.std(ddof=1)
-    mcse = mcmc_sd / np.sqrt(ess(samples, "mu[1]"))
+    mcse = mcmc_sd / np.sqrt(ess(samples.param_draws("mu[1]")))
     print(f"  sampler:     mean {mcmc_mean:.6f}  sd {mcmc_sd:.6f}")
     print(f"  |mean error| = {abs(mcmc_mean - quad.mean):.5f} "
           f"({abs(mcmc_mean - quad.mean) / mcse:.2f} Monte Carlo SEs)")

@@ -40,6 +40,7 @@ from .predict import (
     predictive_draws,
     race_effects,
     race_position_ppc,
+    simulate_schedule,
     stage_totals_ppc,
 )
 from .sampler import (
@@ -86,6 +87,7 @@ __all__ = [
     "predictive_draws",
     "race_effects",
     "race_position_ppc",
+    "simulate_schedule",
     "stage_totals_ppc",
     "PosteriorSamples",
     "SamplerConfig",

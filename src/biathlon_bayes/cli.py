@@ -334,6 +334,19 @@ def _safe_name(name: str) -> str:
 
 
 def _find_draws(fit_dir: str) -> str:
+    """The draws file of a fit: the one its ``fit_report.json`` names, else
+    ``draws.bin``, else ``draws.csv``."""
+    report_path = os.path.join(fit_dir, "fit_report.json")
+    if os.path.exists(report_path):
+        try:
+            with open(report_path, "rb") as fh:
+                report = json.loads(fh.read())
+        except ValueError as e:  # undecodable bytes or malformed JSON
+            raise DataError(f"bad fit report {report_path!r}: {e}") from None
+        name = report.get("draws_file") if isinstance(report, dict) else None
+        if not isinstance(name, str) or not name or os.path.basename(name) != name:
+            raise DataError(f"bad fit report {report_path!r}: no draws file name")
+        return os.path.join(fit_dir, name)
     for candidate in ("draws.bin", "draws.csv"):
         path = os.path.join(fit_dir, candidate)
         if os.path.exists(path):
@@ -525,6 +538,13 @@ def _cmd_predict(args) -> int:
     samples = import_draws(draws_path)
     d = load_sessions(args.data)
     _check_digest(samples, d)
+    athletes = args.athlete or d.athletes
+    by_file: dict[str, str] = {}
+    for name in athletes:
+        other = by_file.setdefault(_safe_name(name), name)
+        if other != name:
+            raise DataError(f"athletes {other!r} and {name!r} would share the file "
+                            f"cumulative_{_safe_name(name)}.csv")
     _write_manifest(
         args,
         {
@@ -553,19 +573,19 @@ def _cmd_predict(args) -> int:
     # --- posterior predictive checks (one joint draw set) -----------------
     joint = simulate_schedule(samples, d, n_rep=args.reps, seed=args.seed)
 
-    stage_ppc = stage_totals_ppc(samples, d, joint_draws=joint)
+    stage_ppc = stage_totals_ppc(joint, d)
     emit_csv("ppc_stage_totals.csv",
              _interval_rows(["stage"], (((t,), s) for t, s in stage_ppc.items())))
     emit_csv("ppc_stage_totals_draws.csv",
              _replicate_rows([f"stage_{t}" for t in stage_ppc], stage_ppc.values()))
 
-    cell_ppc = race_position_ppc(samples, d, joint_draws=joint)
+    cell_ppc = race_position_ppc(joint, d)
     emit_csv("ppc_race_position.csv", _interval_rows(["race_type", "position"], cell_ppc.items()))
     emit_csv("ppc_race_position_draws.csv",
              _replicate_rows([f"{rt}_{posn}" for rt, posn in cell_ppc], cell_ppc.values()))
 
-    for name in args.athlete or d.athletes:
-        path = cumulative_hits(samples, d, name, joint_draws=joint)
+    for name in athletes:
+        path = cumulative_hits(joint, d, name)
         races = zip(path.races, path.summaries)
         emit_csv(f"cumulative_{_safe_name(name)}.csv",
                  _interval_rows(["stage", "race_seq", "race_type"], races))
@@ -620,7 +640,7 @@ def _validate_oracle(args) -> int:
     pooled = samples.pooled()[:, 0]
     mean_mcmc = float(pooled.mean())
     sd_mcmc = float(pooled.std(ddof=1))
-    n_eff = ess(samples, samples.param_names[0])
+    n_eff = ess(samples.param_draws(0))
     mcse = sd_mcmc / math.sqrt(n_eff)
     mean_ok = abs(mean_mcmc - quad.mean) <= 3.0 * mcse
     sd_ok = abs(sd_mcmc / quad.sd - 1.0) <= 0.10

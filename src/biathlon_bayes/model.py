@@ -75,8 +75,9 @@ class ModelSpec:
             raise DataError("sigma_scale must be positive")
 
     @classmethod
-    def for_dataset(cls, d: Dataset, Z: int = 4, sigma_scale: float = 1.0) -> "ModelSpec":
-        return cls(S=d.n_athletes, T=d.n_stages, Z=Z, sigma_scale=sigma_scale)
+    def for_dataset(cls, d: Dataset) -> "ModelSpec":
+        """The default-prior model of every race type for ``d``'s athletes and stages."""
+        return cls(S=d.n_athletes, T=d.n_stages)
 
     @property
     def n_mu(self) -> int:

@@ -1,13 +1,16 @@
 """Posterior-effect summaries and posterior predictive simulation.
 
-Everything here consumes a :class:`~biathlon_bayes.sampler.PosteriorSamples`
-and is deterministic given ``(samples, seed)``.  Predictive hit counts are
-drawn with one dedicated RNG stream per session template, keyed by the
-template's identity rather than its position in the schedule, so reordering
-templates permutes the output columns and changes nothing else.
+The effect summaries and the predictive simulators consume a
+:class:`~biathlon_bayes.sampler.PosteriorSamples` and are deterministic
+given ``(samples, seed)``.  Predictive hit counts are drawn with one
+dedicated RNG stream per session template, keyed by the template's identity
+rather than its position in the schedule, so reordering templates permutes
+the output columns and changes nothing else.
 
-Every summary here is :func:`~biathlon_bayes.intervals.summary` of some
-draws; the predictive checks group sessions through :func:`_totals`.
+The predictive checks consume the joint replicates of
+:func:`simulate_schedule`, so they all summarize the same draws, and group
+sessions through :func:`_totals`.  Every summary here is
+:func:`~biathlon_bayes.intervals.summary` of some draws.
 """
 
 from __future__ import annotations
@@ -352,19 +355,11 @@ def simulate_schedule(
 ) -> np.ndarray:
     """Joint predictive hit counts for every session in the dataset.
 
-    Convenience wrapper around :func:`predictive_draws` with the dataset's
-    own records as templates; the result can be shared across the PPC
-    aggregators below so they all summarize the same joint replicates.
+    :func:`predictive_draws` with the dataset's own records as templates:
+    shape ``(n_rep, len(dataset.records))``.  The predictive checks below
+    take this matrix, so they all summarize the same joint replicates.
     """
     return predictive_draws(samples, dataset.records, dataset, n_rep=n_rep, seed=seed)
-
-
-def _joint(samples, dataset, joint_draws, n_rep, seed) -> np.ndarray:
-    if joint_draws is not None:
-        if joint_draws.shape[1] != len(dataset.records):
-            raise DataError("joint_draws does not match the dataset's session count")
-        return joint_draws
-    return simulate_schedule(samples, dataset, n_rep=n_rep, seed=seed)
 
 
 def _totals(joint: np.ndarray, dataset: Dataset, key) -> dict:
@@ -372,6 +367,8 @@ def _totals(joint: np.ndarray, dataset: Dataset, key) -> dict:
     ``key(record)`` (``None`` leaves the record out) maps to the group's
     total in every replicate row of ``joint``, its observed total and its
     session count."""
+    if np.shape(joint)[1:] != (len(dataset.records),):
+        raise DataError("joint draws do not match the dataset's session count")
     cols: dict = {}
     for i, rec in enumerate(dataset.records):
         k = key(rec)
@@ -387,15 +384,9 @@ def _totals(joint: np.ndarray, dataset: Dataset, key) -> dict:
     }
 
 
-def stage_totals_ppc(
-    samples: PosteriorSamples,
-    dataset: Dataset,
-    joint_draws: np.ndarray | None = None,
-    n_rep: int | None = None,
-    seed: int = 0,
-) -> dict[int, PredictiveSummary]:
-    """Predictive distribution of total hits per stage vs the observed total."""
-    joint = _joint(samples, dataset, joint_draws, n_rep, seed)
+def stage_totals_ppc(joint: np.ndarray, dataset: Dataset) -> dict[int, PredictiveSummary]:
+    """Predictive distribution of total hits per stage vs the observed total,
+    from the :func:`simulate_schedule` replicates ``joint``."""
     groups = _totals(joint, dataset, lambda rec: rec.stage)
     return {
         t: PredictiveSummary.from_draws(f"stage {t}", groups[t][0], observed=groups[t][1])
@@ -404,14 +395,10 @@ def stage_totals_ppc(
 
 
 def race_position_ppc(
-    samples: PosteriorSamples,
-    dataset: Dataset,
-    joint_draws: np.ndarray | None = None,
-    n_rep: int | None = None,
-    seed: int = 0,
+    joint: np.ndarray, dataset: Dataset
 ) -> dict[tuple[str, str], PredictiveSummary]:
-    """Predictive accuracy (percent) per race type x shooting position."""
-    joint = _joint(samples, dataset, joint_draws, n_rep, seed)
+    """Predictive accuracy (percent) per race type x shooting position, from
+    the :func:`simulate_schedule` replicates ``joint``."""
     groups = _totals(joint, dataset, lambda rec: (rec.race_type, rec.position))
     out: dict[tuple[str, str], PredictiveSummary] = {}
     for cell in itertools.product(RACE_TYPES, ("prone", "standing")):
@@ -438,18 +425,12 @@ class CumulativePath:
     summaries: tuple[PredictiveSummary, ...]
 
 
-def cumulative_hits(
-    samples: PosteriorSamples,
-    dataset: Dataset,
-    athlete: str,
-    joint_draws: np.ndarray | None = None,
-    n_rep: int | None = None,
-    seed: int = 0,
-) -> CumulativePath:
-    """Season-long cumulative hit paths for one athlete."""
+def cumulative_hits(joint: np.ndarray, dataset: Dataset, athlete: str) -> CumulativePath:
+    """Season-long cumulative hit paths for one athlete, from the
+    :func:`simulate_schedule` replicates ``joint``."""
     if athlete not in dataset.athlete_index:
         raise DataError(f"athlete {athlete!r} not in the dataset")
-    joint = _joint(samples, dataset, joint_draws, n_rep, seed)
+
     def race_of(rec):  # (stage, race_seq) names a race, which has one race type
         return (rec.stage, rec.race_seq, rec.race_type) if rec.athlete == athlete else None
 

@@ -113,6 +113,8 @@ class Block:
     """One Gibbs block: coordinate indices, proposal shape, and a
     target-specific payload describing which records it touches.
 
+    A block of one coordinate is a scalar block: it starts from a larger
+    step and adapts toward a higher acceptance rate than a vector block.
     ``precond`` is a fixed diagonal proposal scale; when ``fisher`` is set
     (vector blocks) the target instead supplies a state-dependent Cholesky
     transform built from it, and ``precond`` is unused.
@@ -120,7 +122,6 @@ class Block:
 
     name: str
     idx: np.ndarray
-    scalar: bool
     precond: np.ndarray
     kind: str = "generic"
     payload: object = None
@@ -147,8 +148,7 @@ class Block:
 class ChainResult:
     draws: np.ndarray
     acceptance: np.ndarray       # post-burn-in acceptance rate per block
-    scales: np.ndarray           # proposal scales at termination
-    frozen_scales: np.ndarray    # proposal scales at the burn-in boundary
+    scales: np.ndarray           # proposal scales, frozen since burn-in ended
     block_names: tuple[str, ...]
 
 
@@ -169,13 +169,12 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
     blocks = target.blocks
     nb = len(blocks)
     log_scale = np.array(
-        [0.875 if b.scalar else np.log(2.38 / np.sqrt(len(b.idx))) for b in blocks]
+        [0.875 if len(b.idx) == 1 else np.log(2.38 / np.sqrt(len(b.idx))) for b in blocks]
     )  # 0.875 = ln 2.4
     adapt_until = cfg.burn_in if cfg.adapt_window is None else min(cfg.adapt_window, cfg.burn_in)
     adapt_count = np.zeros(nb)
     post_prop = np.zeros(nb)
     post_acc = np.zeros(nb)
-    frozen_scales = np.exp(log_scale)
     mala = cfg.proposal_mode == "gradient_assisted"
 
     total = cfg.burn_in + cfg.kept_iterations
@@ -231,14 +230,13 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
                     alpha_prob = (
                         float(np.exp(min(log_alpha, 0.0))) if np.isfinite(log_alpha) else 0.0
                     )
-                    rate = _TARGET_RATE_SCALAR if block.scalar else _TARGET_RATE_VECTOR
+                    rate = _TARGET_RATE_SCALAR if len(block.idx) == 1 else _TARGET_RATE_VECTOR
                     log_scale[b] += adapt_count[b] ** -_ADAPT_DECAY * (alpha_prob - rate)
                 elif it > cfg.burn_in:
                     post_prop[b] += 1
                     post_acc[b] += accept
 
         if it == cfg.burn_in:
-            frozen_scales = np.exp(log_scale).copy()
             cache = target.make_cache(x)
         if it > cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
             retained[r_i] = x
@@ -251,7 +249,6 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
         draws=retained,
         acceptance=acceptance,
         scales=np.exp(log_scale),
-        frozen_scales=frozen_scales,
         block_names=tuple(b.name for b in blocks),
     )
 
@@ -380,7 +377,6 @@ class ModelTarget:
             Block(
                 "mu",
                 np.arange(T),
-                T == 1,
                 1.0 / np.sqrt(info_mu + 1.0),
                 kind="mu",
                 payload=(_PRIOR_CLASS["mu"], (_stage_group(_ALL, hits, a.stage0, T),)),
@@ -405,7 +401,6 @@ class ModelTarget:
                 Block(
                     f"beta[{s + 1}]",
                     idx,
-                    T == 1,
                     1.0 / np.sqrt(info + 1.0),
                     kind="beta",
                     payload=(
@@ -425,7 +420,6 @@ class ModelTarget:
                 Block(
                     f"gamma[{s + 1}]",
                     idx,
-                    True,
                     1.0 / np.sqrt(info),
                     kind="gamma",
                     payload=(_PRIOR_CLASS["gamma"], (group,)),
@@ -448,7 +442,6 @@ class ModelTarget:
                 Block(
                     f"omega[{s + 1}]",
                     idx,
-                    Z == 2,
                     1.0 / np.sqrt(info + 1.0),
                     kind="omega",
                     payload=(_PRIOR_CLASS["omega"], (_design_group(rec, hits[rec], design),)),
@@ -466,7 +459,6 @@ class ModelTarget:
                 Block(
                     f"log_sigma_{name}",
                     idx,
-                    True,
                     1.0 / np.sqrt(info),
                     kind="sigma",
                     payload=(k, ()),
@@ -652,37 +644,31 @@ def _chain_job(args) -> ChainResult:
     return run_chain(ModelTarget(spec, dataset), cfg, chain_idx)
 
 
-def worker_cap(max_workers: int | None = None) -> int:
+def worker_cap() -> int:
+    """Worker processes for the chains: ``BIATHLON_BAYES_THREADS`` if set,
+    else the CPU count, and at least one."""
     env = os.environ.get(THREADS_ENV, "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise DataError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    else:
-        cap = os.cpu_count() or 1
-    if max_workers is not None:
-        cap = min(cap, max_workers)
-    return max(1, cap)
+    if not env:
+        return max(1, os.cpu_count() or 1)
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise DataError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
 
 
 def run_chains(
-    spec: ModelSpec,
-    dataset: Dataset,
-    cfg: SamplerConfig | None = None,
-    max_workers: int | None = None,
+    spec: ModelSpec, dataset: Dataset, cfg: SamplerConfig | None = None
 ) -> PosteriorSamples:
     """Sample the posterior with ``cfg.n_chains`` independent chains.
 
-    Chains are distributed over processes (capped by the
-    ``BIATHLON_BAYES_THREADS`` environment variable and ``max_workers``);
-    draws are identical for any worker count because every chain owns its
-    RNG stream.
+    Chains are distributed over at most :func:`worker_cap` processes; draws
+    are identical for any worker count because every chain owns its RNG
+    stream.
     """
     cfg = cfg or SamplerConfig()
     t0 = time.perf_counter()
     jobs = [(spec, dataset, cfg, c) for c in range(cfg.n_chains)]
-    workers = worker_cap(max_workers)
+    workers = worker_cap()
     if workers == 1 or cfg.n_chains == 1:
         results = [_chain_job(j) for j in jobs]
     else:
@@ -712,22 +698,19 @@ def run_chains(
 # convergence diagnostics
 
 
-def _as_chain_matrix(samples, param) -> np.ndarray:
-    if isinstance(samples, PosteriorSamples):
-        if param is None:
-            raise DataError("param required with PosteriorSamples input")
-        return samples.param_draws(param)
-    arr = np.asarray(samples, dtype=float)
+def _as_chain_matrix(chains) -> np.ndarray:
+    arr = np.asarray(chains, dtype=float)
     if arr.ndim != 2:
         raise DataError(f"expected (chains, draws) matrix, got shape {arr.shape}")
     return arr
 
 
-def split_rhat(samples, param=None) -> float:
-    """Split-R-hat: halve each chain, compare between- and within-half
-    variance.  Raises NumericalError on degenerate input (constant chains)
-    rather than reporting a hollow 1.0."""
-    chains = _as_chain_matrix(samples, param)
+def split_rhat(chains) -> float:
+    """Split-R-hat of a ``(chains, draws)`` matrix, such as
+    ``PosteriorSamples.param_draws(name)``: halve each chain, compare
+    between- and within-half variance.  Raises NumericalError on degenerate
+    input (constant chains) rather than reporting a hollow 1.0."""
+    chains = _as_chain_matrix(chains)
     c, r = chains.shape
     n = r // 2
     if n < 2:
@@ -766,10 +749,11 @@ def _chain_ess(y: np.ndarray) -> float:
     return min(n / tau, float(n))  # cap at the iid-equivalent count
 
 
-def ess(samples, param=None) -> float:
-    """Effective sample size: N / (1 + 2 sum of autocorrelations) with
-    Geyer initial-positive-sequence truncation, per chain, summed."""
-    chains = _as_chain_matrix(samples, param)
+def ess(chains) -> float:
+    """Effective sample size of a ``(chains, draws)`` matrix:
+    N / (1 + 2 sum of autocorrelations) with Geyer initial-positive-sequence
+    truncation, per chain, summed."""
+    chains = _as_chain_matrix(chains)
     if chains.shape[1] < 10:
         raise NumericalError(f"insufficient draws for ESS: {chains.shape[1]} per chain")
     return float(sum(_chain_ess(chains[c]) for c in range(chains.shape[0])))
@@ -827,29 +811,23 @@ def _manifest_dict(samples: PosteriorSamples) -> dict:
     }
 
 
-def export_draws(samples: PosteriorSamples, sink, fmt: str = "binary"):
-    """Write draws + manifest. ``fmt="binary"`` streams chains into a
-    checksummed single-file container; ``fmt="csv"`` streams
-    ``chain,iter,param,value`` rows one draw at a time, and a JSON manifest
-    sidecar at ``<path>.manifest.json`` holding the sha256 of the bytes
-    written.  Paths are written atomically."""
+def export_draws(samples: PosteriorSamples, path, fmt: str = "binary"):
+    """Write draws + manifest to the file at ``path``, atomically.
+    ``fmt="binary"`` streams chains into a checksummed single-file
+    container; ``fmt="csv"`` streams ``chain,iter,param,value`` rows one
+    draw at a time, and a JSON manifest sidecar at ``<path>.manifest.json``
+    holding the sha256 of the bytes written."""
+    path = Path(path)
     if fmt == "binary":
-        if hasattr(sink, "write"):
-            _export_binary(samples, sink)
-        else:
-            _write_atomic(Path(sink), lambda fh: _export_binary(samples, fh))
-        return
-    if fmt == "csv":
-        if hasattr(sink, "write"):
-            raise DataError("csv export requires a path (it writes a manifest sidecar)")
-        path = Path(sink)
+        _write_atomic(path, lambda fh: _export_binary(samples, fh))
+    elif fmt == "csv":
         manifest = _manifest_dict(samples)
         digest = _write_atomic(path, lambda fh: _put_hashed(fh, _csv_chunks(samples)))
         manifest["csv_sha256"] = digest.hexdigest()
         side = json.dumps(manifest, sort_keys=True, indent=2).encode()
         _write_atomic(path.with_name(path.name + ".manifest.json"), lambda fh: fh.write(side))
-        return
-    raise DataError(f"unknown draws format {fmt!r}")
+    else:
+        raise DataError(f"unknown draws format {fmt!r}")
 
 
 def _write_atomic(path: Path, write):
@@ -933,19 +911,16 @@ def _samples_from_manifest(manifest: dict, draws: np.ndarray) -> PosteriorSample
     )
 
 
-def import_draws(source) -> PosteriorSamples:
-    """Read a draws container (binary or CSV+sidecar); verifies checksums.
-    One ``np.loadtxt`` call parses exactly the CSV bytes that were hashed."""
-    side = None
-    if hasattr(source, "read"):
-        raw = source.read()
-    else:
-        path = Path(source)
-        raw = path.read_bytes()
-        side = path.with_name(path.name + ".manifest.json")
+def import_draws(path) -> PosteriorSamples:
+    """Read the draws container at ``path`` (binary, or CSV with its
+    ``<path>.manifest.json`` sidecar); verifies checksums.  One
+    ``np.loadtxt`` call parses exactly the CSV bytes that were hashed."""
+    path = Path(path)
+    raw = path.read_bytes()
     if raw[: len(_MAGIC)] == _MAGIC:
         return _import_binary(raw)
-    if side is not None and side.exists():
+    side = path.with_name(path.name + ".manifest.json")
+    if side.exists():
         return _import_csv(raw, _parse_manifest(side.read_bytes()))
     raise DataError("unrecognized draws container (bad magic, no manifest sidecar)")
 

@@ -7,7 +7,7 @@ from typing import Mapping
 
 from scipy.special import expit
 
-from .data import BOUTS_PER_RACE, Dataset, RACE_TYPES, SessionRecord, SHOTS_PER_BOUT
+from .data import Dataset, RACE_TYPES, SessionRecord, SHOTS_PER_BOUT
 from .errors import DataError
 from .model import ModelSpec, ParameterState, expand, sample_prior
 from .streams import rng_for

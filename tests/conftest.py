@@ -153,7 +153,9 @@ def small_fit(small_dataset):
     cfg = sampler.SamplerConfig(
         n_chains=2, burn_in=300, kept_iterations=1000, thin=5, seed=7
     )
-    return sampler.run_chains(spec, small_dataset, cfg, max_workers=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(sampler.THREADS_ENV, "1")
+        return sampler.run_chains(spec, small_dataset, cfg)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from biathlon_bayes import cli, model, oracles, sampler
-from biathlon_bayes.data import load_sessions
+from biathlon_bayes.data import Dataset, load_sessions, serialize_sessions
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +224,30 @@ class TestDiagnose:
         assert cli.main(["diagnose", "--fit", str(fitdir), "--out", str(tmp_path)]) == 2
         assert "malformed row" in capsys.readouterr().err
 
+    def test_fit_report_names_the_draws_file(self, ws, tmp_path):
+        # a csv refit into a binary fit's directory leaves a stale draws.bin
+        fit = tmp_path / "refit"
+        for keep, fmt in (("50", "binary"), ("100", "csv")):
+            assert cli.main(["fit", "--data", _data(ws), "--out", str(fit), "--chains", "1",
+                             "--burnin", "20", "--keep", keep, "--thin", "5",
+                             "--format", fmt]) == 0
+        assert (fit / "draws.bin").exists()
+        out = tmp_path / "diag"
+        assert cli.main(["diagnose", "--fit", str(fit), "--out", str(out)]) == 0
+        assert json.loads((out / "diagnostics.json").read_text())["n_retained"] == 20
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs["draws"]["path"] == os.path.join(str(fit), "draws.csv")
+
+    @pytest.mark.parametrize("report", [b"{not json", b"[]", b'{"draws_file": 3}',
+                                        b'{"draws_file": "../draws.bin"}', b"\xff\xfe"])
+    def test_malformed_fit_report_exit_2(self, ws, tmp_path, capsys, report):
+        fitdir = tmp_path / "fit"
+        fitdir.mkdir()
+        (fitdir / "draws.bin").write_bytes((ws / "fit" / "draws.bin").read_bytes())
+        (fitdir / "fit_report.json").write_bytes(report)
+        assert cli.main(["diagnose", "--fit", str(fitdir), "--out", str(tmp_path)]) == 2
+        assert "fit report" in capsys.readouterr().err
+
 
 class TestPredict:
     def test_full_output_set(self, ws, tmp_path, capsys):
@@ -274,6 +298,24 @@ class TestPredict:
                        "--data", str(other / "sessions.csv"), "--out", str(tmp_path)])
         assert rc == 2
         assert "digest" in capsys.readouterr().err
+
+    def test_colliding_cumulative_file_names_exit_2(self, ws, tmp_path, capsys):
+        d = load_sessions(_data(ws))
+        rename = {d.athletes[0]: "Anna Smith", d.athletes[1]: "Anna_Smith"}
+        renamed = Dataset.from_records(
+            [dataclasses.replace(r, athlete=rename.get(r.athlete, r.athlete)) for r in d.records]
+        )
+        data = tmp_path / "sessions.csv"
+        data.write_bytes(serialize_sessions(renamed))
+        fit, out = tmp_path / "fit", tmp_path / "pred"
+        assert cli.main(["fit", "--data", str(data), "--out", str(fit), "--chains", "1",
+                         "--burnin", "20", "--keep", "20", "--thin", "5"]) == 0
+        rc = cli.main(["predict", "--fit", str(fit), "--data", str(data), "--out", str(out),
+                       "--reps", "10"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'Anna Smith'" in err and "'Anna_Smith'" in err
+        assert not list(out.glob("cumulative_*"))
 
     def test_replicates_are_deterministic(self, ws, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

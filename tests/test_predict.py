@@ -390,7 +390,7 @@ class TestPosteriorPredictiveChecks:
 
     def test_stage_totals_match_manual_aggregation(self, small_fit, small_dataset):
         joint = simulate_schedule(small_fit, small_dataset, n_rep=100, seed=5)
-        ppc = stage_totals_ppc(small_fit, small_dataset, joint_draws=joint)
+        ppc = stage_totals_ppc(joint, small_dataset)
         assert set(ppc) == {r.stage for r in small_dataset.records}
         for t, summary in ppc.items():
             cols = [i for i, r in enumerate(small_dataset.records) if r.stage == t]
@@ -404,19 +404,14 @@ class TestPosteriorPredictiveChecks:
             assert summary.lower == srt[math.ceil(0.025 * n) - 1]
             assert summary.upper == srt[math.ceil(0.975 * n) - 1]
 
-    def test_internal_and_external_joint_draws_agree(self, small_fit, small_dataset):
-        direct = stage_totals_ppc(small_fit, small_dataset, n_rep=60, seed=9)
-        joint = simulate_schedule(small_fit, small_dataset, n_rep=60, seed=9)
-        via_joint = stage_totals_ppc(small_fit, small_dataset, joint_draws=joint)
-        for t in direct:
-            assert np.array_equal(direct[t].draws, via_joint[t].draws)
-
-    def test_joint_draws_shape_checked(self, small_fit, small_dataset):
-        with pytest.raises(DataError):
-            stage_totals_ppc(small_fit, small_dataset, joint_draws=np.zeros((10, 3)))
+    def test_joint_draws_shape_checked(self, small_dataset):
+        for ppc in (stage_totals_ppc, race_position_ppc):
+            with pytest.raises(DataError):
+                ppc(np.zeros((10, 3)), small_dataset)
 
     def test_race_position_cells(self, small_fit, small_dataset):
-        ppc = race_position_ppc(small_fit, small_dataset, n_rep=80, seed=3)
+        joint = simulate_schedule(small_fit, small_dataset, n_rep=80, seed=3)
+        ppc = race_position_ppc(joint, small_dataset)
         present = {(r.race_type, r.position) for r in small_dataset.records}
         assert set(ppc) == present
         for (race, pos), summary in ppc.items():
@@ -427,7 +422,8 @@ class TestPosteriorPredictiveChecks:
 
     def test_cumulative_hits(self, small_fit, small_dataset):
         athlete = small_dataset.athletes[0]
-        path = cumulative_hits(small_fit, small_dataset, athlete, n_rep=50, seed=2)
+        joint = simulate_schedule(small_fit, small_dataset, n_rep=50, seed=2)
+        path = cumulative_hits(joint, small_dataset, athlete)
         assert path.athlete == athlete
         assert list(path.races) == sorted(path.races)
         running = 0
@@ -444,5 +440,8 @@ class TestPosteriorPredictiveChecks:
         assert (last >= first).all()
 
     def test_cumulative_hits_unknown_athlete(self, small_fit, small_dataset):
+        joint = simulate_schedule(small_fit, small_dataset, n_rep=10, seed=2)
         with pytest.raises(DataError):
-            cumulative_hits(small_fit, small_dataset, "nobody")
+            cumulative_hits(joint, small_dataset, "nobody")
+        with pytest.raises(DataError):
+            cumulative_hits(joint[:, :3], small_dataset, small_dataset.athletes[0])

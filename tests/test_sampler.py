@@ -42,11 +42,9 @@ class _GaussTarget:
         self.prec = np.linalg.inv(np.asarray(cov, dtype=float))
         self.dim = len(self.mean)
         if block_mode == "vector":
-            self.blocks = [Block("xy", np.arange(self.dim), False, np.ones(self.dim))]
+            self.blocks = [Block("xy", np.arange(self.dim), np.ones(self.dim))]
         else:
-            self.blocks = [
-                Block(f"x{i}", np.array([i]), True, np.ones(1)) for i in range(self.dim)
-            ]
+            self.blocks = [Block(f"x{i}", np.array([i]), np.ones(1)) for i in range(self.dim)]
 
     def initial_vector(self, rng):
         return rng.standard_normal(self.dim)
@@ -121,8 +119,7 @@ class TestRunnerOnKnownTarget:
         cfg_long = SamplerConfig(n_chains=1, burn_in=500, kept_iterations=2000, thin=1, seed=4)
         short = run_chain(target, cfg_short, 0)
         long = run_chain(target, cfg_long, 0)
-        assert np.array_equal(short.scales, short.frozen_scales)
-        assert np.array_equal(long.frozen_scales, short.frozen_scales)
+        assert np.array_equal(long.scales, short.scales)
 
     def test_adapt_window_zero_keeps_initial_scales(self):
         target = _GaussTarget(_TOY_MEAN, _TOY_COV)
@@ -194,7 +191,7 @@ class TestModelTargetBlocks:
         by_name = {b.name: b for b in target.blocks}
         assert all(by_name[n].repeats == 8 for n in names[-4:])
         assert by_name["beta[1]"].repeats == 2  # multi-stage season
-        assert by_name["gamma[1]"].scalar and len(by_name["gamma[1]"].idx) == 1
+        assert len(by_name["gamma[1]"].idx) == 1
 
 
 @pytest.fixture(scope="module", params=["small", "scalar_blocks", "mu_only"])
@@ -300,20 +297,22 @@ def test_cache_drift_between_rebuilds_at_paper_scale(season_dataset):
 
 
 class TestRunChains:
-    def test_draw_shapes_and_names(self, small_dataset):
+    def test_draw_shapes_and_names(self, small_dataset, monkeypatch):
+        monkeypatch.setenv("BIATHLON_BAYES_THREADS", "1")
         spec = model.ModelSpec.for_dataset(small_dataset)
         cfg = SamplerConfig(n_chains=2, burn_in=50, kept_iterations=10, thin=5, seed=1)
-        samples = run_chains(spec, small_dataset, cfg, max_workers=1)
+        samples = run_chains(spec, small_dataset, cfg)
         assert samples.draws.shape == (2, 2, spec.dim)
         assert samples.param_names == model.param_names(spec)
         assert samples.source_digest == small_dataset.source_digest
         assert samples.wall_time_s is not None and samples.wall_time_s > 0.0
 
-    def test_reruns_are_identical(self, small_dataset):
+    def test_reruns_are_identical(self, small_dataset, monkeypatch):
+        monkeypatch.setenv("BIATHLON_BAYES_THREADS", "1")
         spec = model.ModelSpec.for_dataset(small_dataset)
         cfg = SamplerConfig(n_chains=2, burn_in=100, kept_iterations=50, thin=5, seed=12)
-        a = run_chains(spec, small_dataset, cfg, max_workers=1)
-        b = run_chains(spec, small_dataset, cfg, max_workers=1)
+        a = run_chains(spec, small_dataset, cfg)
+        b = run_chains(spec, small_dataset, cfg)
         assert np.array_equal(a.draws, b.draws)
         assert a.acceptance_rates == b.acceptance_rates
 
@@ -326,11 +325,12 @@ class TestRunChains:
         pooled = run_chains(spec, small_dataset, cfg)
         assert np.array_equal(serial.draws, pooled.draws)
 
-    def test_each_chain_owns_its_stream(self, small_dataset):
+    def test_each_chain_owns_its_stream(self, small_dataset, monkeypatch):
         # chain c of a multi-chain run equals a standalone run of chain c
+        monkeypatch.setenv("BIATHLON_BAYES_THREADS", "1")
         spec = model.ModelSpec.for_dataset(small_dataset)
         cfg = SamplerConfig(n_chains=3, burn_in=60, kept_iterations=20, thin=5, seed=8)
-        samples = run_chains(spec, small_dataset, cfg, max_workers=1)
+        samples = run_chains(spec, small_dataset, cfg)
         solo = run_chain(sampler.ModelTarget(spec, small_dataset), cfg, 1)
         assert np.array_equal(samples.draws[1], solo.draws)
 
@@ -352,7 +352,6 @@ class TestWorkerCap:
     def test_env_overrides_cpu_count(self, monkeypatch):
         monkeypatch.setenv("BIATHLON_BAYES_THREADS", "3")
         assert worker_cap() == 3
-        assert worker_cap(max_workers=2) == 2
 
     def test_env_floor_is_one(self, monkeypatch):
         monkeypatch.setenv("BIATHLON_BAYES_THREADS", "0")
@@ -449,14 +448,6 @@ class TestDiagnostics:
         with pytest.raises(DataError):
             split_rhat(np.zeros((2, 3, 4)))
 
-    def test_posterior_samples_need_param(self, small_fit):
-        with pytest.raises(DataError):
-            split_rhat(small_fit)
-        by_name = split_rhat(small_fit, "mu[1]")
-        by_matrix = split_rhat(small_fit.param_draws("mu[1]"))
-        assert by_name == by_matrix
-        assert ess(small_fit, "mu[1]") == ess(small_fit.param_draws("mu[1]"))
-
 
 class TestSummarize:
     def test_rows_align_with_params(self, small_fit):
@@ -487,13 +478,6 @@ class TestDrawsContainer:
         assert back.source_digest == small_fit.source_digest
         assert back.spec == small_fit.spec
         assert back.acceptance_rates == small_fit.acceptance_rates
-
-    def test_binary_roundtrip_via_buffer(self, small_fit):
-        buf = io.BytesIO()
-        export_draws(small_fit, buf)
-        buf.seek(0)
-        back = import_draws(buf)
-        assert np.array_equal(back.draws, small_fit.draws)
 
     def test_export_is_deterministic(self, small_fit, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -539,10 +523,6 @@ class TestDrawsContainer:
         path.write_text(text.replace("\n1,1,", "\n1,1x,", 1))
         with pytest.raises(DataError, match="checksum"):
             import_draws(path)
-
-    def test_csv_requires_a_path(self, small_fit):
-        with pytest.raises(DataError):
-            export_draws(small_fit, io.StringIO(), fmt="csv")
 
     def test_unknown_format(self, small_fit, tmp_path):
         with pytest.raises(DataError):
