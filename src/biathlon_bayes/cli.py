@@ -538,13 +538,19 @@ def _cmd_predict(args) -> int:
     samples = import_draws(draws_path)
     d = load_sessions(args.data)
     _check_digest(samples, d)
+    # every input is checked before the first output is written
+    if args.athlete:
+        args.athlete = list(dict.fromkeys(args.athlete))  # a repeated name counts once
     athletes = args.athlete or d.athletes
     by_file: dict[str, str] = {}
     for name in athletes:
+        if name not in d.athlete_index:
+            raise DataError(f"athlete {name!r} not in the dataset")
         other = by_file.setdefault(_safe_name(name), name)
         if other != name:
             raise DataError(f"athletes {other!r} and {name!r} would share the file "
                             f"cumulative_{_safe_name(name)}.csv")
+    future = load_sessions(args.future_schedule) if args.future_schedule else None
     _write_manifest(
         args,
         {
@@ -594,8 +600,7 @@ def _cmd_predict(args) -> int:
                      _replicate_rows([f"s{stage}r{seq}" for stage, seq, _ in path.races],
                                      path.summaries))
 
-    if args.future_schedule:
-        future = load_sessions(args.future_schedule)
+    if future is not None:
         fdraws = predictive_draws(
             samples, future.records, d, n_rep=args.reps, seed=args.seed
         )

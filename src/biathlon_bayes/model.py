@@ -202,7 +202,8 @@ def _rw_ss(x: np.ndarray) -> float:
     """Sum of squared random-walk increments along the last axis, with the
     first element anchored at mean 0."""
     first = x[..., 0]
-    return float(np.sum(first * first) + np.sum(np.diff(x, axis=-1) ** 2))
+    d = x[..., 1:] - x[..., :-1]
+    return float((first * first).sum() + (d * d).sum())
 
 
 def _gauss_class_logp(n: int, ss: float, v: float) -> float:

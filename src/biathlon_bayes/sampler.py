@@ -10,12 +10,15 @@ Gaussian approximation (likelihood Fisher information plus the exact prior
 precision at the current scale parameters — for trajectory blocks that is
 the tridiagonal random-walk precision, which carries the prior's serial
 correlation into the proposal), scalar blocks a fixed information-based
-scale.  The step size adapts by Robbins-Monro during burn-in only (toward
-0.35 acceptance for vector blocks, 0.44 for scalars) and is frozen
-afterwards, so the post-burn-in kernel is a valid fixed MCMC kernel.  In
-``gradient_assisted`` mode the proposal gains a Langevin drift of half the
-squared step times the preconditioned block gradient, with the exact
-Hastings correction in the same metric.
+scale.  The Cholesky factors are cached per prior class: the blocks of a
+class share one scale parameter, so when it moves, the whole class is
+factorized again with one stacked call.  The step size adapts by
+Robbins-Monro during burn-in only (toward 0.35 acceptance for vector
+blocks, 0.44 for scalars) and is frozen afterwards, so the post-burn-in
+kernel is a valid fixed MCMC kernel.  In ``gradient_assisted`` mode the
+proposal gains a Langevin drift of half the squared step times the
+preconditioned block gradient, with the exact Hastings correction in the
+same metric.
 
 Chains draw from independent RNG streams keyed by (seed, chain index), so
 results are identical no matter how chains are scheduled across workers.
@@ -117,7 +120,9 @@ class Block:
     step and adapts toward a higher acceptance rate than a vector block.
     ``precond`` is a fixed diagonal proposal scale; when ``fisher`` is set
     (vector blocks) the target instead supplies a state-dependent Cholesky
-    transform built from it, and ``precond`` is unused.
+    transform built from it, and ``precond`` is unused.  ``ModelTarget``
+    factorizes the ``fisher`` matrices of one prior class together and
+    caches the factors per class until that class's scale moves.
     """
 
     name: str
@@ -205,12 +210,12 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
                     g_prop = target.block_grad_at(x, cache, block, prop, stash)
                     if tr is None:
                         mean_rev = prop + 0.5 * eps * eps * a_diag * g_prop
-                        log_fwd = -0.5 * float(np.sum((prop - mean_fwd) ** 2 / a_diag)) / (eps * eps)
-                        log_rev = -0.5 * float(np.sum((cur - mean_rev) ** 2 / a_diag)) / (eps * eps)
+                        log_fwd = -0.5 * float(((prop - mean_fwd) ** 2 / a_diag).sum()) / (eps * eps)
+                        log_rev = -0.5 * float(((cur - mean_rev) ** 2 / a_diag).sum()) / (eps * eps)
                     else:
                         mean_rev = prop + 0.5 * eps * eps * (A @ (A.T @ g_prop))
-                        log_fwd = -0.5 * float(np.sum((L.T @ (prop - mean_fwd)) ** 2)) / (eps * eps)
-                        log_rev = -0.5 * float(np.sum((L.T @ (cur - mean_rev)) ** 2)) / (eps * eps)
+                        log_fwd = -0.5 * float(((L.T @ (prop - mean_fwd)) ** 2).sum()) / (eps * eps)
+                        log_rev = -0.5 * float(((L.T @ (cur - mean_rev)) ** 2).sum()) / (eps * eps)
                     log_alpha = delta + log_rev - log_fwd
                 else:
                     if tr is None:
@@ -264,6 +269,7 @@ class _Cache:
     ll_sum: float
     ss: np.ndarray  # sufficient statistics per prior class (mu, beta, gamma, omega)
     logp: float
+    share: dict[str, float]  # each latent block's current term of its class's ss
 
 
 def _rw_precision(T: int) -> np.ndarray:
@@ -302,7 +308,7 @@ def _stage_group(rec, hits, t, T, sign=1.0) -> _Group:
 def _position_group(rec, hits, possign) -> _Group:
     # the one gamma coordinate enters prone records with +1, standing with -1
     return _Group(
-        rec, hits, lambda d: d[0] * possign, lambda r: np.array([float(np.sum(r * possign))])
+        rec, hits, lambda d: d[0] * possign, lambda r: np.array([float((r * possign).sum())])
     )
 
 
@@ -318,10 +324,11 @@ class _Stash(NamedTuple):
     k: int  # prior class of the block
     ss: float  # the class's new sufficient statistic
     delta: float  # the log-posterior change returned with the stash
+    share: float  # the block's new term of that statistic (latent blocks)
 
 
 def _sum_sq(v: np.ndarray) -> float:
-    return float(np.sum(v**2))
+    return float((v**2).sum())
 
 
 # prior class (index into the cache's ``ss`` and the four scales) per latent
@@ -353,7 +360,8 @@ class ModelTarget:
         self.class_n = np.array([spec.n_mu, spec.n_beta, spec.n_gamma, spec.n_omega], dtype=float)
         a = _model._check_indices(dataset, spec)
         self.hits = a.hits
-        self._build_blocks(a)
+        self.blocks = self._build_blocks(a)
+        self._stack_fishers()
 
     # ---- layout ----------------------------------------------------------
 
@@ -369,7 +377,6 @@ class ModelTarget:
         n_sz = np.zeros((S, Z))
         np.add.at(n_sz, (a.athlete, a.race), 1.0)
         self._rw_Q = _rw_precision(T)
-        self._chol: dict[str, tuple[float, np.ndarray, np.ndarray]] = {}
 
         blocks = []
         info_mu = w * n_st.sum(axis=0)
@@ -384,8 +391,7 @@ class ModelTarget:
             )
         )
         if spec.mu_only:
-            self.blocks = blocks
-            return
+            return blocks
         rec_of = [np.where(a.athlete == s)[0] for s in range(S)]
         last = rec_of[S - 1]
         # athlete S's trajectory is minus the sum of the free ones
@@ -465,23 +471,42 @@ class ModelTarget:
                     repeats=8,
                 )
             )
-        self.blocks = blocks
+        return blocks
+
+    def _stack_fishers(self):
+        """Stack the vector blocks' Fisher matrices by prior class (every
+        block of a class has the same size) and note each block's slot."""
+        members: dict[int, list[Block]] = {}
+        for b in self.blocks:
+            if b.fisher is not None:
+                members.setdefault(b.payload[0], []).append(b)
+        self._fisher = {}
+        for k, bs in members.items():
+            n = len(bs[0].idx)
+            prior = self._rw_Q if bs[0].kind in _RANDOM_WALK else np.eye(n)
+            self._fisher[k] = (np.stack([b.fisher for b in bs]), prior)
+        self._slot = {b.name: i for bs in members.values() for i, b in enumerate(bs)}
+        self._chol: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
 
     def proposal_transform(self, x, block):
         """Cholesky pair (L, inv(L).T) of the block's Gaussian-approximation
         precision (Fisher + prior precision at the current scale), or None
-        for scalar blocks.  Cached per block until its scale moves."""
+        for scalar blocks.  The pairs are cached per prior class: when the
+        class's scale has moved, every block of the class is factorized
+        again by one stacked ``cholesky`` and one stacked ``solve``, which
+        give the same bits as one call per block."""
         if block.fisher is None:
             return None
-        v = self._log_sigma(x, block.payload[0])
-        hit = self._chol.get(block.name)
-        if hit is not None and hit[0] == v:
-            return hit[1], hit[2]
-        prior = self._rw_Q if block.kind in _RANDOM_WALK else np.eye(len(block.idx))
-        L = np.linalg.cholesky(block.fisher + np.exp(-2.0 * v) * prior)
-        A = np.linalg.solve(L, np.eye(len(block.idx))).T
-        self._chol[block.name] = (v, L, A)
-        return L, A
+        k = block.payload[0]
+        v = self._log_sigma(x, k)
+        hit = self._chol.get(k)
+        if hit is None or hit[0] != v:
+            fisher, prior = self._fisher[k]
+            L = np.linalg.cholesky(fisher + np.exp(-2.0 * v) * prior)
+            A = np.linalg.solve(L, np.broadcast_to(np.eye(len(prior)), L.shape))
+            hit = self._chol[k] = (v, L, A.swapaxes(-1, -2))
+        i = self._slot[block.name]
+        return hit[1][i], hit[2][i]
 
     # ---- state plumbing --------------------------------------------------
 
@@ -505,8 +530,10 @@ class ModelTarget:
                 _sum_sq(x[lay.omega]),
             ]
         )
-        logp = float(np.sum(ll)) + _model.log_prior(state, self.spec)
-        return _Cache(eta=eta, ll=ll, ll_sum=float(np.sum(ll)), ss=ss, logp=logp)
+        ll_sum = float(ll.sum())
+        logp = ll_sum + _model.log_prior(state, self.spec)
+        share = {b.name: _BLOCK_SS[b.kind](x[b.idx]) for b in self.blocks if b.kind != "sigma"}
+        return _Cache(eta=eta, ll=ll, ll_sum=ll_sum, ss=ss, logp=logp, share=share)
 
     def _log_sigma(self, x: np.ndarray, k: int) -> float:
         return 0.0 if self.spec.mu_only else float(x[self.lay.sigma.start + k])
@@ -526,26 +553,26 @@ class ModelTarget:
                 - _model._gauss_class_logp(n, ss, cur[0])
                 - _model._halfnormal_log_logp(cur[0], c)
             )
-            return float(d_prior), _Stash((), 0.0, k, ss, d_prior)
+            return float(d_prior), _Stash((), 0.0, k, ss, d_prior, 0.0)
         d = prop - cur
         d_ll = 0.0
         touched = []
         for g in groups:
             eta = cache.eta[g.rec] + g.shift(d)
             ll = _model.bout_log_likelihoods(g.hits, eta)
-            old = cache.ll_sum if g.rec is _ALL else float(np.sum(cache.ll[g.rec]))
+            old = cache.ll_sum if g.rec is _ALL else float(cache.ll[g.rec].sum())
             # summed group by group, left to right: the order sets the last
             # bits of the delta, and through it the draws
-            d_ll = d_ll + float(np.sum(ll)) - old
+            d_ll = d_ll + float(ll.sum()) - old
             touched.append((g.rec, eta, ll))
-        ss_of = _BLOCK_SS[block.kind]
+        share = _BLOCK_SS[block.kind](prop)
         if block.kind == "mu":  # the block is its whole class
-            ss_new = ss_of(prop)
+            ss_new = share
         else:
-            ss_new = cache.ss[k] - ss_of(cur) + ss_of(prop)
+            ss_new = cache.ss[k] - cache.share[block.name] + share
         d_prior = -0.5 * (ss_new - cache.ss[k]) * np.exp(-2.0 * self._log_sigma(x, k))
         delta = d_ll + d_prior
-        return delta, _Stash(tuple(touched), d_ll, k, ss_new, delta)
+        return delta, _Stash(tuple(touched), d_ll, k, ss_new, delta, share)
 
     def commit(self, x, cache, block, prop, stash):
         """Apply an accepted move: exactly the delta ``propose_delta`` returned."""
@@ -555,6 +582,8 @@ class ModelTarget:
         cache.ll_sum += stash.d_ll
         cache.ss[stash.k] = stash.ss
         cache.logp += stash.delta
+        if block.kind != "sigma":
+            cache.share[block.name] = stash.share
 
     # ---- block gradients (gradient_assisted mode) --------------------------
 

@@ -317,6 +317,39 @@ class TestPredict:
         assert "'Anna Smith'" in err and "'Anna_Smith'" in err
         assert not list(out.glob("cumulative_*"))
 
+    def test_repeated_athlete_counts_once(self, ws, tmp_path, capsys):
+        d = load_sessions(_data(ws))
+        out = tmp_path / "pred"
+        name = d.athletes[0]
+        assert cli.main(["predict", "--fit", str(ws / "fit"), "--data", _data(ws),
+                         "--out", str(out), "--reps", "20",
+                         "--athlete", name, "--athlete", name]) == 0
+        csvs = sorted(p.name for p in out.glob("*.csv"))
+        assert len(csvs) == 8 + 2  # the tables plus one cumulative pair
+        assert sorted(json.loads((out / "report.json").read_text())["files"]) == csvs
+        assert "wrote 10 files" in capsys.readouterr().out
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["athlete"] == [name]
+
+    def test_unknown_athlete_writes_nothing(self, ws, tmp_path, capsys):
+        d = load_sessions(_data(ws))
+        out = tmp_path / "pred"
+        rc = cli.main(["predict", "--fit", str(ws / "fit"), "--data", _data(ws),
+                       "--out", str(out), "--reps", "10",
+                       "--athlete", d.athletes[0], "--athlete", "nobody"])
+        assert rc == 2
+        assert "'nobody'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_future_schedule_writes_nothing(self, ws, tmp_path):
+        bad = tmp_path / "future.csv"
+        bad.write_text("athlete,stage\nx,nope\n")
+        out = tmp_path / "pred"
+        rc = cli.main(["predict", "--fit", str(ws / "fit"), "--data", _data(ws),
+                       "--out", str(out), "--reps", "10", "--future-schedule", str(bad)])
+        assert rc == 2
+        assert not out.exists()
+
     def test_replicates_are_deterministic(self, ws, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -296,6 +296,115 @@ def test_cache_drift_between_rebuilds_at_paper_scale(season_dataset):
     np.testing.assert_allclose(cache.eta, fresh.eta, rtol=0, atol=1e-9)
 
 
+def _three_race_season():
+    """S=4 T=3 Z=3: mu, beta and omega are all vector blocks."""
+    schedule = {t: ("individual", "sprint", "pursuit") for t in (1, 2, 3)}
+    d, _ = synth.generate_synthetic(
+        synth.SynthConfig(n_athletes=4, n_stages=3, schedule=schedule, seed=5)
+    )
+    return d, model.ModelSpec(S=4, T=3, Z=3)
+
+
+class TestPinnedDraws:
+    """The sha256 of the draws of three short fits.  A pure speed change
+    must leave these hashes as they are.  A deliberate kernel change updates
+    them, and the new kernel must then pass the oracles (quadrature,
+    gradcheck and SBC)."""
+
+    @staticmethod
+    def _sha(samples):
+        draws = np.ascontiguousarray(samples.draws, dtype="<f8")
+        return hashlib.sha256(draws.tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("mode, digest", [
+        ("random_walk", "d8bd48edb8e6b58e1157d23ea2d3fa3c86ba3c3e3db02cdf7ab6d1c765e4947a"),
+        ("gradient_assisted", "b6c27135b9a8b48d7150d5ef8ee05c234e62ca6aaa2a38a3fd23ededd916094a"),
+    ], ids=["random_walk", "gradient_assisted"])
+    def test_multi_stage_fit(self, mode, digest, monkeypatch):
+        monkeypatch.setenv(sampler.THREADS_ENV, "1")
+        d, spec = _three_race_season()
+        cfg = SamplerConfig(n_chains=2, burn_in=50, kept_iterations=150, thin=2, seed=7,
+                            proposal_mode=mode)
+        assert self._sha(run_chains(spec, d, cfg)) == digest
+
+    def test_golden_mu_only_fit(self, golden, monkeypatch):
+        monkeypatch.setenv(sampler.THREADS_ENV, "1")
+        d, spec = golden
+        cfg = SamplerConfig(n_chains=2, burn_in=100, kept_iterations=300, thin=1, seed=7)
+        assert self._sha(run_chains(spec, d, cfg)) == (
+            "12be54df9c864a87c5cb8c12a811ba5856bc514470d814b3b86cc21b7e0db1e8"
+        )
+
+
+class TestProposalFactorization:
+    """``proposal_transform`` factorizes each prior class with one stacked
+    call and hands every vector block its own slice."""
+
+    @pytest.fixture(params=["three_race", "season"])
+    def target(self, request, season_dataset):
+        if request.param == "three_race":
+            d, spec = _three_race_season()
+        else:
+            d, spec = season_dataset, model.ModelSpec.for_dataset(season_dataset)
+        return sampler.ModelTarget(spec, d)
+
+    @staticmethod
+    def _unbatched(target, x, block):
+        v = float(x[target.lay.sigma.start + block.payload[0]])
+        n = len(block.idx)
+        prior = sampler._rw_precision(n) if block.kind in ("mu", "beta") else np.eye(n)
+        precision = block.fisher + np.exp(-2.0 * v) * prior
+        L = np.linalg.cholesky(precision)
+        return precision, L, np.linalg.solve(L, np.eye(n)).T
+
+    def test_each_block_gets_its_own_factor(self, target):
+        x = target.initial_vector(np.random.default_rng(2))
+        vector_blocks = [b for b in target.blocks if b.fisher is not None]
+        assert {b.kind for b in vector_blocks} == {"mu", "beta", "omega"}
+        for block in vector_blocks:
+            L, A = target.proposal_transform(x, block)
+            precision, L1, A1 = self._unbatched(target, x, block)
+            np.testing.assert_allclose(L @ L.T, precision, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(A, np.linalg.inv(L).T, rtol=1e-10, atol=1e-12)
+            assert np.array_equal(L, L1), block.name
+            assert np.array_equal(A, A1), block.name
+        for block in target.blocks:
+            if block.fisher is None:
+                assert target.proposal_transform(x, block) is None
+
+    def test_moving_a_scale_refreshes_its_class_only(self, target, monkeypatch):
+        x = target.initial_vector(np.random.default_rng(3))
+        vector_blocks = [b for b in target.blocks if b.fisher is not None]
+        before = {b.name: target.proposal_transform(x, b) for b in vector_blocks}
+        stacks = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            stacks.append(a.shape)
+            return cholesky(a)
+
+        for k, kind in enumerate(model.SIGMA_NAMES):
+            if kind == "gamma":  # scalar blocks: no factorization
+                continue
+            x[target.lay.sigma.start + k] += 0.3
+            stacks.clear()
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "cholesky", counting)
+                got = {b.name: target.proposal_transform(x, b) for b in vector_blocks}
+            members = [b for b in vector_blocks if b.kind == kind]
+            for block in vector_blocks:
+                L, A = got[block.name]
+                if block.kind == kind:
+                    _, L1, A1 = self._unbatched(target, x, block)
+                    assert not np.array_equal(L, before[block.name][0]), block.name
+                else:
+                    L1, A1 = before[block.name]
+                assert np.array_equal(L, L1) and np.array_equal(A, A1), block.name
+            n = len(members[0].idx)
+            assert stacks == [(len(members), n, n)], kind
+            before = got
+
+
 class TestRunChains:
     def test_draw_shapes_and_names(self, small_dataset, monkeypatch):
         monkeypatch.setenv("BIATHLON_BAYES_THREADS", "1")

@@ -1,0 +1,112 @@
+"""The benchmark traces the package from outside (``bench/spans.py``): it
+wraps ``ModelTarget`` methods by name, reads their arguments by position,
+and counts ``model.bout_log_likelihoods`` calls through the module.  These
+tests keep a kernel refactor from silently emptying its per-layer metrics."""
+
+import inspect
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from biathlon_bayes import model, sampler
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import spans  # noqa: E402
+
+# the ModelTarget methods the tracer wraps, with the arguments its span
+# names and counters read
+WRAPPED = {
+    "__init__": ("self", "spec", "dataset"),
+    "propose_delta": ("self", "x", "cache", "block", "prop"),
+    "commit": ("self", "x", "cache", "block", "prop", "stash"),
+    "proposal_transform": ("self", "x", "block"),
+    "make_cache": ("self", "x"),
+}
+
+
+def test_wrapped_methods_keep_their_arguments():
+    for name, params in WRAPPED.items():
+        method = sampler.ModelTarget.__dict__[name]  # the tracer patches the class dict
+        assert tuple(inspect.signature(method).parameters) == params, name
+    assert tuple(inspect.signature(sampler.run_chain).parameters)[:2] == ("target", "cfg")
+
+
+@pytest.fixture
+def short_chain(small_dataset):
+    spec = model.ModelSpec.for_dataset(small_dataset)
+    cfg = sampler.SamplerConfig(n_chains=1, burn_in=20, kept_iterations=30, thin=5, seed=3)
+    return sampler.ModelTarget(spec, small_dataset), cfg
+
+
+def _per_sweep(target):
+    """(tries, log-likelihood calls, records) per sweep: one call per record
+    group a try touches, and the scale blocks touch none."""
+    tries = calls = records = 0
+    for block in target.blocks:
+        groups = block.payload[1]
+        tries += block.repeats
+        calls += block.repeats * len(groups)
+        records += block.repeats * sum(len(g.hits) for g in groups)
+    return tries, calls, records
+
+
+def test_one_loglik_call_per_touched_group(short_chain, monkeypatch):
+    target, cfg = short_chain
+    spec = target.spec
+    S, repeats = spec.S, 2  # T > 1: two tries per trajectory visit
+    tries, calls, records = _per_sweep(target)
+    assert calls == 1 + 2 * (S - 1) * repeats + 2 * S
+    n = len(target.hits)
+    per_athlete = np.bincount(target.dataset.arrays.athlete, minlength=S)
+    # mu, gamma and omega touch every record once; a trajectory try touches
+    # its athlete and the constrained last athlete
+    assert records == 3 * n + repeats * sum(per_athlete[: S - 1] + per_athlete[S - 1])
+
+    seen, rebuilds = [], []
+    original = model.bout_log_likelihoods
+    make_cache = target.make_cache
+
+    def counting(hits, eta):
+        seen.append(len(hits))
+        return original(hits, eta)
+
+    def rebuilding(x):
+        rebuilds.append(1)
+        return make_cache(x)
+
+    monkeypatch.setattr(model, "bout_log_likelihoods", counting)
+    monkeypatch.setattr(target, "make_cache", rebuilding)
+    sampler.run_chain(target, cfg, 0)
+    sweeps = cfg.burn_in + cfg.kept_iterations
+    assert len(rebuilds) == 2  # the first cache and the burn-in boundary
+    assert len(seen) == sweeps * calls + len(rebuilds)
+    assert sum(seen) == sweeps * records + len(rebuilds) * n
+
+
+def test_the_tracer_sees_every_layer_of_a_fit(short_chain):
+    target, cfg = short_chain
+    tracer = spans.Tracer()
+    spans.instrument(tracer)
+    try:
+        root = tracer.open("bench.round")
+        sampler.run_chain(target, cfg, 0)
+        tracer.close(root)
+    finally:
+        tracer.uninstall()
+    m = spans.layer_metrics(tracer)
+    tries, calls, records = _per_sweep(target)
+    sweeps = cfg.burn_in + cfg.kept_iterations
+    rebuilds = 2  # the first cache and the burn-in boundary
+    n = len(target.hits)
+    assert m["sampler.tries_per_sweep"] == tries
+    assert m["model.loglik_calls_per_sweep"] == pytest.approx(calls + rebuilds / sweeps)
+    assert m["model.loglik_records_per_sweep"] == pytest.approx(records + rebuilds * n / sweeps)
+    for kind in spans.KINDS:
+        assert m[f"sampler.propose_us.{kind}"] > 0, kind
+        assert m[f"sampler.commit_us.{kind}"] > 0, kind
+    assert m["sampler.transform_us"] > 0
+    assert m["sampler.sweep_ms"] > 0
+    assert tracer.counts["sampler.sweeps"] == sweeps
