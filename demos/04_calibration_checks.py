@@ -57,9 +57,10 @@ def main() -> None:
     print(f"  sd relative error = {abs(mcmc_sd - quad.sd) / quad.sd:.3%}")
 
     # ------------------------------------------------------------------
-    # 2. Gradient check.  The gradient powers the preconditioned and
-    # gradient-assisted proposals; central differences at random points
-    # must agree to ~1e-6 relative error.
+    # 2. Gradient check.  The sampler's random-walk proposals need no
+    # gradient (their preconditioner is built from Fisher information), so
+    # this oracle alone tests the analytic gradient: central differences at
+    # random points must agree to ~1e-6 relative error.
     print("\n=== Oracle 2: finite-difference gradient check ===")
     for shape in ((2, 1, 2), (3, 4, 3), (30, 11, 4)):
         s, t, z = shape

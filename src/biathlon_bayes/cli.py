@@ -68,6 +68,7 @@ from .predict import (
     race_position_ppc,
     simulate_schedule,
     stage_totals_ppc,
+    template_cells,
 )
 from .sampler import (
     SamplerConfig,
@@ -101,12 +102,6 @@ def _add_sampler_flags(p: argparse.ArgumentParser):
     p.add_argument("--burnin", type=int, default=1000, help="burn-in sweeps per chain")
     p.add_argument("--keep", type=int, default=5000, help="post-burn-in sweeps per chain")
     p.add_argument("--thin", type=int, default=5, help="retain every k-th sweep")
-    p.add_argument(
-        "--proposal",
-        choices=("random_walk", "gradient_assisted"),
-        default="random_walk",
-        help="proposal family",
-    )
 
 
 def _build_parser() -> _Parser:
@@ -197,6 +192,11 @@ def _load_config(path: str) -> dict:
     # A manifest written by this tool doubles as a config file.
     if isinstance(obj.get("config"), dict):
         obj = obj["config"]
+    # Older manifests name the proposal kernel; random_walk is the only one.
+    proposal = obj.pop("proposal", "random_walk")
+    if proposal != "random_walk":
+        raise DataError(f"config key 'proposal': no {proposal!r} kernel in this version; "
+                        "random_walk is the only one")
     return obj
 
 
@@ -428,7 +428,6 @@ def _sampler_config(args) -> SamplerConfig:
         kept_iterations=args.keep,
         thin=args.thin,
         seed=args.seed,
-        proposal_mode=args.proposal,
     )
 
 
@@ -551,6 +550,8 @@ def _cmd_predict(args) -> int:
             raise DataError(f"athletes {other!r} and {name!r} would share the file "
                             f"cumulative_{_safe_name(name)}.csv")
     future = load_sessions(args.future_schedule) if args.future_schedule else None
+    if future is not None:
+        template_cells(future.records, d, samples.spec)
     _write_manifest(
         args,
         {

@@ -26,7 +26,7 @@ from scipy.special import expit
 from .data import RACE_TYPES, SHOTS_PER_BOUT, Dataset, SessionRecord
 from .errors import DataError
 from .intervals import mid_p_tail, summary
-from .model import layout
+from .model import ModelSpec, layout
 from .sampler import PosteriorSamples
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "beta_trajectories",
     "position_effects",
     "race_effects",
+    "template_cells",
     "predictive_draws",
     "simulate_schedule",
     "stage_totals_ppc",
@@ -283,6 +284,29 @@ def _draw_indices(n_total: int, n_rep: int | None) -> np.ndarray:
     return np.arange(n_rep) % n_total
 
 
+def template_cells(
+    templates: Sequence[SessionRecord], dataset: Dataset, spec: ModelSpec
+) -> list[tuple[int, int, int]]:
+    """The (athlete, stage, race type) indices of each template session in
+    the fitted model; DataError if a template falls outside it."""
+    cells = []
+    for rec in templates:
+        s = dataset.athlete_index.get(rec.athlete)
+        if s is None:
+            raise DataError(f"template athlete {rec.athlete!r} not in the fitted dataset")
+        if not 1 <= rec.stage <= spec.T:
+            raise DataError(
+                f"template stage {rec.stage} outside the fitted range 1..{spec.T}"
+            )
+        z = RACE_TYPES.index(rec.race_type)
+        if z >= spec.Z:
+            raise DataError(
+                f"race type {rec.race_type!r} not included in the fitted model"
+            )
+        cells.append((s, rec.stage - 1, z))
+    return cells
+
+
 def predictive_draws(
     samples: PosteriorSamples,
     templates: Sequence[SessionRecord],
@@ -315,26 +339,13 @@ def predictive_draws(
         row i uses posterior draw ``i`` jointly for every column, so row
         sums are draws of schedule-level totals.
     """
-    spec = samples.spec
+    cells = template_cells(templates, dataset, samples.spec)
     eff = expand_draws(samples)
     idx = _draw_indices(eff.n_draws, n_rep)
     n_out = idx.shape[0]
     out = np.empty((n_out, len(templates)), dtype=np.int16)
 
-    for j, rec in enumerate(templates):
-        s = dataset.athlete_index.get(rec.athlete)
-        if s is None:
-            raise DataError(f"template athlete {rec.athlete!r} not in the fitted dataset")
-        if not 1 <= rec.stage <= spec.T:
-            raise DataError(
-                f"template stage {rec.stage} outside the fitted range 1..{spec.T}"
-            )
-        z = RACE_TYPES.index(rec.race_type)
-        if z >= spec.Z:
-            raise DataError(
-                f"race type {rec.race_type!r} not included in the fitted model"
-            )
-        t = rec.stage - 1
+    for j, (rec, (s, t, z)) in enumerate(zip(templates, cells)):
         sign = 1.0 if rec.position == "prone" else -1.0
         eta = (
             eff.mu[idx, t]

@@ -15,10 +15,7 @@ class share one scale parameter, so when it moves, the whole class is
 factorized again with one stacked call.  The step size adapts by
 Robbins-Monro during burn-in only (toward 0.35 acceptance for vector
 blocks, 0.44 for scalars) and is frozen afterwards, so the post-burn-in
-kernel is a valid fixed MCMC kernel.  In ``gradient_assisted`` mode the
-proposal gains a Langevin drift of half the squared step times the
-preconditioned block gradient, with the exact Hastings correction in the
-same metric.
+kernel is a valid fixed MCMC kernel.
 
 Chains draw from independent RNG streams keyed by (seed, chain index), so
 results are identical no matter how chains are scheduled across workers.
@@ -28,10 +25,10 @@ move touches only its own record groups (every record for the stage
 baseline, the athlete plus the constrained last athlete for a trajectory
 block, the athlete for position and race blocks), and scale moves touch
 none.  Each block carries one description of those groups and of how a
-block step shifts their log-odds; the proposal, the commit and the block
-gradient all read it.  ``propose_delta`` returns the log-posterior delta
-together with a stash of everything it computed, and ``commit`` applies
-exactly that delta from the stash without recomputing a sum.  The cache is
+block step shifts their log-odds; the proposal and the commit both read
+it.  ``propose_delta`` returns the log-posterior delta together with a
+stash of everything it computed, and ``commit`` applies exactly that delta
+from the stash without recomputing a sum.  The cache is
 rebuilt from scratch periodically and at the burn-in boundary so float
 accumulation cannot drift.
 """
@@ -49,12 +46,10 @@ import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import reduce
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from . import model as _model
 from .data import Dataset
@@ -71,8 +66,6 @@ _ADAPT_DECAY = 0.6
 _CACHE_REFRESH = 500  # sweeps between full cache rebuilds
 _INIT_ATTEMPTS = 100
 
-PROPOSAL_MODES = ("random_walk", "gradient_assisted")
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -84,8 +77,6 @@ class SamplerConfig:
     kept_iterations: int = 5000
     thin: int = 5
     seed: int = 0
-    adapt_window: int | None = None
-    proposal_mode: str = "random_walk"
 
     def __post_init__(self):
         if self.n_chains < 1:
@@ -98,10 +89,6 @@ class SamplerConfig:
             raise DataError(
                 f"kept_iterations {self.kept_iterations} not divisible by thin {self.thin}"
             )
-        if self.proposal_mode not in PROPOSAL_MODES:
-            raise DataError(f"proposal_mode must be one of {PROPOSAL_MODES}")
-        if self.adapt_window is not None and self.adapt_window < 0:
-            raise DataError("adapt_window must be >= 0")
 
     @property
     def n_retained(self) -> int:
@@ -119,8 +106,8 @@ class Block:
     A block of one coordinate is a scalar block: it starts from a larger
     step and adapts toward a higher acceptance rate than a vector block.
     ``precond`` is a fixed diagonal proposal scale; when ``fisher`` is set
-    (vector blocks) the target instead supplies a state-dependent Cholesky
-    transform built from it, and ``precond`` is unused.  ``ModelTarget``
+    (vector blocks) the target instead supplies a state-dependent proposal
+    matrix built from it, and ``precond`` is unused.  ``ModelTarget``
     factorizes the ``fisher`` matrices of one prior class together and
     caches the factors per class until that class's scale moves.
     """
@@ -139,14 +126,13 @@ class Block:
 #
 # A target provides: dim, blocks, initial_vector(rng), make_cache(x),
 # propose_delta(x, cache, block, prop) -> (delta_logp, stash),
-# commit(x, cache, block, prop, stash), and for gradient_assisted mode
-# block_grad(x, cache, block) / block_grad_at(x, cache, block, prop, stash).
-# The stash is the target's own record of the proposal: commit, called only
-# on acceptance and before x changes, must raise cache.logp by exactly the
-# delta that propose_delta returned with it.
-# Optionally proposal_transform(x, block) -> (L, A) with L the lower
-# Cholesky factor of the block's proposal precision and A = inv(L).T, or
-# None to use the block's fixed diagonal scale.
+# commit(x, cache, block, prop, stash).  The stash is the target's own
+# record of the proposal: commit, called only on acceptance and before x
+# changes, must raise cache.logp by exactly the delta that propose_delta
+# returned with it.  Optionally proposal_transform(x, block) -> A, with
+# A = inv(L).T for L the lower Cholesky factor of the block's proposal
+# precision, so the step A @ z has that precision's inverse as covariance;
+# or None to use the block's fixed diagonal scale.
 
 
 @dataclass
@@ -176,11 +162,9 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
     log_scale = np.array(
         [0.875 if len(b.idx) == 1 else np.log(2.38 / np.sqrt(len(b.idx))) for b in blocks]
     )  # 0.875 = ln 2.4
-    adapt_until = cfg.burn_in if cfg.adapt_window is None else min(cfg.adapt_window, cfg.burn_in)
     adapt_count = np.zeros(nb)
     post_prop = np.zeros(nb)
     post_acc = np.zeros(nb)
-    mala = cfg.proposal_mode == "gradient_assisted"
 
     total = cfg.burn_in + cfg.kept_iterations
     retained = np.empty((cfg.n_retained, target.dim))
@@ -195,34 +179,12 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
                 cur = x[block.idx]
                 eps = np.exp(log_scale[b])
                 z = rng.standard_normal(len(block.idx))
-                tr = transform(x, block) if transform is not None else None
-                if mala:
-                    g = target.block_grad(x, cache, block)
-                    if tr is None:
-                        a_diag = block.precond**2
-                        mean_fwd = cur + 0.5 * eps * eps * a_diag * g
-                        prop = mean_fwd + eps * block.precond * z
-                    else:
-                        L, A = tr
-                        mean_fwd = cur + 0.5 * eps * eps * (A @ (A.T @ g))
-                        prop = mean_fwd + eps * (A @ z)
-                    delta, stash = target.propose_delta(x, cache, block, prop)
-                    g_prop = target.block_grad_at(x, cache, block, prop, stash)
-                    if tr is None:
-                        mean_rev = prop + 0.5 * eps * eps * a_diag * g_prop
-                        log_fwd = -0.5 * float(((prop - mean_fwd) ** 2 / a_diag).sum()) / (eps * eps)
-                        log_rev = -0.5 * float(((cur - mean_rev) ** 2 / a_diag).sum()) / (eps * eps)
-                    else:
-                        mean_rev = prop + 0.5 * eps * eps * (A @ (A.T @ g_prop))
-                        log_fwd = -0.5 * float(((L.T @ (prop - mean_fwd)) ** 2).sum()) / (eps * eps)
-                        log_rev = -0.5 * float(((L.T @ (cur - mean_rev)) ** 2).sum()) / (eps * eps)
-                    log_alpha = delta + log_rev - log_fwd
+                A = transform(x, block) if transform is not None else None
+                if A is None:
+                    prop = cur + eps * block.precond * z
                 else:
-                    if tr is None:
-                        prop = cur + eps * block.precond * z
-                    else:
-                        prop = cur + eps * (tr[1] @ z)
-                    log_alpha, stash = target.propose_delta(x, cache, block, prop)
+                    prop = cur + eps * (A @ z)
+                log_alpha, stash = target.propose_delta(x, cache, block, prop)
 
                 u = rng.random()  # always consumed: keeps streams aligned
                 accept = bool(log_alpha >= 0.0) or (u > 0.0 and np.log(u) < log_alpha)
@@ -230,14 +192,14 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
                     target.commit(x, cache, block, prop, stash)
                     x[block.idx] = prop
 
-                if it <= adapt_until:
+                if it <= cfg.burn_in:
                     adapt_count[b] += 1
                     alpha_prob = (
                         float(np.exp(min(log_alpha, 0.0))) if np.isfinite(log_alpha) else 0.0
                     )
                     rate = _TARGET_RATE_SCALAR if len(block.idx) == 1 else _TARGET_RATE_VECTOR
                     log_scale[b] += adapt_count[b] ** -_ADAPT_DECAY * (alpha_prob - rate)
-                elif it > cfg.burn_in:
+                else:
                     post_prop[b] += 1
                     post_acc[b] += accept
 
@@ -281,13 +243,11 @@ def _rw_precision(T: int) -> np.ndarray:
 
 class _Group(NamedTuple):
     """Records that one block move touches.  A block step ``d`` shifts their
-    log-odds by ``shift(d)``; ``pull`` is the transpose of that map, taking
-    their residuals (hits minus expected hits) to the block's gradient."""
+    log-odds by ``shift(d)``."""
 
     rec: np.ndarray | slice
     hits: np.ndarray
     shift: Callable[[np.ndarray], np.ndarray]
-    pull: Callable[[np.ndarray], np.ndarray]
 
 
 # The mu move touches every record; its old log-likelihood sum is the
@@ -295,25 +255,18 @@ class _Group(NamedTuple):
 _ALL = slice(None)
 
 
-def _stage_group(rec, hits, t, T, sign=1.0) -> _Group:
+def _stage_group(rec, hits, t, sign=1.0) -> _Group:
     # trajectory coordinate t[i] enters record i's log-odds with ``sign``
-    return _Group(
-        rec,
-        hits,
-        lambda d: sign * d[t],
-        lambda r: sign * np.bincount(t, weights=r, minlength=T),
-    )
+    return _Group(rec, hits, lambda d: sign * d[t])
 
 
 def _position_group(rec, hits, possign) -> _Group:
     # the one gamma coordinate enters prone records with +1, standing with -1
-    return _Group(
-        rec, hits, lambda d: d[0] * possign, lambda r: np.array([float((r * possign).sum())])
-    )
+    return _Group(rec, hits, lambda d: d[0] * possign)
 
 
 def _design_group(rec, hits, m) -> _Group:
-    return _Group(rec, hits, lambda d: m @ d, lambda r: m.T @ r)
+    return _Group(rec, hits, lambda d: m @ d)
 
 
 class _Stash(NamedTuple):
@@ -386,7 +339,7 @@ class ModelTarget:
                 np.arange(T),
                 1.0 / np.sqrt(info_mu + 1.0),
                 kind="mu",
-                payload=(_PRIOR_CLASS["mu"], (_stage_group(_ALL, hits, a.stage0, T),)),
+                payload=(_PRIOR_CLASS["mu"], (_stage_group(_ALL, hits, a.stage0),)),
                 fisher=np.diag(info_mu) if T > 1 else None,
             )
         )
@@ -395,7 +348,7 @@ class ModelTarget:
         rec_of = [np.where(a.athlete == s)[0] for s in range(S)]
         last = rec_of[S - 1]
         # athlete S's trajectory is minus the sum of the free ones
-        last_group = _stage_group(last, hits[last], a.stage0[last], T, -1.0)
+        last_group = _stage_group(last, hits[last], a.stage0[last], -1.0)
         for s in range(S - 1):
             own = rec_of[s]
             idx = np.arange(lay.beta.start + s * T, lay.beta.start + (s + 1) * T)
@@ -411,7 +364,7 @@ class ModelTarget:
                     kind="beta",
                     payload=(
                         _PRIOR_CLASS["beta"],
-                        (_stage_group(own, hits[own], a.stage0[own], T), last_group),
+                        (_stage_group(own, hits[own], a.stage0[own]), last_group),
                     ),
                     fisher=np.diag(info) if T > 1 else None,
                     repeats=2 if T > 1 else 1,
@@ -486,15 +439,15 @@ class ModelTarget:
             prior = self._rw_Q if bs[0].kind in _RANDOM_WALK else np.eye(n)
             self._fisher[k] = (np.stack([b.fisher for b in bs]), prior)
         self._slot = {b.name: i for bs in members.values() for i, b in enumerate(bs)}
-        self._chol: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
+        self._chol: dict[int, tuple[float, np.ndarray]] = {}
 
     def proposal_transform(self, x, block):
-        """Cholesky pair (L, inv(L).T) of the block's Gaussian-approximation
-        precision (Fisher + prior precision at the current scale), or None
-        for scalar blocks.  The pairs are cached per prior class: when the
-        class's scale has moved, every block of the class is factorized
-        again by one stacked ``cholesky`` and one stacked ``solve``, which
-        give the same bits as one call per block."""
+        """``inv(L).T`` for ``L`` the Cholesky factor of the block's
+        Gaussian-approximation precision (Fisher + prior precision at the
+        current scale), or None for scalar blocks.  The matrices are cached
+        per prior class: when the class's scale has moved, every block of
+        the class is factorized again by one stacked ``cholesky`` and one
+        stacked ``solve``, which give the same bits as one call per block."""
         if block.fisher is None:
             return None
         k = block.payload[0]
@@ -504,9 +457,8 @@ class ModelTarget:
             fisher, prior = self._fisher[k]
             L = np.linalg.cholesky(fisher + np.exp(-2.0 * v) * prior)
             A = np.linalg.solve(L, np.broadcast_to(np.eye(len(prior)), L.shape))
-            hit = self._chol[k] = (v, L, A.swapaxes(-1, -2))
-        i = self._slot[block.name]
-        return hit[1][i], hit[2][i]
+            hit = self._chol[k] = (v, A.swapaxes(-1, -2))
+        return hit[1][self._slot[block.name]]
 
     # ---- state plumbing --------------------------------------------------
 
@@ -584,35 +536,6 @@ class ModelTarget:
         cache.logp += stash.delta
         if block.kind != "sigma":
             cache.share[block.name] = stash.share
-
-    # ---- block gradients (gradient_assisted mode) --------------------------
-
-    def block_grad(self, x, cache, block):
-        etas = [cache.eta[g.rec] for g in block.payload[1]]
-        return self._grad(x, cache, block, x[block.idx], etas)
-
-    def block_grad_at(self, x, cache, block, prop, stash):
-        return self._grad(x, cache, block, prop, [eta for _, eta, _ in stash.groups])
-
-    def _grad(self, x, cache, block, value, etas):
-        """Log-posterior gradient on the block at ``value``, where the touched
-        groups' log-odds are ``etas``."""
-        k, groups = block.payload
-        if block.kind == "sigma":
-            n, ss = self.class_n[k], cache.ss[k]
-            c = self.spec.sigma_scale
-            v = value[0]
-            return np.array([-n + ss * np.exp(-2.0 * v) - np.exp(2.0 * v) / c**2 + 1.0])
-        g = reduce(
-            np.add,
-            (grp.pull(grp.hits - SHOTS_PER_BOUT * expit(eta)) for grp, eta in zip(groups, etas)),
-        )
-        # exp over the whole scale vector: numpy's vector and scalar exp can
-        # differ in the last bit, and the draws depend on which one is used
-        sd = 1.0 if self.spec.mu_only else np.exp(x[self.lay.sigma])[k]
-        if block.kind in _RANDOM_WALK:
-            return g + _model._rw_grad(value, sd)
-        return g - value / sd**2
 
 
 # ---------------------------------------------------------------------------
@@ -821,6 +744,8 @@ def summarize(samples: PosteriorSamples) -> list[ParamSummary]:
 
 _MAGIC = b"biathlon-bayes-draws-v1\n"
 _DTYPE = "<f8"
+# sampler settings of earlier draws-v1 files that no longer exist; dropped on import
+_REMOVED_SAMPLER_KEYS = ("proposal_mode", "adapt_window")
 
 
 def _manifest_dict(samples: PosteriorSamples) -> dict:
@@ -917,12 +842,13 @@ def _parse_manifest(raw: bytes) -> dict:
 def _samples_from_manifest(manifest: dict, draws: np.ndarray) -> PosteriorSamples:
     try:
         spec = ModelSpec(**manifest["model"])
-        cfg = SamplerConfig(**manifest["sampler"])
+        cfg = SamplerConfig(**{k: v for k, v in manifest["sampler"].items()
+                               if k not in _REMOVED_SAMPLER_KEYS})
         names = tuple(manifest["param_names"])
         acceptance = {k: tuple(v) for k, v in manifest["acceptance_rates"].items()}
         scales = {k: tuple(v) for k, v in manifest["proposal_scales"].items()}
         source_digest = manifest["source_digest"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"bad draws manifest: {e}") from None
     if len(names) != draws.shape[2]:
         raise DataError(

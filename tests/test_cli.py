@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from biathlon_bayes import cli, model, oracles, sampler
+from biathlon_bayes import cli, model, oracles, sampler, synth
 from biathlon_bayes.data import Dataset, load_sessions, serialize_sessions
 
 
@@ -350,6 +350,40 @@ class TestPredict:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.fixture(scope="class")
+    def two_race_fit(self, tmp_path_factory):
+        """A 1-stage fit of a model with Z=2 race types, and its sessions file."""
+        root = tmp_path_factory.mktemp("z2")
+        d, _ = synth.generate_synthetic(synth.SynthConfig(
+            n_athletes=3, n_stages=1, schedule={1: ("individual", "sprint")}, seed=5))
+        data = root / "sessions.csv"
+        data.write_bytes(serialize_sessions(d))
+        d = load_sessions(data)
+        cfg = sampler.SamplerConfig(n_chains=1, burn_in=20, kept_iterations=20, thin=1)
+        (root / "fit").mkdir()
+        sampler.export_draws(sampler.run_chains(model.ModelSpec(S=3, T=1, Z=2), d, cfg),
+                             root / "fit" / "draws.bin")
+        return root, d.athletes[0]
+
+    @pytest.mark.parametrize("row, message", [
+        ("nobody,1,individual,prone,1,1,0", "'nobody' not in the fitted dataset"),
+        ("{a},2,individual,prone,1,1,0", "stage 2 outside the fitted range 1..1"),
+        ("{a},1,pursuit,prone,1,1,0", "'pursuit' not included in the fitted model"),
+    ], ids=["athlete", "stage", "race_type"])
+    def test_future_schedule_outside_the_fit_writes_nothing(self, two_race_fit, tmp_path,
+                                                           row, message, capsys):
+        root, athlete = two_race_fit
+        future = tmp_path / "future.csv"
+        future.write_text("athlete,stage,race_type,position,race_seq,bout_seq,hits\n"
+                          + row.format(a=athlete) + "\n")
+        out = tmp_path / "pred"
+        rc = cli.main(["predict", "--fit", str(root / "fit"),
+                       "--data", str(root / "sessions.csv"), "--out", str(out),
+                       "--reps", "10", "--future-schedule", str(future)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_replicates_are_deterministic(self, ws, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -446,11 +480,54 @@ class TestConfigAndUsage:
         replay = tmp_path / "replay"
         manifest = ws / "fit" / "manifest.json"
         assert set(json.loads(manifest.read_text())["config"]) == {
-            "data", "out", "fmt", "seed", "chains", "burnin", "keep", "thin", "proposal"
+            "data", "out", "fmt", "seed", "chains", "burnin", "keep", "thin"
         }
         assert cli.main(["fit", "--config", str(manifest),
                          "--out", str(replay)]) == 0
         assert (replay / "draws.bin").read_bytes() == (ws / "fit" / "draws.bin").read_bytes()
+
+    @staticmethod
+    def _older_manifest(path, subcommand, config):
+        """A manifest in the layout written while ``--proposal`` existed."""
+        path.write_text(json.dumps({
+            "tool": "biathlon-bayes", "version": "0.1.0", "subcommand": subcommand,
+            "config": config, "inputs": {},
+        }, indent=2, sort_keys=True) + "\n")
+
+    def test_older_fit_manifest_replays_its_draws(self, ws, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        self._older_manifest(manifest, "fit", {
+            "data": _data(ws), "out": str(tmp_path / "fit"), "fmt": "binary", "seed": 3,
+            "chains": 1, "burnin": 60, "keep": 60, "thin": 1, "proposal": "random_walk",
+        })
+        assert cli.main(["fit", "--config", str(manifest)]) == 0
+        draws = sampler.import_draws(tmp_path / "fit" / "draws.bin").draws
+        # the draws of this replay before the proposal setting was removed
+        assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == (
+            "637d58f48b6882b7538980bbbe3741d917a8ce91bc5e5c8b115c7a2d66f56056"
+        )
+
+    def test_older_validate_manifest_replays_its_result(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        self._older_manifest(manifest, "validate", {
+            "which": "oracle", "out": str(tmp_path / "val"), "seed": 0, "chains": 1,
+            "burnin": 100, "keep": 200, "thin": 1, "points": 100, "reps": 100,
+            "athletes": 5, "stages": 4, "proposal": "random_walk",
+        })
+        assert cli.main(["validate", "oracle", "--config", str(manifest)]) == 0
+        assert hashlib.sha256((tmp_path / "val" / "oracle.json").read_bytes()).hexdigest() == (
+            "79456607b85a095a84547a395b537f8e5a35d4bbf4893933849da3a87efc8baa"
+        )
+
+    def test_removed_kernel_in_config_exits_2_before_writing(self, ws, tmp_path, capsys):
+        manifest, out = tmp_path / "manifest.json", tmp_path / "fit"
+        self._older_manifest(manifest, "fit", {
+            "data": _data(ws), "out": str(out), "fmt": "binary", "seed": 3, "chains": 1,
+            "burnin": 60, "keep": 60, "thin": 1, "proposal": "gradient_assisted",
+        })
+        assert cli.main(["fit", "--config", str(manifest)]) == 2
+        assert "'gradient_assisted'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "payload",

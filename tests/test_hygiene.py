@@ -1,4 +1,5 @@
-"""Source hygiene: every module of the package uses each name it imports."""
+"""Source hygiene: every module of the package uses each name it imports,
+and every private module-level name is referenced by some package module."""
 
 import ast
 from pathlib import Path
@@ -7,9 +8,8 @@ import pytest
 
 import biathlon_bayes
 
-_SOURCES = sorted(
-    p for p in Path(biathlon_bayes.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+_PACKAGE = Path(biathlon_bayes.__file__).parent
+_SOURCES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -44,3 +44,53 @@ def test_the_check_sees_an_unused_import():
         "os.getcwd()\n"
     )
     assert _unused_imports(tree) == ["line 2: osp", "line 3: c"]
+
+
+def _unreferenced_privates(modules: dict[str, ast.Module]) -> list[str]:
+    """Module-level ``_name`` functions, classes and constants that no module
+    reads, as a bare name, an attribute or an imported name."""
+    read = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    found = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{module} line {node.lineno}: {name}" for name in names
+                      if name.startswith("_") and not name.startswith("__") and name not in read]
+    return found
+
+
+def test_every_private_name_is_referenced():
+    modules = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in _PACKAGE.glob("*.py")}
+    assert _unreferenced_privates(modules) == []
+
+
+def test_the_check_sees_an_unreferenced_private_name():
+    modules = {
+        "a.py": ast.parse(
+            "_LIMIT = 3\n"
+            "_SPARE: int = 4\n"
+            "def _grad(x):\n"
+            "    return x\n"
+            "class _Group:\n"
+            "    pass\n"
+            "def _used():\n"
+            "    return _LIMIT\n"
+            "__all__ = []\n"
+        ),
+        "b.py": ast.parse("from .a import _used\nimport a\na._Group()\n"),
+    }
+    assert _unreferenced_privates(modules) == ["a.py line 2: _SPARE", "a.py line 3: _grad"]
