@@ -72,6 +72,7 @@ from .predict import (
 )
 from .sampler import (
     SamplerConfig,
+    _write_atomic,
     ess,
     export_draws,
     import_draws,
@@ -228,6 +229,9 @@ def _apply_config(parser: _Parser, cfg: dict):
                         raise DataError(
                             f"config key {a.dest!r}: bad value {cfg[a.dest]!r}"
                         ) from None
+                if a.choices is not None and value not in a.choices:
+                    raise DataError(f"config key {a.dest!r}: {value!r} is not one of "
+                                    f"{', '.join(map(str, a.choices))}")
                 a.default = value
                 a.required = False
                 applied.add(a.dest)
@@ -280,22 +284,16 @@ def main(argv=None) -> int:
 # output plumbing
 
 
-def _atomic_write(path: str, data: bytes):
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-
-
 def _write_json(path: str, obj):
-    _atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+    data = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    _write_atomic(path, lambda fh: fh.write(data))
 
 
 def _write_csv(path: str, rows):
     body = io.StringIO()
     writer = csv.writer(body, lineterminator="\n")
     writer.writerows(rows)
-    _atomic_write(path, body.getvalue().encode())
+    _write_atomic(path, lambda fh: fh.write(body.getvalue().encode()))
 
 
 def _sha256(path: str) -> str:
@@ -369,7 +367,8 @@ def _cmd_ingest(args) -> int:
     d = load_sessions(args.data)
     _write_manifest(args, {"data": {"path": args.data, "sha256": d.source_digest}})
     report = validate_dataset(d)
-    _atomic_write(os.path.join(args.out, "sessions.csv"), serialize_sessions(d))
+    body = serialize_sessions(d)
+    _write_atomic(os.path.join(args.out, "sessions.csv"), lambda fh: fh.write(body))
     _write_json(os.path.join(args.out, "validation.json"), report.to_json_dict())
     for line in report.warnings:
         print(f"warning: {line}", file=sys.stderr)
@@ -732,7 +731,8 @@ def _cmd_simulate(args) -> int:
     )
     d, truth = generate_synthetic(cfg)
     _write_manifest(args, {})
-    _atomic_write(os.path.join(args.out, "sessions.csv"), serialize_sessions(d))
+    body = serialize_sessions(d)
+    _write_atomic(os.path.join(args.out, "sessions.csv"), lambda fh: fh.write(body))
     _write_json(
         os.path.join(args.out, "true_params.json"),
         {

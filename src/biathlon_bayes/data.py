@@ -189,17 +189,15 @@ class Dataset:
         return IndexedArrays(athlete, stage0, race, position, hits)
 
 
-def parse_sessions(source, n_stages: int | None = None) -> Dataset:
-    """Parse a sessions CSV into a Dataset.
+def parse_sessions(source) -> Dataset:
+    """Parse a sessions CSV into a Dataset; its stage count is the largest
+    stage in the data.
 
     Parameters
     ----------
     source : bytes, str, or file-like
         CSV content.  ``str`` is treated as text content, never a path;
         use :func:`load_sessions` for paths.
-    n_stages : int, optional
-        Declared stage range; rows beyond it are rejected.  Inferred from
-        the data when omitted.
 
     Raises
     ------
@@ -245,8 +243,6 @@ def parse_sessions(source, n_stages: int | None = None) -> Dataset:
         race_seq = _int_field(race_seq_s, "race_seq", line)
         bout_seq = _int_field(bout_seq_s, "bout_seq", line)
         hits = _int_field(hits_s, "hits", line)
-        if n_stages is not None and stage > n_stages:
-            raise ParseError(f"stage {stage} outside declared range 1..{n_stages}", line=line)
         try:
             rec = SessionRecord(athlete, stage, race_type, position, race_seq, bout_seq, hits)
         except DataError as e:
@@ -259,7 +255,7 @@ def parse_sessions(source, n_stages: int | None = None) -> Dataset:
         records.append(rec)
 
     try:
-        return Dataset.from_records(records, n_stages=n_stages, source_digest=digest)
+        return Dataset.from_records(records, source_digest=digest)
     except DataError as e:
         raise ParseError(str(e)) from None
 
@@ -271,13 +267,13 @@ def _int_field(s: str, name: str, line: int) -> int:
         raise ParseError(f"{name} is not an integer: {s!r}", line=line) from None
 
 
-def load_sessions(path, n_stages: int | None = None) -> Dataset:
+def load_sessions(path) -> Dataset:
     """Read and parse a sessions CSV file."""
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
         raise DataError(f"cannot read {path}: {e.strerror or e}") from None
-    return parse_sessions(raw, n_stages=n_stages)
+    return parse_sessions(raw)
 
 
 def serialize_sessions(d: Dataset) -> bytes:

@@ -23,6 +23,12 @@ where the four scale parameters (one per effect class) carry half-normal
 priors on the standard-deviation scale, sampled as logs with the
 change-of-variables term included.  All densities keep their normalization
 constants so scale comparisons are meaningful.
+
+Free coordinates become effects only through :func:`from_vector` and
+:func:`expand`, and effects become log-odds only through :func:`log_odds`.
+These three take leading draw axes: an ``(M, dim)`` stack of vectors gives
+arrays that all start with ``M`` (only trailing shapes are checked).  The
+densities and the gradient take one state at a time.
 """
 
 from __future__ import annotations
@@ -128,14 +134,14 @@ class ParameterState:
 class Effects(NamedTuple):
     """Constrained effect arrays produced by :func:`expand`."""
 
-    mu: np.ndarray      # (T,)
-    beta: np.ndarray    # (S, T), columns sum to 0
-    gamma: np.ndarray   # (S, 2), rows sum to 0
-    omega: np.ndarray   # (S, Z), rows sum to 0
-    sigma: np.ndarray   # (4,) positive
+    mu: np.ndarray      # (..., T)
+    beta: np.ndarray    # (..., S, T), sums to 0 over athletes
+    gamma: np.ndarray   # (..., S, 2), prone then standing, rows sum to 0
+    omega: np.ndarray   # (..., S, Z), rows sum to 0
+    sigma: np.ndarray   # (..., 4) positive
 
 
-def _check_state(p: ParameterState, spec: ModelSpec):
+def _check_state(p: ParameterState, spec: ModelSpec, lead: tuple):
     shapes = {
         "mu": (p.mu.shape, (spec.T,)),
         "beta_free": (p.beta_free.shape, (spec.S - 1, spec.T)),
@@ -144,8 +150,8 @@ def _check_state(p: ParameterState, spec: ModelSpec):
         "log_sigma": (p.log_sigma.shape, (4,)),
     }
     for name, (got, want) in shapes.items():
-        if got != want:
-            raise DataError(f"{name} has shape {got}, expected {want}")
+        if got != lead + want:
+            raise DataError(f"{name} has shape {got}, expected {lead + want}")
 
 
 def expand(p: ParameterState, spec: ModelSpec) -> Effects:
@@ -153,11 +159,23 @@ def expand(p: ParameterState, spec: ModelSpec) -> Effects:
 
     The sum-to-zero identities hold exactly by construction.
     """
-    _check_state(p, spec)
-    beta = np.vstack([p.beta_free, -p.beta_free.sum(axis=0, keepdims=True)])
-    gamma = np.stack([p.gamma_free, -p.gamma_free], axis=1)
-    omega = np.hstack([p.omega_free, -p.omega_free.sum(axis=1, keepdims=True)])
+    _check_state(p, spec, p.mu.shape[:-1])
+    beta = np.concatenate([p.beta_free, -p.beta_free.sum(axis=-2, keepdims=True)], axis=-2)
+    gamma = np.stack([p.gamma_free, -p.gamma_free], axis=-1)
+    omega = np.concatenate([p.omega_free, -p.omega_free.sum(axis=-1, keepdims=True)], axis=-1)
     return Effects(p.mu, beta, gamma, omega, np.exp(p.log_sigma))
+
+
+def log_odds(eff: Effects, athlete, stage, position, race) -> np.ndarray:
+    """Log-odds ``mu + beta + gamma + omega`` of (athlete, stage, position,
+    race type) cells, all 0-based.  The four indices broadcast together,
+    and the result keeps any leading draw axes of ``eff`` in front."""
+    return (
+        eff.mu[..., stage]
+        + eff.beta[..., athlete, stage]
+        + eff.gamma[..., athlete, position]
+        + eff.omega[..., athlete, race]
+    )
 
 
 def _check_indices(d: Dataset, spec: ModelSpec):
@@ -178,13 +196,7 @@ def _check_indices(d: Dataset, spec: ModelSpec):
 def linear_predictors(p: ParameterState, d: Dataset, spec: ModelSpec) -> np.ndarray:
     """Log-odds eta for every record in the dataset, in record order."""
     a = _check_indices(d, spec)
-    eff = expand(p, spec)
-    return (
-        eff.mu[a.stage0]
-        + eff.beta[a.athlete, a.stage0]
-        + eff.gamma[a.athlete, a.position]
-        + eff.omega[a.athlete, a.race]
-    )
+    return log_odds(expand(p, spec), a.athlete, a.stage0, a.position, a.race)
 
 
 def bout_log_likelihoods(hits: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -206,6 +218,19 @@ def _rw_ss(x: np.ndarray) -> float:
     return float((first * first).sum() + (d * d).sum())
 
 
+def _sum_sq(v: np.ndarray) -> float:
+    return float((v**2).sum())
+
+
+def class_stats(p: ParameterState, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per prior class (``SIGMA_NAMES`` order): the count of its iid
+    N(0, sigma_k^2) terms (random-walk increments for mu and beta) and
+    their sum of squares."""
+    n = np.array([spec.n_mu, spec.n_beta, spec.n_gamma, spec.n_omega], dtype=float)
+    ss = [_rw_ss(p.mu), _rw_ss(p.beta_free), _sum_sq(p.gamma_free), _sum_sq(p.omega_free)]
+    return n, np.array(ss)
+
+
 def _gauss_class_logp(n: int, ss: float, v: float) -> float:
     # n iid N(0, e^v) increments with total sum of squares ss
     return -0.5 * n * LN2PI - n * v - 0.5 * ss * np.exp(-2.0 * v)
@@ -218,17 +243,14 @@ def _halfnormal_log_logp(v: float, c: float) -> float:
 
 def log_prior(p: ParameterState, spec: ModelSpec) -> float:
     """Joint log prior over the free coordinates (normalized)."""
-    _check_state(p, spec)
+    _check_state(p, spec, ())
+    n, ss = class_stats(p, spec)
     if spec.mu_only:
-        return _gauss_class_logp(spec.T, _rw_ss(p.mu), 0.0)
+        return float(_gauss_class_logp(n[0], ss[0], 0.0))
     v = p.log_sigma
-    total = _gauss_class_logp(spec.T, _rw_ss(p.mu), v[0])
-    total += _gauss_class_logp((spec.S - 1) * spec.T, _rw_ss(p.beta_free), v[1])
-    total += _gauss_class_logp(spec.S, float(np.sum(p.gamma_free**2)), v[2])
-    total += _gauss_class_logp(spec.S * (spec.Z - 1), float(np.sum(p.omega_free**2)), v[3])
-    for k in range(4):
-        total += _halfnormal_log_logp(v[k], spec.sigma_scale)
-    return float(total)
+    # summed left to right: the four classes, then the four scale priors
+    return float(sum([_gauss_class_logp(n[k], ss[k], v[k]) for k in range(4)]
+                     + [_halfnormal_log_logp(v[k], spec.sigma_scale) for k in range(4)]))
 
 
 def log_posterior(p: ParameterState, d: Dataset, spec: ModelSpec) -> float:
@@ -252,7 +274,7 @@ def grad_log_posterior(p: ParameterState, d: Dataset, spec: ModelSpec) -> np.nda
     expansion propagates a -1 through athlete S's trajectory, the standing
     position, and the last race type.
     """
-    _check_state(p, spec)
+    _check_state(p, spec, ())
     a = _check_indices(d, spec)
     eta = linear_predictors(p, d, spec)
     resid = a.hits - SHOTS_PER_BOUT * expit(eta)
@@ -281,19 +303,8 @@ def grad_log_posterior(p: ParameterState, d: Dataset, spec: ModelSpec) -> np.nda
 
     v = p.log_sigma
     c = spec.sigma_scale
-    ns = (T, (S - 1) * T, S, S * (Z - 1))
-    sss = (
-        _rw_ss(p.mu),
-        _rw_ss(p.beta_free),
-        float(np.sum(p.gamma_free**2)),
-        float(np.sum(p.omega_free**2)),
-    )
-    g_sigma = np.array(
-        [
-            -n + ss * np.exp(-2.0 * v[k]) - np.exp(2.0 * v[k]) / c**2 + 1.0
-            for k, (n, ss) in enumerate(zip(ns, sss))
-        ]
-    )
+    n, ss = class_stats(p, spec)
+    g_sigma = -n + ss * np.exp(-2.0 * v) - np.exp(2.0 * v) / c**2 + 1.0
 
     return np.concatenate([g_mu, g_beta.ravel(), g_gamma, g_omega.ravel(), g_sigma])
 
@@ -322,7 +333,7 @@ def layout(spec: ModelSpec) -> VectorLayout:
 
 def to_vector(p: ParameterState, spec: ModelSpec) -> np.ndarray:
     """Flatten a state into the free-coordinate vector (sampler layout)."""
-    _check_state(p, spec)
+    _check_state(p, spec, ())
     if spec.mu_only:
         return p.mu.copy()
     return np.concatenate(
@@ -331,20 +342,25 @@ def to_vector(p: ParameterState, spec: ModelSpec) -> np.ndarray:
 
 
 def from_vector(vec: np.ndarray, spec: ModelSpec) -> ParameterState:
+    """The state of a free-coordinate vector, or of each row of a stack of
+    them (the last axis is the vector).  The arrays are views into ``vec``
+    where possible; a ``mu_only`` state holds zeros for the clamped effects."""
     vec = np.asarray(vec, dtype=float)
-    if vec.shape != (spec.dim,):
-        raise DataError(f"expected vector of length {spec.dim}, got shape {vec.shape}")
-    p = ParameterState.zeros(spec)
+    if vec.shape[-1:] != (spec.dim,):
+        raise DataError(f"expected vectors of length {spec.dim}, got shape {vec.shape}")
+    lead = vec.shape[:-1]
+    S, T, Z = spec.S, spec.T, spec.Z
     if spec.mu_only:
-        p.mu = vec.copy()
-        return p
+        zeros = [np.zeros(lead + shape) for shape in ((S - 1, T), (S,), (S, Z - 1), (4,))]
+        return ParameterState(vec, *zeros)
     lay = layout(spec)
-    p.mu = vec[lay.mu].copy()
-    p.beta_free = vec[lay.beta].reshape(spec.S - 1, spec.T).copy()
-    p.gamma_free = vec[lay.gamma].copy()
-    p.omega_free = vec[lay.omega].reshape(spec.S, spec.Z - 1).copy()
-    p.log_sigma = vec[lay.sigma].copy()
-    return p
+    return ParameterState(
+        vec[..., lay.mu],
+        vec[..., lay.beta].reshape(lead + (S - 1, T)),
+        vec[..., lay.gamma],
+        vec[..., lay.omega].reshape(lead + (S, Z - 1)),
+        vec[..., lay.sigma],
+    )
 
 
 def sample_prior(spec: ModelSpec, rng: np.random.Generator) -> ParameterState:

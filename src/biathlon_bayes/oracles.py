@@ -15,7 +15,7 @@ Three checks that deliberately share no code with the paths they verify:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import stats
@@ -104,13 +104,16 @@ class QuadratureResult:
     refinement_delta: float
 
 
+# posterior quantiles reported by the quadrature oracle
+_QUADRATURE_LEVELS = (0.025, 0.25, 0.5, 0.75, 0.975)
+
+
 def quadrature_posterior(
     spec: ModelSpec,
     dataset: Dataset,
     lo: float = -10.0,
     hi: float = 10.0,
     n_nodes: int = 10_001,
-    quantile_levels: Sequence[float] = (0.025, 0.25, 0.5, 0.75, 0.975),
 ) -> QuadratureResult:
     """Grid-quadrature posterior for the reduced single-baseline model.
 
@@ -150,7 +153,7 @@ def quadrature_posterior(
     cdf = np.cumsum(w2)
     cdf /= cdf[-1]
     quantiles = {
-        float(q): float(np.interp(q, cdf, grid2)) for q in quantile_levels
+        q: float(np.interp(q, cdf, grid2)) for q in _QUADRATURE_LEVELS
     }
     return QuadratureResult(
         mean=mean2,
@@ -177,6 +180,10 @@ class GradientCheckResult:
     dim: int
 
 
+# finite-difference step per unit of (1 + |x_i|)
+_FD_STEP = 1e-5
+
+
 def gradient_check(
     spec: ModelSpec | None,
     dataset: Dataset | None,
@@ -185,7 +192,6 @@ def gradient_check(
     fn: Callable[[np.ndarray], float] | None = None,
     grad_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     dim: int | None = None,
-    h_scale: float = 1e-5,
 ) -> GradientCheckResult:
     """Compare a gradient to central finite differences at random points.
 
@@ -194,7 +200,7 @@ def gradient_check(
     arbitrary pair (used for fault-injection tests); then ``dim`` gives the
     input dimension (defaulting to ``spec.dim``).
 
-    The step is ``h_scale * (1 + |x_i|)`` per coordinate and the relative
+    The step is ``1e-5 * (1 + |x_i|)`` per coordinate and the relative
     error is ``|a - f| / max(1, |a|, |f|)``.
     """
     if n_points < 1:
@@ -222,7 +228,7 @@ def gradient_check(
         if analytic.shape != (dim,):
             raise DataError("grad_fn returned the wrong shape")
         for i in range(dim):
-            h = h_scale * (1.0 + abs(x[i]))
+            h = _FD_STEP * (1.0 + abs(x[i]))
             xp = x.copy()
             xm = x.copy()
             xp[i] += h

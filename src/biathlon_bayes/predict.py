@@ -2,10 +2,13 @@
 
 The effect summaries and the predictive simulators consume a
 :class:`~biathlon_bayes.sampler.PosteriorSamples` and are deterministic
-given ``(samples, seed)``.  Predictive hit counts are drawn with one
-dedicated RNG stream per session template, keyed by the template's identity
-rather than its position in the schedule, so reordering templates permutes
-the output columns and changes nothing else.
+given ``(samples, seed)``.  :func:`expand_draws` returns the pooled draws
+as one :class:`~biathlon_bayes.model.Effects` whose arrays carry a leading
+draw axis, and predictive log-odds come from
+:func:`~biathlon_bayes.model.log_odds`.  Predictive hit counts are drawn
+with one dedicated RNG stream per session template, keyed by the template's
+identity rather than its position in the schedule, so reordering templates
+permutes the output columns and changes nothing else.
 
 The predictive checks consume the joint replicates of
 :func:`simulate_schedule`, so they all summarize the same draws, and group
@@ -23,14 +26,13 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .data import RACE_TYPES, SHOTS_PER_BOUT, Dataset, SessionRecord
+from .data import POSITIONS, RACE_TYPES, SHOTS_PER_BOUT, Dataset, SessionRecord
 from .errors import DataError
 from .intervals import mid_p_tail, summary
-from .model import ModelSpec, layout
+from .model import Effects, ModelSpec, expand, from_vector, log_odds
 from .sampler import PosteriorSamples
 
 __all__ = [
-    "EffectDraws",
     "PredictiveSummary",
     "StageAccuracySummary",
     "BetaTrajectories",
@@ -55,63 +57,10 @@ __all__ = [
 # expanding pooled draws into full effect arrays
 
 
-@dataclass(frozen=True)
-class EffectDraws:
-    """Pooled posterior draws expanded to the constrained parameterization.
-
-    Attributes
-    ----------
-    mu : ndarray, shape (M, T)
-        Stage-level baselines on the log-odds scale.
-    beta : ndarray, shape (M, S, T)
-        Athlete trajectories, including the constrained final athlete
-        (each column sums to zero across athletes).
-    gamma : ndarray, shape (M, S)
-        Prone adjustments; the standing adjustment is ``-gamma``.
-    omega : ndarray, shape (M, S, Z)
-        Race-type adjustments, summing to zero over types per athlete.
-    sigma : ndarray, shape (M, 4)
-        Scale parameters (natural scale), ordered mu/beta/gamma/omega.
-        All ones when the model was fit without hierarchy.
-    """
-
-    mu: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    omega: np.ndarray
-    sigma: np.ndarray
-
-    @property
-    def n_draws(self) -> int:
-        return self.mu.shape[0]
-
-
-def expand_draws(samples: PosteriorSamples) -> EffectDraws:
-    """Expand pooled free-coordinate draws into full effect arrays."""
-    spec = samples.spec
-    flat = samples.pooled()
-    lay = layout(spec)
-    M = flat.shape[0]
-    T, S, Z = spec.T, spec.S, spec.Z
-
-    mu = flat[:, lay.mu]
-    if spec.mu_only:
-        zeros_st = np.zeros((M, S, T))
-        return EffectDraws(
-            mu=mu,
-            beta=zeros_st,
-            gamma=np.zeros((M, S)),
-            omega=np.zeros((M, S, Z)),
-            sigma=np.ones((M, 4)),
-        )
-
-    beta_free = flat[:, lay.beta].reshape(M, S - 1, T)
-    beta = np.concatenate([beta_free, -beta_free.sum(axis=1, keepdims=True)], axis=1)
-    gamma = flat[:, lay.gamma]
-    omega_free = flat[:, lay.omega].reshape(M, S, Z - 1)
-    omega = np.concatenate([omega_free, -omega_free.sum(axis=2, keepdims=True)], axis=2)
-    sigma = np.exp(flat[:, lay.sigma])
-    return EffectDraws(mu=mu, beta=beta, gamma=gamma, omega=omega, sigma=sigma)
+def expand_draws(samples: PosteriorSamples) -> Effects:
+    """The pooled draws as constrained effects: every array of the result
+    has a leading axis of length ``samples.total_draws``."""
+    return expand(from_vector(samples.pooled(), samples.spec), samples.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +178,8 @@ class PositionEffects:
 
 def position_effects(samples: PosteriorSamples) -> PositionEffects:
     eff = expand_draws(samples)
-    return PositionEffects(eff.gamma.mean(axis=0), *summary(np.exp(eff.gamma)))
+    prone = eff.gamma[..., 0]
+    return PositionEffects(prone.mean(axis=0), *summary(np.exp(prone)))
 
 
 @dataclass(frozen=True)
@@ -341,18 +291,11 @@ def predictive_draws(
     """
     cells = template_cells(templates, dataset, samples.spec)
     eff = expand_draws(samples)
-    idx = _draw_indices(eff.n_draws, n_rep)
-    n_out = idx.shape[0]
-    out = np.empty((n_out, len(templates)), dtype=np.int16)
+    idx = _draw_indices(samples.total_draws, n_rep)
+    out = np.empty((idx.shape[0], len(templates)), dtype=np.int16)
 
     for j, (rec, (s, t, z)) in enumerate(zip(templates, cells)):
-        sign = 1.0 if rec.position == "prone" else -1.0
-        eta = (
-            eff.mu[idx, t]
-            + eff.beta[idx, s, t]
-            + sign * eff.gamma[idx, s]
-            + eff.omega[idx, s, z]
-        )
+        eta = log_odds(eff, s, t, POSITIONS.index(rec.position), z)[idx]
         rng = _template_rng(seed, rec)
         out[:, j] = rng.binomial(SHOTS_PER_BOUT, expit(eta)).astype(np.int16)
     return out

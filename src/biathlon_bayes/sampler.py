@@ -280,10 +280,6 @@ class _Stash(NamedTuple):
     share: float  # the block's new term of that statistic (latent blocks)
 
 
-def _sum_sq(v: np.ndarray) -> float:
-    return float((v**2).sum())
-
-
 # prior class (index into the cache's ``ss`` and the four scales) per latent
 # block kind; the mu and beta classes are random walks, the others iid
 _PRIOR_CLASS = {"mu": 0, "beta": 1, "gamma": 2, "omega": 3}
@@ -295,7 +291,7 @@ _BLOCK_SS = {
     "mu": _model._rw_ss,
     "beta": _model._rw_ss,
     "gamma": lambda v: v[0] ** 2,
-    "omega": _sum_sq,
+    "omega": _model._sum_sq,
 }
 
 
@@ -310,7 +306,7 @@ class ModelTarget:
         self.dataset = dataset
         self.dim = spec.dim
         self.lay = _model.layout(spec)
-        self.class_n = np.array([spec.n_mu, spec.n_beta, spec.n_gamma, spec.n_omega], dtype=float)
+        self.class_n = _model.class_stats(_model.ParameterState.zeros(spec), spec)[0]
         a = _model._check_indices(dataset, spec)
         self.hits = a.hits
         self.blocks = self._build_blocks(a)
@@ -473,15 +469,7 @@ class ModelTarget:
         state = _model.from_vector(x, self.spec)
         eta = _model.linear_predictors(state, self.dataset, self.spec)
         ll = _model.bout_log_likelihoods(self.hits, eta)
-        lay = self.lay
-        ss = np.array(
-            [
-                _model._rw_ss(x[lay.mu]),
-                _model._rw_ss(x[lay.beta].reshape(-1, self.spec.T)),
-                _sum_sq(x[lay.gamma]),
-                _sum_sq(x[lay.omega]),
-            ]
-        )
+        ss = _model.class_stats(state, self.spec)[1]
         ll_sum = float(ll.sum())
         logp = ll_sum + _model.log_prior(state, self.spec)
         share = {b.name: _BLOCK_SS[b.kind](x[b.idx]) for b in self.blocks if b.kind != "sigma"}
@@ -784,9 +772,10 @@ def export_draws(samples: PosteriorSamples, path, fmt: str = "binary"):
         raise DataError(f"unknown draws format {fmt!r}")
 
 
-def _write_atomic(path: Path, write):
-    """Call ``write(fh)`` on ``<path>.tmp``, then move it onto ``path``."""
-    tmp = path.with_name(path.name + ".tmp")
+def _write_atomic(path, write):
+    """Call ``write(fh)`` on ``<path>.tmp<pid>``, then move it onto
+    ``path``; returns what ``write`` returned."""
+    tmp = f"{path}.tmp{os.getpid()}"
     with open(tmp, "wb") as fh:
         result = write(fh)
     os.replace(tmp, path)

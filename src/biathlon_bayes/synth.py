@@ -5,11 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
 from scipy.special import expit
 
-from .data import Dataset, RACE_TYPES, SessionRecord, SHOTS_PER_BOUT
+from .data import Dataset, POSITIONS, RACE_TYPES, SessionRecord, SHOTS_PER_BOUT
 from .errors import DataError
-from .model import ModelSpec, ParameterState, expand, sample_prior
+from .model import ModelSpec, ParameterState, expand, log_odds, sample_prior
 from .streams import rng_for
 
 # An 11-stage calendar with the usual season totals: 10 sprints, 3
@@ -82,8 +83,9 @@ def athlete_ids(n: int) -> tuple[str, ...]:
 
 
 def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, ParameterState]:
-    """Simulate a season: expand the state, walk the calendar in fixed
-    order (stage, race, athlete, bout), and draw hits ~ Binomial(5, p).
+    """Simulate a season: tabulate the hit probability of every (athlete,
+    stage, position, race type) cell, walk the calendar in fixed order
+    (stage, race, athlete, bout), and draw hits ~ Binomial(5, p).
 
     Returns the dataset and the generating state.  Byte-deterministic for a
     given config + seed: the participation coin is consumed for every
@@ -92,7 +94,8 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, ParameterState]:
     spec = ModelSpec(S=max(cfg.n_athletes, 2), T=cfg.n_stages)
     rng = rng_for(cfg.seed)
     params = cfg.true_params if cfg.true_params is not None else sample_prior(spec, rng)
-    eff = expand(params, spec)
+    cells = np.ix_(range(spec.S), range(spec.T), range(len(POSITIONS)), range(spec.Z))
+    p_hit = expit(log_odds(expand(params, spec), *cells))
 
     ids = athlete_ids(cfg.n_athletes)
     records = []
@@ -103,16 +106,10 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, ParameterState]:
             for s, athlete in enumerate(ids):
                 starts = rng.random() < cfg.participation_rate
                 for bout_seq, position in enumerate(pattern, start=1):
-                    x = 0 if position == "prone" else 1
-                    eta = (
-                        eff.mu[stage - 1]
-                        + eff.beta[s, stage - 1]
-                        + eff.gamma[s, x]
-                        + eff.omega[s, z]
-                    )
+                    p = p_hit[s, stage - 1, POSITIONS.index(position), z]
                     # drawn even for non-starters so the stream position is
                     # rate-independent: seasons at different rates nest
-                    hits = int(rng.binomial(SHOTS_PER_BOUT, expit(eta)))
+                    hits = int(rng.binomial(SHOTS_PER_BOUT, p))
                     if starts:
                         records.append(
                             SessionRecord(athlete, stage, race_type, position, race_idx, bout_seq, hits)

@@ -529,6 +529,16 @@ class TestConfigAndUsage:
         assert "'gradient_assisted'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_value_outside_choices_exits_2_before_writing(self, ws, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "fit"
+        cfg.write_text(json.dumps({
+            "data": _data(ws), "out": str(out), "fmt": "parquet",
+            "chains": 1, "burnin": 60, "keep": 60, "thin": 1, "seed": 3,
+        }))
+        assert cli.main(["fit", "--config", str(cfg)]) == 2
+        assert "'parquet'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "payload",
         [

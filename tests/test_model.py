@@ -1,5 +1,6 @@
 """Model density: likelihood, priors, constraints, gradients, vectorization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -215,6 +216,19 @@ class TestVectorization:
         spec = ModelSpec(S=3, T=2)
         with pytest.raises(DataError):
             from_vector(np.zeros(spec.dim + 1), spec)
+
+    def test_stacked_vectors_keep_their_leading_axis(self):
+        spec = ModelSpec(S=3, T=2)
+        p = from_vector(np.zeros((4, spec.dim)), spec)
+        assert expand(p, spec).beta.shape == (4, 3, 2)
+        with pytest.raises(DataError):
+            from_vector(np.zeros((4, spec.dim + 1)), spec)
+        with pytest.raises(DataError, match="omega_free"):  # wrong trailing shape
+            expand(dataclasses.replace(p, omega_free=np.zeros((4, 3, 2))), spec)
+        with pytest.raises(DataError, match="gamma_free"):  # leading axes disagree
+            expand(dataclasses.replace(p, gamma_free=np.zeros((5, 3))), spec)
+        with pytest.raises(DataError):  # the densities take one state at a time
+            log_prior(p, spec)
 
 
 class TestGradient:

@@ -1,6 +1,7 @@
 """Predictive-layer tests: draw expansion, interval mechanics, and the
 posterior predictive simulators."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -84,17 +85,33 @@ class TestExpandDraws:
     def test_shapes_and_constraints(self, small_fit):
         spec = small_fit.spec
         eff = expand_draws(small_fit)
+        assert isinstance(eff, model.Effects)
         M = small_fit.total_draws
-        assert eff.n_draws == M
         assert eff.mu.shape == (M, spec.T)
         assert eff.beta.shape == (M, spec.S, spec.T)
-        assert eff.gamma.shape == (M, spec.S)
+        assert eff.gamma.shape == (M, spec.S, 2)
         assert eff.omega.shape == (M, spec.S, spec.Z)
         assert eff.sigma.shape == (M, 4)
         # hard constraints hold draw by draw
         assert np.abs(eff.beta.sum(axis=1)).max() < 1e-10
+        assert np.array_equal(eff.gamma[..., 1], -eff.gamma[..., 0])
         assert np.abs(eff.omega.sum(axis=2)).max() < 1e-10
         assert (eff.sigma > 0).all()
+
+    @pytest.mark.parametrize("mu_only", [False, True], ids=["full", "mu_only"])
+    def test_rows_match_the_single_state_expansion(self, small_fit, mu_only):
+        """Row i of the batched expansion is ``model.expand`` of draw i, bit
+        for bit."""
+        if mu_only:
+            spec = ModelSpec(S=3, T=2, Z=4, mu_only=True)
+            fit = _samples_from_flat(spec, np.random.default_rng(0).standard_normal((5, 2)))
+        else:
+            spec, fit = small_fit.spec, small_fit
+        eff = expand_draws(fit)
+        for i, row in enumerate(fit.pooled()):
+            one = model.expand(model.from_vector(row, spec), spec)
+            for name, batched, single in zip(model.Effects._fields, eff, one):
+                assert batched[i].tobytes() == single.tobytes(), (name, i)
 
     def test_free_coordinates_pass_through(self, small_fit):
         spec = small_fit.spec
@@ -115,7 +132,7 @@ class TestExpandDraws:
         assert np.array_equal(eff.mu, flat)
         assert not eff.beta.any() and not eff.gamma.any() and not eff.omega.any()
         assert (eff.sigma == 1.0).all()
-        assert eff.beta.shape == (5, 3, 2) and eff.omega.shape == (5, 3, 4)
+        assert eff.beta.shape == eff.gamma.shape == (5, 3, 2) and eff.omega.shape == (5, 3, 4)
 
 
 class TestIntervalPrimitives:
@@ -282,6 +299,22 @@ class TestPredictiveWiring:
         )
         assert out.shape == (10_000, 1)
         assert abs(out.mean() - 2.5) < 0.05
+
+
+class TestPinnedPredictive:
+    """The sha256 of ``predictive_draws`` on the small fit.  A refactor of
+    how draws become log-odds must leave these hashes as they are."""
+
+    @pytest.mark.parametrize("n_rep, digest", [
+        (None, "ec0c4799f01af2848efbd51bb548c1607531bafc0fd42d9925470e6912dcd085"),
+        (50, "17d60b31939ef48e49003190cbaa54b17dc53f469184e3f28a6a0e39f1d05178"),
+        (650, "23677b0ad7d2451de7896ce0bffe05b0da58e5d6baef2dbed899565ea3945db7"),
+    ], ids=["all_draws", "subsampled", "recycled"])
+    def test_schedule_draws(self, small_fit, small_dataset, n_rep, digest):
+        out = predictive_draws(small_fit, small_dataset.records, small_dataset,
+                               n_rep=n_rep, seed=3)
+        assert out.shape == (n_rep or small_fit.total_draws, len(small_dataset.records))
+        assert hashlib.sha256(np.ascontiguousarray(out, "<i2").tobytes()).hexdigest() == digest
 
 
 class TestPredictiveStreams:
