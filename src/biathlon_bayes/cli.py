@@ -139,7 +139,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=".")
     _add_sampler_flags(p)
     p.add_argument("--format", choices=("binary", "csv"), default="binary", dest="fmt",
-                   help="draws container format")
+                   help="draws container. binary: one checksummed file; csv: one row per "
+                        "draw (chain, iter, one column per coordinate) plus "
+                        "<file>.manifest.json")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("diagnose", help="convergence diagnostics for a fit")
@@ -221,14 +223,7 @@ def _apply_config(parser: _Parser, cfg: dict):
                     continue
                 if a.dest not in cfg:
                     continue
-                value = cfg[a.dest]
-                if a.type is not None and isinstance(value, str):
-                    try:
-                        value = a.type(value)
-                    except ValueError:
-                        raise DataError(
-                            f"config key {a.dest!r}: bad value {cfg[a.dest]!r}"
-                        ) from None
+                value = _config_value(a, cfg[a.dest])
                 if a.choices is not None and value not in a.choices:
                     raise DataError(f"config key {a.dest!r}: {value!r} is not one of "
                                     f"{', '.join(map(str, a.choices))}")
@@ -238,6 +233,35 @@ def _apply_config(parser: _Parser, cfg: dict):
     unknown = set(cfg) - applied - positional
     if unknown:
         raise DataError(f"unknown config keys: {', '.join(sorted(unknown))}")
+
+
+def _config_value(a: argparse.Action, value):
+    """A config file's JSON value for flag ``a``, held to what the flag
+    parses: a boolean for a switch, a whole number (not a boolean) for an
+    ``int`` flag, any number for a ``float`` flag, else a string (a list of
+    strings for a repeatable flag).  A string converts as it would on the
+    command line; ``null`` stands where the flag is optional and defaults
+    to None."""
+    if value is None and a.default is None and not a.required:
+        return None
+    if isinstance(a, argparse._StoreTrueAction):
+        want, ok = "true or false", isinstance(value, bool)
+    elif isinstance(a, argparse._AppendAction):
+        want = "a list of strings"
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    elif a.type is None:
+        want, ok = "a string", isinstance(value, str)
+    else:
+        want = "a whole number" if a.type is int else "a number"
+        ok = isinstance(value, str) or type(value) is int or (
+            a.type is float and type(value) is float)
+        try:
+            value = a.type(value) if ok else value
+        except (ValueError, OverflowError):
+            ok = False
+    if not ok:
+        raise DataError(f"config key {a.dest!r}: bad value {value!r}, expected {want}")
+    return value
 
 
 def main(argv=None) -> int:

@@ -35,6 +35,7 @@ accumulation cannot drift.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -756,9 +757,10 @@ def _manifest_dict(samples: PosteriorSamples) -> dict:
 def export_draws(samples: PosteriorSamples, path, fmt: str = "binary"):
     """Write draws + manifest to the file at ``path``, atomically.
     ``fmt="binary"`` streams chains into a checksummed single-file
-    container; ``fmt="csv"`` streams ``chain,iter,param,value`` rows one
-    draw at a time, and a JSON manifest sidecar at ``<path>.manifest.json``
-    holding the sha256 of the bytes written."""
+    container.  ``fmt="csv"`` writes one row per retained draw under a
+    ``chain,iter,<param names>`` header (``_csv_chunks``), plus a JSON
+    manifest sidecar at ``<path>.manifest.json`` holding the sha256 of the
+    CSV bytes written."""
     path = Path(path)
     if fmt == "binary":
         _write_atomic(path, lambda fh: _export_binary(samples, fh))
@@ -774,11 +776,17 @@ def export_draws(samples: PosteriorSamples, path, fmt: str = "binary"):
 
 def _write_atomic(path, write):
     """Call ``write(fh)`` on ``<path>.tmp<pid>``, then move it onto
-    ``path``; returns what ``write`` returned."""
+    ``path``; returns what ``write`` returned.  If anything fails, the
+    temporary file is removed and ``path`` keeps its old bytes."""
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        result = write(fh)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            result = write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     return result
 
 
@@ -800,16 +808,15 @@ def _export_binary(samples: PosteriorSamples, fh):
 
 
 def _csv_chunks(samples: PosteriorSamples):
-    """The long CSV body, one chunk per draw."""
-    quoted = []
-    for name in samples.param_names:  # a two-field row quotes as a data row does
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([name, ""])
-        quoted.append(buf.getvalue()[:-1])  # "name," or '"beta[1,2]",'
-    yield b"chain,iter,param,value\n"
+    """The wide CSV body: the ``chain,iter,<param names>`` header, then one
+    row per retained draw, chain by chain, each value as its ``repr``
+    (which round-trips a float exactly, ``-0.0`` included)."""
+    header = io.StringIO()  # csv.writer quotes names such as "beta[1,1]"
+    csv.writer(header, lineterminator="\n").writerow(["chain", "iter", *samples.param_names])
+    yield header.getvalue().encode()
     for c, chain in enumerate(samples.draws, 1):
-        for i, draw in enumerate(chain.tolist(), 1):  # repr of a float round-trips exactly
-            yield "".join([f"{c},{i},{q}{v!r}\n" for q, v in zip(quoted, draw)]).encode()
+        for i, draw in enumerate(chain.tolist(), 1):
+            yield f"{c},{i},{','.join(map(repr, draw))}\n".encode()
 
 
 def _parse_manifest(raw: bytes) -> dict:
@@ -857,8 +864,10 @@ def _samples_from_manifest(manifest: dict, draws: np.ndarray) -> PosteriorSample
 
 def import_draws(path) -> PosteriorSamples:
     """Read the draws container at ``path`` (binary, or CSV with its
-    ``<path>.manifest.json`` sidecar); verifies checksums.  One
-    ``np.loadtxt`` call parses exactly the CSV bytes that were hashed."""
+    ``<path>.manifest.json`` sidecar); verifies checksums.  A CSV must have
+    the header ``chain,iter,<the manifest's param names>`` and one row per
+    draw in export order; any other layout, such as the one-value-per-row
+    files of earlier versions, is a DataError."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[: len(_MAGIC)] == _MAGIC:
@@ -893,32 +902,30 @@ def _import_csv(raw: bytes, manifest: dict) -> PosteriorSamples:
     if manifest.get("csv_sha256") != hashlib.sha256(raw).hexdigest():
         raise DataError("draws CSV checksum mismatch against manifest sidecar")
     c, r, d = manifest["n_chains"], manifest["n_retained"], manifest["dim"]
-    try:
-        names = {name: j for j, name in enumerate(manifest["param_names"])}
-    except (KeyError, TypeError) as e:
-        raise DataError(f"bad draws manifest: {e}") from None
+    names = manifest.get("param_names")
+    if not isinstance(names, list):
+        raise DataError("bad draws manifest: param_names must be a list")
+    expected = ["chain", "iter", *names]
     body = io.BytesIO(raw)
     try:
         header = next(csv.reader([body.readline().decode()]), None)
     except (ValueError, csv.Error):  # undecodable bytes or a stray carriage return
         header = None
-    if header != ["chain", "iter", "param", "value"]:
-        raise DataError("draws CSV: missing or bad header")
+    if header != expected:
+        more = f" and {len(expected) - 5} more" if len(expected) > 5 else ""
+        raise DataError(f"draws CSV: missing or bad header, expected the columns "
+                        f"{expected[:5]}{more}")
     if re.compile(rb"[^\r\n]").search(raw, body.tell()) is None:  # loadtxt only warns
         raise DataError("draws CSV: no rows")
     try:
-        rows = np.loadtxt(io.TextIOWrapper(body, encoding="utf-8"), delimiter=",", quotechar='"',
-                          dtype=[("chain", "i8"), ("iter", "i8"), ("param", "i8"), ("value", "f8")],
-                          comments=None, ndmin=1, converters={2: names.__getitem__})
+        rows = np.loadtxt(io.TextIOWrapper(body, encoding="utf-8"), delimiter=",",
+                          comments=None, ndmin=2)
     except ValueError as e:  # numpy names the row (counted after the header)
         raise DataError(f"draws CSV: malformed row: {e}") from None
-    chain, it = rows["chain"], rows["iter"]
-    if len(rows) != c * r * d:
-        raise DataError(f"draws CSV: {len(rows)} rows, expected {c * r * d}")
-    if not ((chain >= 1) & (chain <= c) & (it >= 1) & (it <= r)).all():
-        raise DataError("draws CSV: a chain or iter index outside the manifest's counts")
-    draws = np.full((c, r, d), np.nan)
-    draws[chain - 1, it - 1, rows["param"]] = rows["value"]
-    if np.isnan(draws).any():  # with the row count, every cell came exactly once
-        raise DataError("draws CSV: missing or repeated entries")
-    return _samples_from_manifest(manifest, draws)
+    if rows.shape != (c * r, d + 2):
+        raise DataError(f"draws CSV: {rows.shape[0]} rows of {rows.shape[1]} columns, "
+                        f"expected {c * r} of {d + 2}")
+    chain, it = np.repeat(np.arange(1, c + 1), r), np.tile(np.arange(1, r + 1), c)
+    if not (np.array_equal(rows[:, 0], chain) and np.array_equal(rows[:, 1], it)):
+        raise DataError("draws CSV: chain,iter columns are not each draw once, in export order")
+    return _samples_from_manifest(manifest, rows[:, 2:].reshape(c, r, d))

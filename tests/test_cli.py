@@ -1,8 +1,10 @@
 """End-to-end command-line tests: every subcommand on a small synthetic
 season, exit-code conventions, config replay, and determinism."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 
@@ -223,6 +225,26 @@ class TestDiagnose:
         side.write_text(json.dumps(manifest))
         assert cli.main(["diagnose", "--fit", str(fitdir), "--out", str(tmp_path)]) == 2
         assert "malformed row" in capsys.readouterr().err
+
+    def test_long_layout_csv_of_earlier_versions_exit_2(self, ws, tmp_path, capsys):
+        fitdir = tmp_path / "csvfit"
+        fitdir.mkdir()
+        samples = sampler.import_draws(ws / "fit" / "draws.bin")
+        sampler.export_draws(samples, fitdir / "draws.csv", fmt="csv")
+        long = io.StringIO()  # one value per row, as earlier versions wrote
+        writer = csv.writer(long, lineterminator="\n")
+        writer.writerow(["chain", "iter", "param", "value"])
+        for (c, i, j), v in np.ndenumerate(samples.draws):
+            writer.writerow([c + 1, i + 1, samples.param_names[j], repr(float(v))])
+        body = long.getvalue().encode()
+        (fitdir / "draws.csv").write_bytes(body)
+        side = fitdir / "draws.csv.manifest.json"
+        manifest = json.loads(side.read_text())
+        manifest["csv_sha256"] = hashlib.sha256(body).hexdigest()  # a valid checksum
+        side.write_text(json.dumps(manifest))
+        assert cli.main(["diagnose", "--fit", str(fitdir), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert "the columns ['chain', 'iter', 'mu[1]', 'mu[2]', 'mu[3]'] and 29 more" in err
 
     def test_fit_report_names_the_draws_file(self, ws, tmp_path):
         # a csv refit into a binary fit's directory leaves a stale draws.bin
@@ -552,6 +574,42 @@ class TestConfigAndUsage:
         assert cli.main(["fit", "--config", str(cfg), "--data", _data(ws),
                          "--out", str(tmp_path / "x")]) == 2
         assert "error" in capsys.readouterr().err
+
+    _SMALL = {"chains": 1, "burnin": 20, "keep": 20, "thin": 1}
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["fit"], {**_SMALL, "chains": 2.5}),
+        (["fit"], {**_SMALL, "chains": True}),
+        (["fit"], {**_SMALL, "chains": None}),
+        (["fit"], {**_SMALL, "out": 3}),
+        (["explore"], {"standardize": "false"}),
+        (["validate", "sbc"], {**_SMALL, "athletes": 3, "stages": 2, "reps": 20.0}),
+        (["simulate"], {"participation": True}),
+    ], ids=["int-flag-float", "int-flag-bool", "int-flag-null", "str-flag-int",
+            "switch-string", "sbc-reps-float", "float-flag-bool"])
+    def test_config_value_of_wrong_type_exits_2_before_writing(self, ws, tmp_path, capsys,
+                                                              argv, payload):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        data = {"data": _data(ws)} if argv[0] in ("fit", "explore") else {}
+        cfg.write_text(json.dumps({**data, "out": str(out), **payload}))
+        assert cli.main(argv + ["--config", str(cfg)]) == 2
+        assert "config key" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_null_and_whole_numbers_where_they_parse(self, ws, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "sim"), "athletes": 3, "stages": 2,
+                                   "participation": 1}))
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0
+        assert cli.main(["simulate", "--out", str(tmp_path / "flags"), "--athletes", "3",
+                         "--stages", "2", "--participation", "1.0"]) == 0
+        assert (tmp_path / "sim" / "sessions.csv").read_bytes() == (
+            tmp_path / "flags" / "sessions.csv").read_bytes()
+        config = json.loads((tmp_path / "sim" / "manifest.json").read_text())["config"]
+        assert config["participation"] == 1.0 and isinstance(config["participation"], float)
+        cfg.write_text(json.dumps({"data": _data(ws), "out": str(tmp_path / "exp"),
+                                   "clusters": None, "ranks": None, "standardize": False}))
+        assert cli.main(["explore", "--config", str(cfg)]) == 0
 
     def test_nonjson_config(self, ws, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,7 +1,9 @@
 """Source hygiene: every module of the package uses each name it imports,
-and every private module-level name is referenced by some package module."""
+every private module-level name is referenced by some package module, and
+every file the package writes goes through ``sampler._write_atomic``."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -94,3 +96,71 @@ def test_the_check_sees_an_unreferenced_private_name():
         "b.py": ast.parse("from .a import _used\nimport a\na._Group()\n"),
     }
     assert _unreferenced_privates(modules) == ["a.py line 2: _SPARE", "a.py line 3: _grad"]
+
+
+_WRITE_MODE = re.compile(r"[rbtU]*[wax+][rbtwax+U]*")
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """``open(path, mode)``/``p.open(mode)`` with a writing mode (or a mode
+    that is not a literal), or ``p.write_bytes``/``p.write_text``."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_bytes", "write_text"):
+        return True
+    if name != "open":
+        return False
+    modes = [k.value for k in call.keywords if k.arg == "mode"]
+    modes += [a for a in call.args[:2] if isinstance(a, ast.Constant)]
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+               or _WRITE_MODE.fullmatch(m.value) for m in modes)
+
+
+def _unguarded_writes(modules: dict[str, ast.Module]) -> list[str]:
+    """File writes outside ``sampler._write_atomic``, which alone writes a
+    temporary file and moves it onto the target."""
+    found = []
+
+    def visit(module, node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            else:
+                inner = func
+            if (isinstance(child, ast.Call) and _opens_for_writing(child)
+                    and (module, func) != ("sampler.py", "_write_atomic")):
+                found.append(f"{module} line {child.lineno}")
+            visit(module, child, inner)
+
+    for module, tree in modules.items():
+        visit(module, tree, None)
+    return found
+
+
+def test_every_write_is_atomic():
+    modules = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in _PACKAGE.glob("*.py")}
+    assert _unguarded_writes(modules) == []
+
+
+def test_the_check_sees_a_direct_write():
+    writer = (
+        "def _write_atomic(path, write):\n"
+        "    with open(f'{path}.tmp', 'wb') as fh:\n"
+        "        write(fh)\n"
+    )
+    modules = {
+        "sampler.py": ast.parse(writer),
+        "a.py": ast.parse(
+            writer
+            + "def f(p, mode):\n"
+            "    open(p).read()\n"
+            "    open(p, 'rb', encoding=None).read()\n"
+            "    open('data.csv', encoding='utf-8').read()\n"
+            "    open(p, mode=mode)\n"
+            "    p.open('a')\n"
+            "    open(p, 'r+b')\n"
+            "    p.write_text('x')\n"
+            "    p.write_bytes(b'x')\n"
+        ),
+    }
+    assert _unguarded_writes(modules) == [f"a.py line {n}" for n in (2, 8, 9, 10, 11, 12)]

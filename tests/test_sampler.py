@@ -626,6 +626,19 @@ class TestDrawsContainer:
         with pytest.raises(DataError, match="frobnicate"):
             import_draws(path)
 
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "draws.bin"
+        path.write_bytes(b"old bytes")
+
+        def write(fh):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            sampler._write_atomic(path, write)
+        assert path.read_bytes() == b"old bytes"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["draws.bin"]
+
     _BAD_MANIFESTS = [
         b"{not json",
         b"[]",
@@ -681,31 +694,39 @@ def _forge_csv(path, text):
     side.write_text(json.dumps(manifest))
 
 
+_WIDE_TEXT = (
+    'chain,iter,mu[1],"beta[1,1]","omega[1,individual]"\n'
+    "1,1,-0.0,5e-324,2.2250738585072014e-308\n"
+    "1,2,1.7976931348623157e+308,0.1,0.3333333333333333\n"
+    "1,3,0.0,-5e-324,-2.2250738585072014e-308\n"
+    "2,1,-1.7976931348623157e+308,-0.1,-0.3333333333333333\n"
+    "2,2,0.3333333333333333,0.1,1.7976931348623157e+308\n"
+    "2,3,2.2250738585072014e-308,5e-324,-0.0\n"
+)
+_ROW_1_1 = "\n1,1,-0.0,5e-324,2.2250738585072014e-308\n"
+
+
 class TestCsvContainer:
-    def test_long_layout_is_pinned(self, tiny_samples, tmp_path):
-        ref = io.StringIO()
-        writer = csv.writer(ref, lineterminator="\n")
-        writer.writerow(["chain", "iter", "param", "value"])
-        for c in range(2):
-            for i in range(3):
-                for j, name in enumerate(tiny_samples.param_names):
-                    writer.writerow([c + 1, i + 1, name, repr(float(tiny_samples.draws[c, i, j]))])
+    def test_wide_layout_is_pinned(self, tiny_samples, tmp_path):
         path = tmp_path / "draws.csv"
         export_draws(tiny_samples, path, fmt="csv")
-        assert path.read_bytes() == ref.getvalue().encode()
-        assert '1,1,"beta[1,1]",5e-324\n' in ref.getvalue()
+        assert path.read_text() == _WIDE_TEXT
         back = import_draws(path)
-        assert back.draws.tobytes() == tiny_samples.draws.tobytes()  # keeps the sign of -0.0
+        assert back.draws.tobytes() == tiny_samples.draws.tobytes()
+        assert np.signbit(back.draws[0, 0, 0]) and np.signbit(back.draws[1, 2, 2])  # -0.0
         assert back.param_names == tiny_samples.param_names
 
     @pytest.mark.parametrize("edit, match", [
-        (lambda t: re.sub(r"\n2,3,mu\[1\],[^\n]*", "\n0,3,mu[1],999.0", t), "outside"),
-        (lambda t: t.replace("\n1,3,mu[1],", "\n1,0,mu[1],", 1), "outside"),
-        (lambda t: t.replace("\n1,2,mu[1],", "\n1,4,mu[1],", 1), "outside"),
-        (lambda t: t.replace("\n1,2,mu[1],", "\n1,1,mu[1],", 1), "missing or repeated"),
-        (lambda t: t + t.splitlines(keepends=True)[1], "rows, expected"),
-        (lambda t: "".join(t.splitlines(keepends=True)[:-1]), "rows, expected"),
-    ], ids=["chain-0", "iter-0", "iter-past-end", "duplicate-cell", "extra-row", "missing-row"])
+        (lambda t: t.replace("\n2,3,", "\n0,3,"), "each draw once"),
+        (lambda t: t.replace("\n1,3,", "\n1,0,"), "each draw once"),
+        (lambda t: t.replace("\n1,2,", "\n1,4,"), "each draw once"),
+        (lambda t: t.replace("\n1,2,", "\n1,1,"), "each draw once"),
+        (lambda t: t + t.splitlines(keepends=True)[1], "7 rows of 5 columns, expected 6 of 5"),
+        (lambda t: "".join(t.splitlines(keepends=True)[:-1]), "5 rows of 5 columns"),
+        (lambda t: t.replace("\n1,1,", "\n1,x,").replace("\n1,2,", "\n1,1,")
+                    .replace("\n1,x,", "\n1,2,"), "each draw once"),
+    ], ids=["chain-0", "iter-0", "iter-past-end", "duplicate-cell", "extra-row", "missing-row",
+            "rows-swapped"])
     def test_every_cell_exactly_once(self, tiny_samples, tmp_path, edit, match):
         path = tmp_path / "draws.csv"
         export_draws(tiny_samples, path, fmt="csv")
@@ -714,20 +735,50 @@ class TestCsvContainer:
             import_draws(path)
 
     @pytest.mark.parametrize("edit, match", [
-        (lambda t: t.replace("\n1,1,mu[1],-0.0\n", "\n1,1,mu[1]\n"), "malformed row"),
-        (lambda t: t.replace("\n1,1,mu[1],-0.0\n", "\n1,1,mu[1],-0.0,7\n"), "malformed row"),
-        (lambda t: t.replace("\n1,1,mu[1],", "\n1,1,mu[9],"), "malformed row"),
-        (lambda t: t.replace("\n1,1,mu[1],", "\n1x,1,mu[1],"), "malformed row"),
-        (lambda t: t.replace("\n1,1,mu[1],-0.0\n", "\n1,1,mu[1],abc\n"), "malformed row"),
-        (lambda t: t.replace("chain,iter,param,value", "chain,iter,name,value"), "header"),
+        (lambda t: t.replace(_ROW_1_1, "\n1,1,-0.0\n"), "malformed row"),
+        (lambda t: t.replace(_ROW_1_1, _ROW_1_1[:-1] + ",7,8\n"), "malformed row"),
+        (lambda t: t.replace("mu[1]", "mu[9]", 1), "header"),
+        (lambda t: t.replace("\n1,1,", "\n1x,1,"), "malformed row"),
+        (lambda t: t.replace("\n1,1,-0.0,", "\n1,1,abc,"), "malformed row"),
+        (lambda t: t.replace("chain,iter,", "chain,iteration,", 1), "header"),
         (lambda t: "", "header"),
-        (lambda t: "chain,iter,param,value\n", "no rows"),
-        (lambda t: "chain,iter,param,value\r\n\r\n", "no rows"),
-    ], ids=["3-fields", "5-fields", "unknown-param", "chain-1x", "value-abc", "bad-header",
+        (lambda t: t.splitlines(keepends=True)[0], "no rows"),
+        (lambda t: t.splitlines()[0] + "\r\n\r\n", "no rows"),
+    ], ids=["3-fields", "7-fields", "unknown-param", "chain-1x", "value-abc", "bad-header",
             "empty-file", "header-only", "blank-lines-only"])
     def test_malformed_body_is_a_data_error(self, tiny_samples, tmp_path, edit, match):
         path = tmp_path / "draws.csv"
         export_draws(tiny_samples, path, fmt="csv")
         _forge_csv(path, edit(path.read_text()))
         with pytest.raises(DataError, match=match):
+            import_draws(path)
+
+    def test_long_layout_of_earlier_versions_is_a_data_error(self, tiny_samples, tmp_path):
+        # one value per row under a chain,iter,param,value header
+        long = io.StringIO()
+        writer = csv.writer(long, lineterminator="\n")
+        writer.writerow(["chain", "iter", "param", "value"])
+        for (c, i, j), v in np.ndenumerate(tiny_samples.draws):
+            writer.writerow([c + 1, i + 1, tiny_samples.param_names[j], repr(float(v))])
+        path = tmp_path / "draws.csv"
+        export_draws(tiny_samples, path, fmt="csv")
+        _forge_csv(path, long.getvalue())
+        expected = "the columns ['chain', 'iter', 'mu[1]', 'beta[1,1]', 'omega[1,individual]']"
+        with pytest.raises(DataError, match=re.escape(expected)):
+            import_draws(path)
+
+    @pytest.mark.parametrize("patch", [
+        lambda m: m.pop("param_names"),
+        lambda m: m.update(param_names=None),
+        lambda m: m.update(param_names="mu[1]"),
+        lambda m: m.update(param_names={"mu[1]": 0}),
+    ], ids=["missing", "null", "string", "object"])
+    def test_param_names_must_be_a_list(self, tiny_samples, tmp_path, patch):
+        path = tmp_path / "draws.csv"
+        export_draws(tiny_samples, path, fmt="csv")
+        side = path.with_name(path.name + ".manifest.json")
+        manifest = json.loads(side.read_text())
+        patch(manifest)
+        side.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="param_names"):
             import_draws(path)
