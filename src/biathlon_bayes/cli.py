@@ -203,25 +203,24 @@ def _load_config(path: str) -> dict:
     return obj
 
 
-def _apply_config(parser: _Parser, cfg: dict):
-    """Install config values as per-subcommand defaults.
+def _apply_config(parser: _Parser, cfg: dict, subcommand: str | None):
+    """Install config values as defaults of ``subcommand``.
 
     Explicit flags still win (argparse overwrites defaults with parsed
     values); required flags supplied by the config stop being required, so
     a fit manifest can be replayed with just ``--config``.  Positional
     arguments (the subcommand, validate's check name) must still be typed.
+    Only the named subcommand's flags take (and check) values; keys that
+    another subcommand knows pass, so one file can serve several of them.
     """
-    applied: set[str] = set()
-    positional: set[str] = set()
+    known: set[str] = set()
     for spa in parser._actions:
         if not isinstance(spa, argparse._SubParsersAction):
             continue
-        for sp in spa.choices.values():
+        for name, sp in spa.choices.items():
             for a in sp._actions:
-                if not a.option_strings:
-                    positional.add(a.dest)
-                    continue
-                if a.dest not in cfg:
+                known.add(a.dest)
+                if name != subcommand or not a.option_strings or a.dest not in cfg:
                     continue
                 value = _config_value(a, cfg[a.dest])
                 if a.choices is not None and value not in a.choices:
@@ -229,8 +228,7 @@ def _apply_config(parser: _Parser, cfg: dict):
                                     f"{', '.join(map(str, a.choices))}")
                 a.default = value
                 a.required = False
-                applied.add(a.dest)
-    unknown = set(cfg) - applied - positional
+    unknown = set(cfg) - known
     if unknown:
         raise DataError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
@@ -271,14 +269,17 @@ def main(argv=None) -> int:
     try:
         # Pre-scan for --config so its values become subcommand defaults,
         # which explicit flags then override.
-        cfg_path = None
+        cfg_path, subcommand = None, None
         for i, a in enumerate(argv):
             if a == "--config" and i + 1 < len(argv):
                 cfg_path = argv[i + 1]
             elif a.startswith("--config="):
                 cfg_path = a.split("=", 1)[1]
+            elif subcommand is None and not a.startswith("-") and (
+                    i == 0 or argv[i - 1] != "--config"):
+                subcommand = a  # the first word that is not a top-level flag
         if cfg_path is not None:
-            _apply_config(parser, _load_config(cfg_path))
+            _apply_config(parser, _load_config(cfg_path), subcommand)
         args = parser.parse_args(argv)
     except _UsageError as e:
         print(e, file=sys.stderr)

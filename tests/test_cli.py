@@ -508,6 +508,20 @@ class TestConfigAndUsage:
                          "--out", str(replay)]) == 0
         assert (replay / "draws.bin").read_bytes() == (ws / "fit" / "draws.bin").read_bytes()
 
+    def test_manifest_replays_a_predict_without_reps(self, ws, tmp_path):
+        # predict's --reps defaults to None, validate's to 100: the manifest's
+        # "reps": null is predict's value and must not be checked as validate's
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert cli.main(["predict", "--fit", str(ws / "fit"), "--data", _data(ws),
+                         "--out", str(first), "--seed", "3"]) == 0
+        manifest = first / "manifest.json"
+        assert json.loads(manifest.read_text())["config"]["reps"] is None
+        assert cli.main(["predict", "--config", str(manifest), "--out", str(replay)]) == 0
+        names = sorted(p.name for p in first.iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in replay.iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (replay / name).read_bytes() == (first / name).read_bytes(), name
+
     @staticmethod
     def _older_manifest(path, subcommand, config):
         """A manifest in the layout written while ``--proposal`` existed."""

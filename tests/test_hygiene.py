@@ -110,8 +110,10 @@ def _opens_for_writing(call: ast.Call) -> bool:
         return True
     if name != "open":
         return False
+    # builtin open(file, mode), but Path.open(mode)
+    at = 1 if isinstance(func, ast.Name) else 0
     modes = [k.value for k in call.keywords if k.arg == "mode"]
-    modes += [a for a in call.args[:2] if isinstance(a, ast.Constant)]
+    modes += call.args[at:at + 1]
     return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
                or _WRITE_MODE.fullmatch(m.value) for m in modes)
 
@@ -156,11 +158,16 @@ def test_the_check_sees_a_direct_write():
             "    open(p).read()\n"
             "    open(p, 'rb', encoding=None).read()\n"
             "    open('data.csv', encoding='utf-8').read()\n"
+            "    open('a')\n"
+            "    p.open()\n"
+            "    p.open('rb')\n"
             "    open(p, mode=mode)\n"
+            "    open(p, mode)\n"
             "    p.open('a')\n"
             "    open(p, 'r+b')\n"
             "    p.write_text('x')\n"
             "    p.write_bytes(b'x')\n"
         ),
     }
-    assert _unguarded_writes(modules) == [f"a.py line {n}" for n in (2, 8, 9, 10, 11, 12)]
+    assert _unguarded_writes(modules) == [f"a.py line {n}"
+                                          for n in (2, 11, 12, 13, 14, 15, 16)]
