@@ -1,9 +1,10 @@
 """Command-line pipeline: ingest -> explore -> fit -> diagnose -> predict.
 
-Every subcommand writes a ``manifest.json`` (effective configuration, seeds,
-input digests, tool version) into the output directory before any other
-output, and all files are written atomically (temp file + rename).  Exit
-codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Every subcommand checks its inputs, then writes a ``manifest.json``
+(effective configuration, seeds, input digests, tool version) into the
+output directory before any other output, so a run refused for its inputs
+leaves no files.  All files are written atomically (temp file + rename).
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 
 A JSON config file can stand in for flags (``--config run/manifest.json``
 accepts either a plain flag mapping or a previously written manifest, whose
@@ -59,6 +60,7 @@ from .oracles import (
     sbc,
 )
 from .predict import (
+    _draw_indices,
     beta_trajectories,
     cumulative_hits,
     mu_summary,
@@ -406,37 +408,34 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_explore(args) -> int:
     d = load_sessions(args.data)
-    _write_manifest(args, {"data": {"path": args.data, "sha256": d.source_digest}})
     table = accuracy_summary(d)
-    out = args.out
-
-    _write_csv(os.path.join(out, "summary.csv"), summary_csv_rows(table))
-    counts = favorite_race_counts(table)
-    _write_csv(os.path.join(out, "favorites.csv"), favorite_csv_rows(counts))
-    _write_csv(
-        os.path.join(out, "deviations.csv"),
-        deviation_csv_rows(stage_deviation_matrix(d)),
-    )
-
+    # every table and the clustering are computed before the first output
+    tables = {
+        "summary.csv": summary_csv_rows(table),
+        "favorites.csv": favorite_csv_rows(favorite_race_counts(table)),
+        "deviations.csv": deviation_csv_rows(stage_deviation_matrix(d)),
+    }
     # The merge tree is always useful when computable; an explicit --clusters
     # makes an incomplete-profile failure fatal, otherwise it is just skipped.
     try:
-        clustering = cluster_athletes(table, args.clusters or 1, standardize=args.standardize)
+        clustering = cluster_athletes(
+            table, 1 if args.clusters is None else args.clusters, standardize=args.standardize)
     except DataError:
         if args.clusters is not None:
             raise
         print("warning: clustering skipped (incomplete accuracy profiles)", file=sys.stderr)
     else:
-        _write_csv(os.path.join(out, "merges.csv"), merges_csv_rows(clustering))
+        tables["merges.csv"] = merges_csv_rows(clustering)
         if args.clusters is not None:
-            _write_csv(os.path.join(out, "labels.csv"), labels_csv_rows(clustering))
-
+            tables["labels.csv"] = labels_csv_rows(clustering)
     if args.ranks:
         with open(args.ranks, encoding="utf-8") as fh:
             ranks = load_ranks(fh)
-        rho = rank_correlations(table, ranks)
-        _write_csv(os.path.join(out, "correlations.csv"), correlations_csv_rows(rho))
+        tables["correlations.csv"] = correlations_csv_rows(rank_correlations(table, ranks))
 
+    _write_manifest(args, {"data": {"path": args.data, "sha256": d.source_digest}})
+    for name, rows in tables.items():
+        _write_csv(os.path.join(args.out, name), rows)
     print(
         f"{d.n_athletes} athletes; overall accuracy {format_pct(table.overall.total.accuracy)}"
         f" (prone {format_pct(table.overall.position['prone'].accuracy)},"
@@ -573,6 +572,7 @@ def _cmd_predict(args) -> int:
         if other != name:
             raise DataError(f"athletes {other!r} and {name!r} would share the file "
                             f"cumulative_{_safe_name(name)}.csv")
+    _draw_indices(samples.total_draws, args.reps)  # checks --reps
     future = load_sessions(args.future_schedule) if args.future_schedule else None
     if future is not None:
         template_cells(future.records, d, samples.spec)
@@ -662,10 +662,9 @@ def _cmd_validate(args) -> int:
 
 
 def _validate_oracle(args) -> int:
-    d, spec = golden_quadrature_dataset()
-    _write_manifest(args, {})
-    quad = quadrature_posterior(spec, d)
     cfg = _sampler_config(args)
+    d, spec = golden_quadrature_dataset()
+    quad = quadrature_posterior(spec, d)
     samples = run_chains(spec, d, cfg)
     pooled = samples.pooled()[:, 0]
     mean_mcmc = float(pooled.mean())
@@ -681,6 +680,7 @@ def _validate_oracle(args) -> int:
         "mean_within_3_mcse": bool(mean_ok),
         "sd_within_10pct": bool(sd_ok),
     }
+    _write_manifest(args, {})
     _write_json(os.path.join(args.out, "oracle.json"), result)
     print(
         f"oracle: quadrature mean {quad.mean:.6f} sd {quad.sd:.6f}; "
@@ -691,7 +691,6 @@ def _validate_oracle(args) -> int:
 
 
 def _validate_gradcheck(args) -> int:
-    _write_manifest(args, {})
     shapes = ((2, 1, 2), (3, 4, 3), (30, 11, 4))
     results = []
     for S, T, Z in shapes:
@@ -711,6 +710,7 @@ def _validate_gradcheck(args) -> int:
             }
         )
     passed = all(r["max_rel_error"] <= 1e-6 for r in results)
+    _write_manifest(args, {})
     _write_json(os.path.join(args.out, "gradcheck.json"), {"pass": passed, "shapes": results})
     for r in results:
         print(
@@ -722,7 +722,6 @@ def _validate_gradcheck(args) -> int:
 
 
 def _validate_sbc(args) -> int:
-    _write_manifest(args, {})
     S, T = args.athletes, args.stages
     spec = ModelSpec(S=S, T=T, Z=4)
     schedule = {t: RACE_TYPES for t in range(1, T + 1)}
@@ -731,6 +730,7 @@ def _validate_sbc(args) -> int:
                  sampler_cfg=_sampler_config(args), seed=args.seed)
     payload = report.to_json_dict()
     payload["pass"] = bool(report.uniform_ok and payload["coverage90_ok"])
+    _write_manifest(args, {})
     _write_json(os.path.join(args.out, "sbc.json"), payload)
     print(
         f"sbc: {report.replications}/{report.attempted} replications, "

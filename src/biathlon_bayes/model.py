@@ -28,7 +28,10 @@ Free coordinates become effects only through :func:`from_vector` and
 :func:`expand`, and effects become log-odds only through :func:`log_odds`.
 These three take leading draw axes: an ``(M, dim)`` stack of vectors gives
 arrays that all start with ``M`` (only trailing shapes are checked).  The
-densities and the gradient take one state at a time.
+densities and the gradient take one state at a time.  The map from free
+coordinates to log-odds is linear, and its Jacobian
+(:func:`log_odds_jacobian`) is that same map evaluated at unit vectors, so
+eta and its derivative come from :func:`log_odds` alone.
 """
 
 from __future__ import annotations
@@ -197,6 +200,16 @@ def linear_predictors(p: ParameterState, d: Dataset, spec: ModelSpec) -> np.ndar
     """Log-odds eta for every record in the dataset, in record order."""
     a = _check_indices(d, spec)
     return log_odds(expand(p, spec), a.athlete, a.stage0, a.position, a.race)
+
+
+def log_odds_jacobian(d: Dataset, spec: ModelSpec, idx) -> np.ndarray:
+    """d eta / d x[idx]: a ``(records, len(idx))`` matrix whose column j is
+    :func:`linear_predictors` at the unit vector of coordinate ``idx[j]``.
+    The map is linear, so every entry is exactly 0, 1 or -1."""
+    idx = np.asarray(idx)
+    unit = np.zeros((len(idx), spec.dim))
+    unit[np.arange(len(idx)), idx] = 1.0
+    return np.ascontiguousarray(linear_predictors(from_vector(unit, spec), d, spec).T)
 
 
 def bout_log_likelihoods(hits: np.ndarray, eta: np.ndarray) -> np.ndarray:

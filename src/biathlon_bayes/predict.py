@@ -76,7 +76,6 @@ class PredictiveSummary:
     ``tail_prob`` is the mid-p probability of exceeding ``observed``.
     """
 
-    label: str
     draws: np.ndarray
     mean: float
     median: float
@@ -90,15 +89,13 @@ class PredictiveSummary:
         return int(self.draws.shape[0])
 
     @classmethod
-    def from_draws(
-        cls, label: str, draws: np.ndarray, observed: float | None = None
-    ) -> "PredictiveSummary":
+    def from_draws(cls, draws: np.ndarray, observed: float | None = None) -> "PredictiveSummary":
         draws = np.asarray(draws, dtype=float)
         if draws.ndim != 1 or draws.size == 0:
             raise DataError("predictive draws must be a non-empty 1-D array")
         tail = mid_p_tail(draws, observed) if observed is not None else None
         obs = None if observed is None else float(observed)
-        return cls(label, draws, *map(float, summary(draws)), obs, tail)
+        return cls(draws, *map(float, summary(draws)), obs, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +340,7 @@ def stage_totals_ppc(joint: np.ndarray, dataset: Dataset) -> dict[int, Predictiv
     from the :func:`simulate_schedule` replicates ``joint``."""
     groups = _totals(joint, dataset, lambda rec: rec.stage)
     return {
-        t: PredictiveSummary.from_draws(f"stage {t}", groups[t][0], observed=groups[t][1])
+        t: PredictiveSummary.from_draws(groups[t][0], observed=groups[t][1])
         for t in sorted(groups)
     }
 
@@ -360,7 +357,7 @@ def race_position_ppc(
             totals, obs, n = groups[cell]
             shots = SHOTS_PER_BOUT * n
             out[cell] = PredictiveSummary.from_draws(
-                "/".join(cell), 100.0 * totals / shots, observed=100.0 * obs / shots
+                100.0 * totals / shots, observed=100.0 * obs / shots
             )
     return out
 
@@ -396,9 +393,6 @@ def cumulative_hits(joint: np.ndarray, dataset: Dataset, athlete: str) -> Cumula
     cum = np.cumsum([groups[race][0] for race in races], axis=0)
     obs_cum = itertools.accumulate(groups[race][1] for race in races)
     summaries = tuple(
-        PredictiveSummary.from_draws(
-            f"{athlete} through stage {stage} race {seq}", draws, observed=obs
-        )
-        for (stage, seq, _), draws, obs in zip(races, cum, obs_cum)
+        PredictiveSummary.from_draws(draws, observed=obs) for draws, obs in zip(cum, obs_cum)
     )
     return CumulativePath(athlete=athlete, races=races, summaries=summaries)

@@ -20,17 +20,18 @@ kernel is a valid fixed MCMC kernel.
 Chains draw from independent RNG streams keyed by (seed, chain index), so
 results are identical no matter how chains are scheduled across workers.
 
-Likelihood deltas are computed from cached per-record log-odds: a block
-move touches only its own record groups (every record for the stage
-baseline, the athlete plus the constrained last athlete for a trajectory
-block, the athlete for position and race blocks), and scale moves touch
-none.  Each block carries one description of those groups and of how a
-block step shifts their log-odds; the proposal and the commit both read
-it.  ``propose_delta`` returns the log-posterior delta together with a
-stash of everything it computed, and ``commit`` applies exactly that delta
-from the stash without recomputing a sum.  The cache is
-rebuilt from scratch periodically and at the burn-in boundary so float
-accumulation cannot drift.
+Likelihood deltas are computed from cached per-record log-odds.  Each
+latent block is built from its columns ``m`` of the model's log-odds
+Jacobian (``model.log_odds_jacobian``): the records whose row is non-zero
+are the ones its move touches, grouped by athlete in ascending order (the
+stage baseline touches every record, as one group), and a block step ``d``
+shifts their log-odds by ``m @ d``.  The same rows give the block's
+Fisher matrix ``w * m.T @ m``.  Scale moves touch no records.  The
+proposal and the commit both read these groups: ``propose_delta`` returns
+the log-posterior delta together with a stash of everything it computed,
+and ``commit`` applies exactly that delta from the stash without
+recomputing a sum.  The cache is rebuilt in full periodically and at
+the burn-in boundary so float accumulation cannot drift.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -243,31 +244,18 @@ def _rw_precision(T: int) -> np.ndarray:
 
 
 class _Group(NamedTuple):
-    """Records that one block move touches.  A block step ``d`` shifts their
-    log-odds by ``shift(d)``."""
+    """Records that one block move touches, with their rows ``m`` of
+    d eta / d x over the block's coordinates: a block step ``d`` shifts their
+    log-odds by ``m @ d``."""
 
     rec: np.ndarray | slice
     hits: np.ndarray
-    shift: Callable[[np.ndarray], np.ndarray]
+    m: np.ndarray
 
 
 # The mu move touches every record; its old log-likelihood sum is the
 # cache's running total rather than a fresh sum.
 _ALL = slice(None)
-
-
-def _stage_group(rec, hits, t, sign=1.0) -> _Group:
-    # trajectory coordinate t[i] enters record i's log-odds with ``sign``
-    return _Group(rec, hits, lambda d: sign * d[t])
-
-
-def _position_group(rec, hits, possign) -> _Group:
-    # the one gamma coordinate enters prone records with +1, standing with -1
-    return _Group(rec, hits, lambda d: d[0] * possign)
-
-
-def _design_group(rec, hits, m) -> _Group:
-    return _Group(rec, hits, lambda d: m @ d)
 
 
 class _Stash(NamedTuple):
@@ -300,7 +288,10 @@ class ModelTarget:
     """Posterior of the hierarchical model over its free coordinates.
 
     Every block's ``payload`` is ``(k, groups)``: its prior class and the
-    record groups its move touches (none for the scale blocks)."""
+    record groups its move touches (none for the scale blocks).  A latent
+    block's groups, ``fisher`` and ``precond`` all come from its columns of
+    ``model.log_odds_jacobian``, so the constraint expansion lives in
+    ``model`` only."""
 
     def __init__(self, spec: ModelSpec, dataset: Dataset):
         self.spec = spec
@@ -321,89 +312,38 @@ class ModelTarget:
         shots = SHOTS_PER_BOUT * len(hits)
         pbar = np.clip(hits.sum() / shots, 0.1, 0.9) if shots else 0.5
         w = SHOTS_PER_BOUT * pbar * (1.0 - pbar)  # Fisher info of eta per session
-        n_st = np.zeros((S, T))
-        np.add.at(n_st, (a.athlete, a.stage0), 1.0)
-        n_s = n_st.sum(axis=1)
-        n_sz = np.zeros((S, Z))
-        np.add.at(n_sz, (a.athlete, a.race), 1.0)
         self._rw_Q = _rw_precision(T)
 
-        blocks = []
-        info_mu = w * n_st.sum(axis=0)
-        blocks.append(
-            Block(
-                "mu",
-                np.arange(T),
-                1.0 / np.sqrt(info_mu + 1.0),
-                kind="mu",
-                payload=(_PRIOR_CLASS["mu"], (_stage_group(_ALL, hits, a.stage0),)),
-                fisher=np.diag(info_mu) if T > 1 else None,
-            )
-        )
+        def latent(name, kind, idx, repeats=1):
+            # d eta / d x[idx]; its non-zero rows are the records the move touches
+            m = _model.log_odds_jacobian(self.dataset, spec, idx)
+            if kind == "mu":
+                groups = (_Group(_ALL, hits, m),)
+            else:
+                rec = np.flatnonzero(m.any(axis=1))
+                who = a.athlete[rec]
+                groups = tuple(_Group(r, hits[r], m[r])
+                               for r in (rec[who == i] for i in np.unique(who)))
+            fisher = w * (m.T @ m)  # untouched rows are zero
+            return Block(name, idx, 1.0 / np.sqrt(np.diag(fisher) + 1.0), kind=kind,
+                         payload=(_PRIOR_CLASS[kind], groups),
+                         fisher=fisher if len(idx) > 1 else None, repeats=repeats)
+
+        blocks = [latent("mu", "mu", np.arange(T))]
         if spec.mu_only:
             return blocks
-        rec_of = [np.where(a.athlete == s)[0] for s in range(S)]
-        last = rec_of[S - 1]
-        # athlete S's trajectory is minus the sum of the free ones
-        last_group = _stage_group(last, hits[last], a.stage0[last], -1.0)
         for s in range(S - 1):
-            own = rec_of[s]
-            idx = np.arange(lay.beta.start + s * T, lay.beta.start + (s + 1) * T)
-            info = w * (n_st[s] + n_st[S - 1])
+            start = lay.beta.start + s * T
             # Two tries per visit: trajectory wiggles are prior-dominated, so
             # their amplitudes (which drive the beta scale's conditional) need
             # the extra turnover to keep the scale parameter mixing.
-            blocks.append(
-                Block(
-                    f"beta[{s + 1}]",
-                    idx,
-                    1.0 / np.sqrt(info + 1.0),
-                    kind="beta",
-                    payload=(
-                        _PRIOR_CLASS["beta"],
-                        (_stage_group(own, hits[own], a.stage0[own]), last_group),
-                    ),
-                    fisher=np.diag(info) if T > 1 else None,
-                    repeats=2 if T > 1 else 1,
-                )
-            )
+            blocks.append(latent(f"beta[{s + 1}]", "beta", np.arange(start, start + T),
+                                 repeats=2 if T > 1 else 1))
         for s in range(S):
-            rec = rec_of[s]
-            idx = np.array([lay.gamma.start + s])
-            info = np.array([w * n_s[s] + 1.0])
-            group = _position_group(rec, hits[rec], 1.0 - 2.0 * a.position[rec])
-            blocks.append(
-                Block(
-                    f"gamma[{s + 1}]",
-                    idx,
-                    1.0 / np.sqrt(info),
-                    kind="gamma",
-                    payload=(_PRIOR_CLASS["gamma"], (group,)),
-                )
-            )
+            blocks.append(latent(f"gamma[{s + 1}]", "gamma", np.array([lay.gamma.start + s])))
         for s in range(S):
-            rec = rec_of[s]
             start = lay.omega.start + s * (Z - 1)
-            idx = np.arange(start, start + Z - 1)
-            info = w * (n_sz[s, : Z - 1] + n_sz[s, Z - 1])
-            # race design against the constrained last type
-            races = a.race[rec]
-            design = (races[:, None] == np.arange(Z - 1)) - (races[:, None] == Z - 1).astype(float)
-            # race records of the constrained last type hit every free
-            # coordinate with sign -1, giving a rank-one Fisher cross term
-            fisher = np.diag(w * n_sz[s, : Z - 1]) + w * n_sz[s, Z - 1] * np.ones(
-                (Z - 1, Z - 1)
-            )
-            blocks.append(
-                Block(
-                    f"omega[{s + 1}]",
-                    idx,
-                    1.0 / np.sqrt(info + 1.0),
-                    kind="omega",
-                    payload=(_PRIOR_CLASS["omega"], (_design_group(rec, hits[rec], design),)),
-                    fisher=fisher if Z > 2 else None,
-                )
-            )
+            blocks.append(latent(f"omega[{s + 1}]", "omega", np.arange(start, start + Z - 1)))
         for k, name in enumerate(_model.SIGMA_NAMES):
             idx = np.array([lay.sigma.start + k])
             info = np.array([2.0 * self.class_n[k] + 2.0])
@@ -499,7 +439,7 @@ class ModelTarget:
         d_ll = 0.0
         touched = []
         for g in groups:
-            eta = cache.eta[g.rec] + g.shift(d)
+            eta = cache.eta[g.rec] + g.m @ d
             ll = _model.bout_log_likelihoods(g.hits, eta)
             old = cache.ll_sum if g.rec is _ALL else float(cache.ll[g.rec].sum())
             # summed group by group, left to right: the order sets the last

@@ -103,16 +103,31 @@ class TestExplore:
                        "--clusters", "2"])
         assert rc == 2
 
-    def test_clusters_on_complete_season(self, tmp_path):
-        sim = tmp_path / "sim5"
+    @pytest.fixture(scope="class")
+    def complete_season(self, tmp_path_factory):
+        """A 4-athlete season in which every athlete has a complete profile."""
+        sim = tmp_path_factory.mktemp("complete")
         assert cli.main(["simulate", "--out", str(sim), "--athletes", "4",
                          "--stages", "5", "--seed", "3"]) == 0
+        return str(sim / "sessions.csv")
+
+    def test_clusters_on_complete_season(self, complete_season, tmp_path):
         out = tmp_path / "exp5"
-        assert cli.main(["explore", "--data", str(sim / "sessions.csv"),
+        assert cli.main(["explore", "--data", complete_season,
                          "--out", str(out), "--clusters", "2"]) == 0
         assert (out / "merges.csv").exists()
         labels = (out / "labels.csv").read_text().strip().splitlines()
         assert len(labels) == 1 + 4  # header + one row per athlete
+
+    @pytest.mark.parametrize("k", ["0", "-2", "5"], ids=["zero", "negative", "n+1"])
+    def test_cluster_count_outside_1_to_n_exits_2_before_writing(self, complete_season,
+                                                                 tmp_path, k, capsys):
+        out = tmp_path / "exp"
+        rc = cli.main(["explore", "--data", complete_season, "--out", str(out),
+                       "--clusters", k])
+        assert rc == 2
+        assert f"k={k} outside 1..4" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rank_correlations(self, ws, tmp_path):
         d = load_sessions(_data(ws))
@@ -465,6 +480,26 @@ class TestValidate:
         assert result["pass"] is False
         assert result["replications"] == 20
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestCountsCheckedBeforeOutput:
+    """A count the library refuses exits 2 before manifest.json is written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--fit", "{fit}", "--data", "{data}", "--reps", "0"],
+        ["predict", "--fit", "{fit}", "--data", "{data}", "--reps", "-3"],
+        ["validate", "oracle", "--chains", "0"],
+        ["validate", "sbc", "--chains", "0"],
+        ["validate", "sbc", "--reps", "5"],
+        ["validate", "gradcheck", "--points", "0"],
+    ], ids=["predict-reps-0", "predict-reps-neg", "oracle-chains-0", "sbc-chains-0",
+            "sbc-reps-5", "gradcheck-points-0"])
+    def test_bad_count_exits_2_before_writing(self, ws, tmp_path, argv, capsys):
+        out = tmp_path / "out"
+        argv = [a.format(fit=ws / "fit", data=_data(ws)) for a in argv]
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigAndUsage:

@@ -213,7 +213,7 @@ class TestPredictiveSummary:
     def test_bounds_recomputable_by_independent_sort(self):
         rng = np.random.default_rng(8)
         draws = rng.integers(0, 120, size=777).astype(float)  # plenty of ties
-        s = PredictiveSummary.from_draws("t", draws, observed=60.0)
+        s = PredictiveSummary.from_draws(draws, observed=60.0)
         srt = np.sort(draws)
         n = len(draws)
         assert s.lower == srt[math.ceil(0.025 * n) - 1]
@@ -224,14 +224,14 @@ class TestPredictiveSummary:
         assert s.n_draws == n
 
     def test_observed_optional(self):
-        s = PredictiveSummary.from_draws("t", np.arange(10.0))
+        s = PredictiveSummary.from_draws(np.arange(10.0))
         assert s.observed is None and s.tail_prob is None
 
     def test_rejects_bad_draws(self):
         with pytest.raises(DataError):
-            PredictiveSummary.from_draws("t", np.zeros((3, 3)))
+            PredictiveSummary.from_draws(np.zeros((3, 3)))
         with pytest.raises(DataError):
-            PredictiveSummary.from_draws("t", np.array([]))
+            PredictiveSummary.from_draws(np.array([]))
 
 
 class TestPredictiveWiring:

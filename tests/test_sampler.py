@@ -151,14 +151,10 @@ class TestModelTargetBlocks:
         assert len(by_name["gamma[1]"].idx) == 1
 
 
-@pytest.fixture(scope="module", params=["small", "scalar_blocks", "mu_only"])
-def target(request, small_dataset, golden):
-    """ModelTarget on three shapes: the small season, an S=4 T=1 Z=2 season
-    whose mu, beta and omega blocks are all scalar, and the golden reduced
-    model."""
-    if request.param == "small":
+def _make_target(shape, small_dataset, golden):
+    if shape == "small":
         return sampler.ModelTarget(model.ModelSpec.for_dataset(small_dataset), small_dataset)
-    if request.param == "scalar_blocks":
+    if shape == "scalar_blocks":
         cfg = synth.SynthConfig(
             n_athletes=4, n_stages=1, schedule={1: ("individual", "sprint")}, seed=5
         )
@@ -166,6 +162,14 @@ def target(request, small_dataset, golden):
         return sampler.ModelTarget(model.ModelSpec(S=4, T=1, Z=2), d)
     d, spec = golden
     return sampler.ModelTarget(spec, d)
+
+
+@pytest.fixture(scope="module", params=["small", "scalar_blocks", "mu_only"])
+def target(request, small_dataset, golden):
+    """ModelTarget on three shapes: the small season, an S=4 T=1 Z=2 season
+    whose mu, beta and omega blocks are all scalar, and the golden reduced
+    model."""
+    return _make_target(request.param, small_dataset, golden)
 
 
 class TestModelTargetMoves:
@@ -212,6 +216,71 @@ class TestModelTargetMoves:
         assert cache.ll_sum == pytest.approx(fresh.ll_sum, abs=1e-9)
         assert cache.logp == pytest.approx(fresh.logp, abs=1e-9)
         assert cache.logp == pytest.approx(self._log_posterior(target, x), abs=1e-9)
+
+
+class TestLogOddsMap:
+    """``model.log_odds_jacobian`` is the derivative of the log-odds, and
+    every latent block's record groups are exactly its non-zero rows."""
+
+    @pytest.fixture(scope="class", params=["small", "scalar_blocks", "mu_only", "season"])
+    def mapped(self, request, small_dataset, golden, season_dataset):
+        if request.param == "season":
+            spec = model.ModelSpec.for_dataset(season_dataset)
+            return sampler.ModelTarget(spec, season_dataset)
+        return _make_target(request.param, small_dataset, golden)
+
+    @staticmethod
+    def _eta(target, x):
+        return model.linear_predictors(model.from_vector(x, target.spec), target.dataset,
+                                       target.spec)
+
+    def test_jacobian_is_the_log_odds_difference(self, mapped):
+        spec = mapped.spec
+        m = model.log_odds_jacobian(mapped.dataset, spec, np.arange(spec.dim))
+        assert m.shape == (len(mapped.hits), spec.dim)
+        assert set(np.unique(m)) <= {-1.0, 0.0, 1.0}
+        rng = np.random.default_rng(5)
+        x = mapped.initial_vector(rng)
+        d = 0.3 * rng.standard_normal(spec.dim)
+        want = self._eta(mapped, x + d) - self._eta(mapped, x)
+        np.testing.assert_allclose(m @ d, want, rtol=0, atol=1e-12)
+
+    def test_block_groups_scatter_the_map_bit_for_bit(self, mapped):
+        rng = np.random.default_rng(6)
+        zero = np.zeros(mapped.dim)
+        for block in mapped.blocks:
+            if block.kind == "sigma":
+                continue
+            d = rng.standard_normal(len(block.idx))
+            step = zero.copy()
+            step[block.idx] = d
+            want = self._eta(mapped, step) - self._eta(mapped, zero)
+            got = np.full(len(mapped.hits), np.nan)
+            sizes = 0
+            for g in block.payload[1]:
+                assert np.isnan(got[g.rec]).all(), block.name  # groups are disjoint
+                got[g.rec] = g.m @ d
+                sizes += len(g.hits)
+            touched = ~np.isnan(got)
+            assert touched.sum() == sizes, block.name
+            assert np.array_equal(got[touched], want[touched]), block.name
+            assert not want[~touched].any(), block.name  # untouched rows do not move
+
+    def test_latent_columns_at_paper_scale(self, season_dataset):
+        spec = model.ModelSpec.for_dataset(season_dataset)
+        lay = model.layout(spec)
+        m = model.log_odds_jacobian(season_dataset, spec, np.arange(lay.sigma.start))
+        assert m.shape == (2088, 450)
+        a = season_dataset.arrays
+        n = len(a.athlete)
+        n_last = int((a.athlete == spec.S - 1).sum())
+        n_last_race = int((a.race == spec.Z - 1).sum())
+        # mu and gamma: one entry per record; beta: one for a free athlete's
+        # record, S - 1 for the constrained athlete's; omega: one for a free
+        # race type, Z - 1 for the constrained one
+        count = (2 * n + (n - n_last) + (spec.S - 1) * n_last
+                 + (n - n_last_race) + (spec.Z - 1) * n_last_race)
+        assert np.count_nonzero(m) == count == 11360
 
 
 def test_cache_drift_between_rebuilds_at_paper_scale(season_dataset):
