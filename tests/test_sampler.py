@@ -7,11 +7,14 @@ import io
 import json
 import re
 import struct
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.signal import lfilter
+from scipy.special import logsumexp
 
 from biathlon_bayes import model, sampler, synth
 from biathlon_bayes.errors import DataError, NumericalError
@@ -129,9 +132,12 @@ class TestSamplerConfig:
 
 class TestModelTargetBlocks:
     def test_blocks_partition_the_coordinates(self, small_dataset):
+        # the blocks cover the latent field, draw_scales the four log scales
         spec = model.ModelSpec.for_dataset(small_dataset)
         target = sampler.ModelTarget(spec, small_dataset)
-        covered = np.concatenate([b.idx for b in target.blocks])
+        scales = np.arange(spec.dim)[target.lay.sigma]
+        assert len(scales) == 4
+        covered = np.concatenate([b.idx for b in target.blocks] + [scales])
         assert np.array_equal(np.sort(covered), np.arange(spec.dim))
 
     def test_block_layout(self, small_dataset):
@@ -139,15 +145,11 @@ class TestModelTargetBlocks:
         target = sampler.ModelTarget(spec, small_dataset)
         names = [b.name for b in target.blocks]
         assert names[0] == "mu"
-        assert names[-4:] == [
-            "log_sigma_mu",
-            "log_sigma_beta",
-            "log_sigma_gamma",
-            "log_sigma_omega",
-        ]
+        assert names[-1] == f"omega[{spec.S}]"  # the scales are no blocks
+        assert not any(n.startswith("log_sigma") for n in names)
         by_name = {b.name: b for b in target.blocks}
-        assert all(by_name[n].repeats == 8 for n in names[-4:])
         assert by_name["beta[1]"].repeats == 2  # multi-stage season
+        assert {b.repeats for b in target.blocks} == {1, 2}
         assert len(by_name["gamma[1]"].idx) == 1
 
 
@@ -187,7 +189,7 @@ class TestModelTargetMoves:
 
     def test_every_block_kind_is_covered(self, target):
         kinds = {b.kind for b in target.blocks}
-        want = {"mu"} if target.spec.mu_only else {"mu", "beta", "gamma", "omega", "sigma"}
+        want = {"mu"} if target.spec.mu_only else {"mu", "beta", "gamma", "omega"}
         assert kinds == want
 
     def test_delta_matches_log_posterior_difference(self, target):
@@ -302,6 +304,113 @@ def test_cache_drift_between_rebuilds_at_paper_scale(season_dataset):
     np.testing.assert_allclose(cache.eta, fresh.eta, rtol=0, atol=1e-9)
 
 
+
+_GIG_LOG_GRID = np.linspace(-80.0, 80.0, 100_001)
+
+
+def _gig_moments(p, w):
+    """E[X^r], r = 1..4, of GIG(p, w, w) by quadrature on log x: there the
+    density is proportional to exp(p u - w cosh u)."""
+    u = _GIG_LOG_GRID
+    lw = p * u - w * np.cosh(u)
+    l0 = logsumexp(lw)
+    return [float(np.exp(logsumexp(lw + r * u) - l0)) for r in (1, 2, 3, 4)]
+
+
+class TestScaleDraws:
+    """``_gig`` draws GIG(p, a, b), and ``draw_scales`` draws each log scale
+    from its exact full conditional."""
+
+    # q = |p| >= 1 or w > 1: ratio of uniforms about the mode; moderate w:
+    # ratio of uniforms at 0; small w with q < 1: the dominating density
+    @pytest.mark.parametrize("p", [0.0, 0.3, -0.3, -0.5, -1.5, -4.5, -44.5, -159.0])
+    @pytest.mark.parametrize("w", [1e-3, 0.05, 0.3, 0.8, 2.0, 7.0])
+    def test_gig_matches_scipy(self, p, w):
+        n = 5000
+        rng = np.random.default_rng(11)
+        x = np.array([sampler._gig(rng, p, w, w) for _ in range(n)])
+        ref = stats.geninvgauss(p, w)
+        assert stats.ks_2samp(x, ref.rvs(size=n, random_state=rng)).pvalue > 1e-4
+        m1, m2, m3, m4 = _gig_moments(p, w)
+        mean, var = m1, m2 - m1 * m1
+        with warnings.catch_warnings():  # scipy overflows at large |p| and small w
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = ref.stats("mv")
+        if np.isfinite(want).all():
+            np.testing.assert_allclose((mean, var), want, rtol=1e-6)
+        mu4 = m4 - 4.0 * m3 * m1 + 6.0 * m2 * m1 * m1 - 3.0 * m1 ** 4
+        assert abs(x.mean() - mean) < 5.0 * np.sqrt(var / n)
+        assert abs(x.var() - var) < 5.0 * np.sqrt((mu4 - var * var) / n)
+
+    def test_gig_scales_by_sqrt_b_over_a(self):
+        rng = np.random.default_rng(12)
+        x = np.array([sampler._gig(rng, -2.5, 4.0, 9.0) for _ in range(4000)])
+        y = 1.5 * stats.geninvgauss(-2.5, 6.0).rvs(size=4000, random_state=rng)
+        assert stats.ks_2samp(x, y).pvalue > 1e-3
+
+    @pytest.fixture
+    def scaled(self, small_dataset):
+        target = sampler.ModelTarget(model.ModelSpec.for_dataset(small_dataset), small_dataset)
+        x = target.initial_vector(np.random.default_rng(13))
+        return target, x, target.make_cache(x)
+
+    def test_steps_follow_the_exact_conditional(self, scaled):
+        target, x, cache = scaled
+        c, n_steps = target.spec.sigma_scale, 20_000
+        rng = np.random.default_rng(14)
+        i = np.arange(target.dim)[target.lay.sigma]
+        draws = np.empty((n_steps, 4))
+        for j in range(n_steps):
+            target.draw_scales(x, cache, rng)
+            draws[j] = x[i]
+        v = np.linspace(-12.0, 8.0, 200_001)
+        for k, name in enumerate(model.SIGMA_NAMES):
+            # the log sigma_k conditional given the latent field, on a grid
+            n, ss = target.class_n[k], cache.ss[k]
+            lw = model._gauss_class_logp(n, ss, v) + model._halfnormal_log_logp(v, c)
+            w = np.exp(lw - lw.max())
+            w /= w.sum()
+            mean = float(w @ v)
+            sd = float(np.sqrt(w @ (v - mean) ** 2))
+            got = draws[:, k]
+            assert abs(got.mean() - mean) < 4.0 * sd / np.sqrt(n_steps), name
+            assert abs(got.std() / sd - 1.0) < 4.0 / np.sqrt(2.0 * n_steps), name
+        # the draws moved logp by the exact change, and only the scales moved
+        assert abs(cache.logp - target.make_cache(x).logp) <= 1e-9
+
+    def test_mu_only_has_no_scales(self, golden):
+        d, spec = golden
+        target = sampler.ModelTarget(spec, d)
+        rng = np.random.default_rng(15)
+        x = target.initial_vector(rng)
+        cache = target.make_cache(x)
+        before, state = x.copy(), rng.bit_generator.state
+        target.draw_scales(x, cache, rng)
+        assert np.array_equal(x, before)
+        assert rng.bit_generator.state == state  # no draw taken
+
+    def test_an_improper_conditional_is_a_numerical_error(self, scaled):
+        target, x, cache = scaled
+        x[target.lay.gamma] = 0.0  # every gamma term zero: ss = 0
+        cache = target.make_cache(x)
+        with pytest.raises(NumericalError, match="log_sigma_gamma"):
+            target.draw_scales(x, cache, np.random.default_rng(16))
+        assert np.isfinite(x).all()
+        cache.ss[1] = np.nan
+        with pytest.raises(NumericalError, match="log_sigma_beta"):
+            target.draw_scales(x, cache, np.random.default_rng(16))
+        assert np.isfinite(x).all()
+
+    @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+    def test_a_draw_that_is_no_scale_is_a_numerical_error(self, scaled, monkeypatch, bad):
+        target, x, cache = scaled
+        before = x.copy()
+        monkeypatch.setattr(sampler, "_gig", lambda rng, p, a, b: bad)
+        with pytest.raises(NumericalError, match="log_sigma_mu"):
+            target.draw_scales(x, cache, np.random.default_rng(17))
+        assert np.array_equal(x, before)
+
+
 def _three_race_season():
     """S=4 T=3 Z=3: mu, beta and omega are all vector blocks."""
     schedule = {t: ("individual", "sprint", "pursuit") for t in (1, 2, 3)}
@@ -323,7 +432,7 @@ class TestPinnedDraws:
         return hashlib.sha256(draws.tobytes()).hexdigest()
 
     @pytest.mark.parametrize("digest", [
-        "d8bd48edb8e6b58e1157d23ea2d3fa3c86ba3c3e3db02cdf7ab6d1c765e4947a",
+        "c4b6d87b137f5dcbc41ea831a6b482fa0dcd129408a6d4d12982049972ea436b",
     ], ids=["random_walk"])
     def test_multi_stage_fit(self, digest, monkeypatch):
         monkeypatch.setenv(sampler.THREADS_ENV, "1")

@@ -43,7 +43,7 @@ def short_chain(small_dataset):
 
 def _per_sweep(target):
     """(tries, log-likelihood calls, records) per sweep: one call per record
-    group a try touches, and the scale blocks touch none."""
+    group a try touches; the scale draws make no try and touch no record."""
     tries = calls = records = 0
     for block in target.blocks:
         groups = block.payload[1]
@@ -105,8 +105,14 @@ def test_the_tracer_sees_every_layer_of_a_fit(short_chain):
     assert m["model.loglik_calls_per_sweep"] == pytest.approx(calls + rebuilds / sweeps)
     assert m["model.loglik_records_per_sweep"] == pytest.approx(records + rebuilds * n / sweeps)
     for kind in spans.KINDS:
-        assert m[f"sampler.propose_us.{kind}"] > 0, kind
-        assert m[f"sampler.commit_us.{kind}"] > 0, kind
+        # the scales are drawn exactly, by no propose_delta or commit
+        if kind == "sigma":
+            assert m[f"sampler.propose_us.{kind}"] == 0
+            assert m[f"sampler.commit_us.{kind}"] == 0
+            assert m[f"sampler.accept_rate.{kind}"] == 0
+        else:
+            assert m[f"sampler.propose_us.{kind}"] > 0, kind
+            assert m[f"sampler.commit_us.{kind}"] > 0, kind
     assert m["sampler.transform_us"] > 0
     assert m["sampler.sweep_ms"] > 0
     assert tracer.counts["sampler.sweeps"] == sweeps
