@@ -556,6 +556,21 @@ class TestRunChains:
         solo = run_chain(sampler.ModelTarget(spec, small_dataset), cfg, 1)
         assert np.array_equal(samples.draws[1], solo.draws)
 
+    def test_one_target_serves_every_in_process_chain(self, small_dataset, monkeypatch):
+        monkeypatch.setenv("BIATHLON_BAYES_THREADS", "1")
+        built = []
+        init = sampler.ModelTarget.__init__
+
+        def counting(self, spec, dataset):
+            built.append(1)
+            init(self, spec, dataset)
+
+        monkeypatch.setattr(sampler.ModelTarget, "__init__", counting)
+        spec = model.ModelSpec.for_dataset(small_dataset)
+        cfg = SamplerConfig(n_chains=3, burn_in=10, kept_iterations=10, thin=5, seed=1)
+        run_chains(spec, small_dataset, cfg)
+        assert len(built) == 1
+
     def test_small_fit_acceptance_rates(self, small_fit, small_dataset):
         target = sampler.ModelTarget(small_fit.spec, small_dataset)
         assert set(small_fit.acceptance_rates) == {b.name for b in target.blocks}
