@@ -491,8 +491,7 @@ def _cmd_fit(args) -> int:
 def _cmd_diagnose(args) -> int:
     draws_path = _find_draws(args.fit)
     samples = import_draws(draws_path)
-    _write_manifest(args, {"draws": {"path": draws_path, "sha256": _sha256(draws_path)}})
-
+    # every diagnostic is computed before the first output is written
     rows = [["param", "mean", "sd", "q2.5", "median", "q97.5", "rhat", "ess"]]
     max_rhat = (-math.inf, "")
     min_ess = (math.inf, "")
@@ -504,7 +503,6 @@ def _cmd_diagnose(args) -> int:
             max_rhat = (s.rhat, s.name)
         if s.ess < min_ess[0]:
             min_ess = (s.ess, s.name)
-    _write_csv(os.path.join(args.out, "diagnostics.csv"), rows)
     summary = {
         "n_params": len(samples.param_names),
         "n_chains": samples.n_chains,
@@ -515,6 +513,8 @@ def _cmd_diagnose(args) -> int:
         "min_ess_param": min_ess[1],
         "converged": bool(max_rhat[0] < 1.05 and min_ess[0] > 100),
     }
+    _write_manifest(args, {"draws": {"path": draws_path, "sha256": _sha256(draws_path)}})
+    _write_csv(os.path.join(args.out, "diagnostics.csv"), rows)
     _write_json(os.path.join(args.out, "diagnostics.json"), summary)
     print(
         f"diagnose: max split-Rhat {max_rhat[0]:.4f} ({max_rhat[1]}), "

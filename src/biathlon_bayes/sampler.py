@@ -5,17 +5,18 @@ One sweep visits a fixed block sequence: the stage baseline vector, each
 free athlete's trajectory, the per-athlete position scalars, each athlete's
 race-effect row; then it draws the four log scales.  Each block takes a
 Metropolis-Hastings step scaled by an adaptive scalar step size, shaped by
-a block preconditioner: vector blocks use the Cholesky factor of a local
-Gaussian approximation (likelihood Fisher information plus the exact prior
-precision at the current scale parameters — for trajectory blocks that is
-the tridiagonal random-walk precision, which carries the prior's serial
-correlation into the proposal), scalar blocks a fixed information-based
-scale.  The Cholesky factors are cached per prior class: the blocks of a
-class share one scale parameter, so when it moves, the whole class is
-factorized again with one stacked call.  The step size adapts by
-Robbins-Monro during burn-in only (toward 0.35 acceptance for vector
-blocks, 0.44 for scalars) and is frozen afterwards, so the post-burn-in
-kernel is a valid fixed MCMC kernel.
+the Cholesky factor of a local Gaussian approximation: the likelihood
+Fisher information plus the exact prior precision P_k / sigma_k^2 of the
+block's class at the current scale.  P_k is the unit prior precision of
+class k: the tridiagonal random-walk band for the stage baseline and the
+trajectories, which carries the prior's serial correlation into the
+proposal, and the identity for the position and race effects.  The
+Cholesky factors are cached per prior class: the blocks of a class share
+one scale parameter, so when it moves, the whole class is factorized again
+with one stacked call.  The step size adapts by Robbins-Monro during
+burn-in only (toward 0.35 acceptance for vector blocks, 0.44 for scalars)
+and is frozen afterwards, so the post-burn-in kernel is a valid fixed MCMC
+kernel.
 
 The scales need no Metropolis step: given the latent field, sigma_k^2 of
 prior class k is exactly GIG((1 - n_k)/2, 1/c^2, ss_k), for n_k iid
@@ -33,7 +34,8 @@ Jacobian (``model.log_odds_jacobian``): the records whose row is non-zero
 are the ones its move touches, grouped by athlete in ascending order (the
 stage baseline touches every record, as one group), and a block step ``d``
 shifts their log-odds by ``m @ d``.  The same rows give the block's
-Fisher matrix ``w * m.T @ m``.  Scale draws touch no records.  The
+Fisher matrix ``w * m.T @ m``, and ``v @ P_k @ v`` is the block's share of
+its class's prior sum of squares.  Scale draws touch no records.  The
 proposal and the commit both read these groups: ``propose_delta`` returns
 the log-posterior delta together with a stash of everything it computed,
 and ``commit`` applies exactly that delta from the stash without
@@ -110,24 +112,24 @@ class SamplerConfig:
 
 @dataclass
 class Block:
-    """One Gibbs block: coordinate indices, proposal shape, and a
-    target-specific payload describing which records it touches.
+    """One Gibbs block: coordinate indices, the likelihood information
+    matrix over them, and a target-specific payload describing which
+    records it touches.
 
     A block of one coordinate is a scalar block: it starts from a larger
     step and adapts toward a higher acceptance rate than a vector block.
-    ``precond`` is a fixed diagonal proposal scale; when ``fisher`` is set
-    (vector blocks) the target instead supplies a state-dependent proposal
-    matrix built from it, and ``precond`` is unused.  ``ModelTarget``
-    factorizes the ``fisher`` matrices of one prior class together and
-    caches the factors per class until that class's scale moves.
+    The target turns ``fisher`` into the block's proposal shape
+    (``proposal_transform``); ``ModelTarget`` adds the block's prior
+    precision at the current scale, factorizes the matrices of one prior
+    class together and caches the factors per class until that class's
+    scale moves.
     """
 
     name: str
     idx: np.ndarray
-    precond: np.ndarray
+    fisher: np.ndarray
     kind: str = "generic"
     payload: object = None
-    fisher: np.ndarray | None = None
     repeats: int = 1  # MH tries per sweep visit
 
 
@@ -135,14 +137,13 @@ class Block:
 # generic chain runner over a block target
 #
 # A target provides: dim, blocks, initial_vector(rng), make_cache(x),
-# propose_delta(x, cache, block, prop) -> (delta_logp, stash),
-# commit(x, cache, block, prop, stash).  The stash is the target's own
-# record of the proposal: commit, called only on acceptance and before x
-# changes, must raise cache.logp by exactly the delta that propose_delta
-# returned with it.  Optionally proposal_transform(x, block) -> A, with
-# A = inv(L).T for L the lower Cholesky factor of the block's proposal
-# precision, so the step A @ z has that precision's inverse as covariance;
-# or None to use the block's fixed diagonal scale.  Optionally
+# proposal_transform(x, block) -> A, propose_delta(x, cache, block, prop)
+# -> (delta_logp, stash) and commit(x, cache, block, prop, stash).  A is
+# inv(L).T for L the lower Cholesky factor of the block's proposal
+# precision, so the step A @ z has that precision's inverse as covariance.
+# The stash is the target's own record of the proposal: commit, called
+# only on acceptance and before x changes, must raise cache.logp by
+# exactly the delta that propose_delta returned with it.  Optionally
 # draw_scales(x, cache, rng), called once at the end of every sweep: an
 # exact Gibbs step on coordinates that no block covers, which updates x
 # and raises cache.logp by exactly the change it makes.
@@ -183,7 +184,6 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
     retained = np.empty((cfg.n_retained, target.dim))
     r_i = 0
 
-    transform = getattr(target, "proposal_transform", None)
     draw_scales = getattr(target, "draw_scales", None)
 
     for it in range(1, total + 1):
@@ -193,11 +193,7 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
                 cur = x[block.idx]
                 eps = np.exp(log_scale[b])
                 z = rng.standard_normal(len(block.idx))
-                A = transform(x, block) if transform is not None else None
-                if A is None:
-                    prop = cur + eps * block.precond * z
-                else:
-                    prop = cur + eps * (A @ z)
+                prop = cur + eps * (target.proposal_transform(x, block) @ z)
                 log_alpha, stash = target.propose_delta(x, cache, block, prop)
 
                 u = rng.random()  # always consumed: keeps streams aligned
@@ -268,7 +264,8 @@ class _Group(NamedTuple):
 
 
 # The mu move touches every record; its old log-likelihood sum is the
-# cache's running total rather than a fresh sum.
+# cache's running total rather than a fresh sum.  Moves test for it by type,
+# not identity, so a pickled target (a worker process's copy) does the same.
 _ALL = slice(None)
 
 
@@ -287,15 +284,6 @@ class _Stash(NamedTuple):
 # block kind; the mu and beta classes are random walks, the others iid
 _PRIOR_CLASS = {"mu": 0, "beta": 1, "gamma": 2, "omega": 3}
 _RANDOM_WALK = ("mu", "beta")
-# a block's share of its class's sufficient statistic.  The gamma block is
-# one scalar, squared as a scalar: numpy's scalar and array squares can
-# differ in the last bit, and the draws depend on which one is used.
-_BLOCK_SS = {
-    "mu": _model._rw_ss,
-    "beta": _model._rw_ss,
-    "gamma": lambda v: v[0] ** 2,
-    "omega": _model._sum_sq,
-}
 
 
 class ModelTarget:
@@ -303,10 +291,12 @@ class ModelTarget:
 
     The blocks cover the latent field; the four log scales are drawn by
     ``draw_scales``.  Every block's ``payload`` is ``(k, groups)``: its
-    prior class and the record groups its move touches.  A block's groups,
-    ``fisher`` and ``precond`` all come from its columns of
-    ``model.log_odds_jacobian``, so the constraint expansion lives in
-    ``model`` only."""
+    prior class and the record groups its move touches.  A block's groups
+    and ``fisher`` both come from its columns of ``model.log_odds_jacobian``,
+    so the constraint expansion lives in ``model`` only.  Each class keeps
+    its blocks' Fisher matrices, stacked, beside its unit prior precision
+    P_k: a block's prior precision is ``e^{-2 v_k} P_k`` and its share of
+    the class's sum of squares ``v @ P_k @ v``, one rule for every block."""
 
     def __init__(self, spec: ModelSpec, dataset: Dataset):
         self.spec = spec
@@ -317,7 +307,7 @@ class ModelTarget:
         a = _model._check_indices(dataset, spec)
         self.hits = a.hits
         self.blocks = self._build_blocks(a)
-        self._stack_fishers()
+        self._stack_classes()
 
     # ---- layout ----------------------------------------------------------
 
@@ -327,7 +317,6 @@ class ModelTarget:
         shots = SHOTS_PER_BOUT * len(hits)
         pbar = np.clip(hits.sum() / shots, 0.1, 0.9) if shots else 0.5
         w = SHOTS_PER_BOUT * pbar * (1.0 - pbar)  # Fisher info of eta per session
-        self._rw_Q = _rw_precision(T)
 
         def latent(name, kind, idx, repeats=1):
             # d eta / d x[idx]; its non-zero rows are the records the move touches
@@ -339,10 +328,8 @@ class ModelTarget:
                 who = a.athlete[rec]
                 groups = tuple(_Group(r, hits[r], m[r])
                                for r in (rec[who == i] for i in np.unique(who)))
-            fisher = w * (m.T @ m)  # untouched rows are zero
-            return Block(name, idx, 1.0 / np.sqrt(np.diag(fisher) + 1.0), kind=kind,
-                         payload=(_PRIOR_CLASS[kind], groups),
-                         fisher=fisher if len(idx) > 1 else None, repeats=repeats)
+            return Block(name, idx, w * (m.T @ m), kind=kind,  # untouched rows are zero
+                         payload=(_PRIOR_CLASS[kind], groups), repeats=repeats)
 
         blocks = [latent("mu", "mu", np.arange(T))]
         if spec.mu_only:
@@ -361,35 +348,35 @@ class ModelTarget:
             blocks.append(latent(f"omega[{s + 1}]", "omega", np.arange(start, start + Z - 1)))
         return blocks
 
-    def _stack_fishers(self):
-        """Stack the vector blocks' Fisher matrices by prior class (every
-        block of a class has the same size) and note each block's slot."""
+    def _stack_classes(self):
+        """Per prior class: its blocks' Fisher matrices stacked (every block
+        of a class has the same size) and its unit prior precision P_k, the
+        random-walk band for mu and beta and the identity for gamma and
+        omega.  Notes each block's slot in its class's stack."""
         members: dict[int, list[Block]] = {}
         for b in self.blocks:
-            if b.fisher is not None:
-                members.setdefault(b.payload[0], []).append(b)
-        self._fisher = {}
+            members.setdefault(b.payload[0], []).append(b)
+        self._classes = {}
         for k, bs in members.items():
             n = len(bs[0].idx)
-            prior = self._rw_Q if bs[0].kind in _RANDOM_WALK else np.eye(n)
-            self._fisher[k] = (np.stack([b.fisher for b in bs]), prior)
+            prior = _rw_precision(n) if bs[0].kind in _RANDOM_WALK else np.eye(n)
+            self._classes[k] = (np.stack([b.fisher for b in bs]), prior)
         self._slot = {b.name: i for bs in members.values() for i, b in enumerate(bs)}
         self._chol: dict[int, tuple[float, np.ndarray]] = {}
 
     def proposal_transform(self, x, block):
         """``inv(L).T`` for ``L`` the Cholesky factor of the block's
-        Gaussian-approximation precision (Fisher + prior precision at the
-        current scale), or None for scalar blocks.  The matrices are cached
-        per prior class: when the class's scale has moved, every block of
-        the class is factorized again by one stacked ``cholesky`` and one
-        stacked ``solve``, which give the same bits as one call per block."""
-        if block.fisher is None:
-            return None
+        Gaussian-approximation precision: its Fisher matrix plus its class's
+        prior precision ``e^{-2v} P_k`` at the current scale.  The matrices
+        are cached per prior class: when the class's scale has moved, every
+        block of the class is factorized again by one stacked ``cholesky``
+        and one stacked ``solve``, which give the same bits as one call per
+        block."""
         k = block.payload[0]
         v = self._log_sigma(x, k)
         hit = self._chol.get(k)
         if hit is None or hit[0] != v:
-            fisher, prior = self._fisher[k]
+            fisher, prior = self._classes[k]
             L = np.linalg.cholesky(fisher + np.exp(-2.0 * v) * prior)
             A = np.linalg.solve(L, np.broadcast_to(np.eye(len(prior)), L.shape))
             hit = self._chol[k] = (v, A.swapaxes(-1, -2))
@@ -411,11 +398,15 @@ class ModelTarget:
         ss = _model.class_stats(state, self.spec)[1]
         ll_sum = float(ll.sum())
         logp = ll_sum + _model.log_prior(state, self.spec)
-        share = {b.name: _BLOCK_SS[b.kind](x[b.idx]) for b in self.blocks}
+        share = {b.name: self._share(b, x[b.idx]) for b in self.blocks}
         return _Cache(eta=eta, ll=ll, ll_sum=ll_sum, ss=ss, logp=logp, share=share)
 
     def _log_sigma(self, x: np.ndarray, k: int) -> float:
         return 0.0 if self.spec.mu_only else float(x[self.lay.sigma.start + k])
+
+    def _share(self, block, v: np.ndarray) -> float:
+        """The block's term ``v @ P_k @ v`` of its class's sum of squares."""
+        return float(v @ self._classes[block.payload[0]][1] @ v)
 
     # ---- block moves -------------------------------------------------------
 
@@ -428,16 +419,13 @@ class ModelTarget:
         for g in groups:
             eta = cache.eta[g.rec] + g.m @ d
             ll = _model.bout_log_likelihoods(g.hits, eta)
-            old = cache.ll_sum if g.rec is _ALL else float(cache.ll[g.rec].sum())
+            old = cache.ll_sum if isinstance(g.rec, slice) else float(cache.ll[g.rec].sum())
             # summed group by group, left to right: the order sets the last
             # bits of the delta, and through it the draws
             d_ll = d_ll + float(ll.sum()) - old
             touched.append((g.rec, eta, ll))
-        share = _BLOCK_SS[block.kind](prop)
-        if block.kind == "mu":  # the block is its whole class
-            ss_new = share
-        else:
-            ss_new = cache.ss[k] - cache.share[block.name] + share
+        share = self._share(block, prop)
+        ss_new = cache.ss[k] - cache.share[block.name] + share
         d_prior = -0.5 * (ss_new - cache.ss[k]) * np.exp(-2.0 * self._log_sigma(x, k))
         delta = d_ll + d_prior
         return delta, _Stash(tuple(touched), d_ll, k, ss_new, delta, share)
@@ -606,11 +594,6 @@ class PosteriorSamples:
         return self.draws[:, :, self.name_index(param)]
 
 
-def _chain_job(args) -> ChainResult:
-    spec, dataset, cfg, chain_idx = args
-    return run_chain(ModelTarget(spec, dataset), cfg, chain_idx)
-
-
 def worker_cap() -> int:
     """Worker processes for the chains: ``BIATHLON_BAYES_THREADS`` if set,
     else the CPU count, and at least one."""
@@ -630,20 +613,20 @@ def run_chains(
 
     Chains are distributed over at most :func:`worker_cap` processes; draws
     are identical for any worker count because every chain owns its RNG
-    stream.  In one process every chain runs on one ``ModelTarget``: its
-    only state is the factor cache, keyed by the scale value it was built
-    at, so sharing it does not change a bit.
+    stream.  Every chain runs on one ``ModelTarget`` (a worker process on
+    its own copy): its only state is the factor cache, keyed by the scale
+    value it was built at, so sharing it does not change a bit.
     """
     cfg = cfg or SamplerConfig()
     t0 = time.perf_counter()
-    workers = worker_cap()
-    if workers == 1 or cfg.n_chains == 1:
-        target = ModelTarget(spec, dataset)
-        results = [run_chain(target, cfg, c) for c in range(cfg.n_chains)]
+    target = ModelTarget(spec, dataset)
+    n = cfg.n_chains
+    workers = min(worker_cap(), n)
+    if workers == 1:
+        results = [run_chain(target, cfg, c) for c in range(n)]
     else:
-        jobs = [(spec, dataset, cfg, c) for c in range(cfg.n_chains)]
-        with ProcessPoolExecutor(max_workers=min(workers, cfg.n_chains)) as ex:
-            results = list(ex.map(_chain_job, jobs))
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            results = list(ex.map(run_chain, [target] * n, [cfg] * n, range(n)))
     block_names = results[0].block_names
     acceptance = {
         name: tuple(float(r.acceptance[i]) for r in results)
@@ -850,17 +833,19 @@ def _csv_chunks(samples: PosteriorSamples):
 
 def _parse_manifest(raw: bytes) -> dict:
     """Decode a draws manifest (binary header or CSV sidecar): a JSON
-    object whose draw counts are non-negative integers, else DataError."""
+    object holding at least one draw (positive ``n_chains`` and
+    ``n_retained``) of a non-negative ``dim``, else DataError."""
     try:
         manifest = json.loads(raw.decode())
     except ValueError as e:  # undecodable bytes or malformed JSON
         raise DataError(f"bad draws manifest: {e}") from None
     if not isinstance(manifest, dict):
         raise DataError("bad draws manifest: not a JSON object")
-    for key in ("n_chains", "n_retained", "dim"):
+    for key, least in (("n_chains", 1), ("n_retained", 1), ("dim", 0)):
         n = manifest.get(key)
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise DataError(f"bad draws manifest: {key} must be a non-negative integer")
+        if isinstance(n, bool) or not isinstance(n, int) or n < least:
+            kind = "positive" if least else "non-negative"
+            raise DataError(f"bad draws manifest: {key} must be a {kind} integer")
     return manifest
 
 

@@ -215,7 +215,21 @@ class TestDiagnose:
         fitdir = tmp_path / "flatfit"
         fitdir.mkdir()
         sampler.export_draws(frozen, fitdir / "draws.bin")
-        assert cli.main(["diagnose", "--fit", str(fitdir), "--out", str(tmp_path)]) == 3
+        out = tmp_path / "diag"
+        assert cli.main(["diagnose", "--fit", str(fitdir), "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_too_short_fit_writes_nothing(self, tmp_path, capsys):
+        # 2 draws per chain: too few for split-Rhat, found before any output
+        sim, fit, out = tmp_path / "sim", tmp_path / "fit", tmp_path / "diag"
+        assert cli.main(["simulate", "--out", str(sim), "--athletes", "3",
+                         "--stages", "2", "--seed", "5"]) == 0
+        assert cli.main(["fit", "--data", str(sim / "sessions.csv"), "--out", str(fit),
+                         "--chains", "2", "--burnin", "10", "--keep", "10",
+                         "--thin", "5", "--seed", "1"]) == 0
+        assert cli.main(["diagnose", "--fit", str(fit), "--out", str(out)]) == 3
+        assert "insufficient draws for split-rhat" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("sidecar", ["{not json", "[]"])
     def test_malformed_csv_sidecar_exit_2(self, ws, tmp_path, capsys, sidecar):
@@ -326,6 +340,18 @@ class TestPredict:
                          "--future-schedule", _data(ws)]) == 0
         lines = (out / "forecast.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 72
+
+    def test_an_empty_draws_container_writes_nothing(self, ws, tmp_path, capsys):
+        samples = sampler.import_draws(ws / "fit" / "draws.bin")
+        fitdir = tmp_path / "emptyfit"
+        fitdir.mkdir()
+        sampler.export_draws(dataclasses.replace(samples, draws=samples.draws[:, :0]),
+                             fitdir / "draws.bin")
+        out = tmp_path / "pred"
+        assert cli.main(["predict", "--fit", str(fitdir), "--data", _data(ws),
+                         "--out", str(out), "--reps", "20"]) == 2
+        assert "n_retained must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_digest_mismatch_rejected(self, ws, tmp_path, capsys):
         other = tmp_path / "othersim"
@@ -575,7 +601,7 @@ class TestConfigAndUsage:
         draws = sampler.import_draws(tmp_path / "fit" / "draws.bin").draws
         # the draws of the same fit with the removed proposal setting left out
         assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == (
-            "1677d4999647e3b8d55765f427a0a60d78c72c41a0c589820ed8d28307b7b8c3"
+            "77ef913f8629788f442994f584f3ae8ba888360e5708a6b39d79ffbca196207e"
         )
 
     def test_older_validate_manifest_replays_its_result(self, tmp_path):
@@ -587,7 +613,7 @@ class TestConfigAndUsage:
         })
         assert cli.main(["validate", "oracle", "--config", str(manifest)]) == 0
         assert hashlib.sha256((tmp_path / "val" / "oracle.json").read_bytes()).hexdigest() == (
-            "79456607b85a095a84547a395b537f8e5a35d4bbf4893933849da3a87efc8baa"
+            "c2da62bc00fefb28890e46883a6d703dfeaa2fb20fb4003337e81bf8cdff34dd"
         )
 
     def test_removed_kernel_in_config_exits_2_before_writing(self, ws, tmp_path, capsys):

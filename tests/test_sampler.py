@@ -2,6 +2,7 @@
 adaptation bookkeeping, convergence diagnostics, and the draws container."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -37,7 +38,8 @@ class _GaussTarget:
     """Correlated-normal toy target driven through the generic runner.
 
     ``block_mode`` picks one joint vector block or one scalar block per
-    coordinate, so both adaptation targets get exercised.
+    coordinate, so both adaptation targets get exercised.  Each block's
+    ``fisher`` is its conditional precision, and it proposes from that.
     """
 
     def __init__(self, mean, cov, block_mode="vector"):
@@ -45,12 +47,16 @@ class _GaussTarget:
         self.prec = np.linalg.inv(np.asarray(cov, dtype=float))
         self.dim = len(self.mean)
         if block_mode == "vector":
-            self.blocks = [Block("xy", np.arange(self.dim), np.ones(self.dim))]
+            named = [("xy", np.arange(self.dim))]
         else:
-            self.blocks = [Block(f"x{i}", np.array([i]), np.ones(1)) for i in range(self.dim)]
+            named = [(f"x{i}", np.array([i])) for i in range(self.dim)]
+        self.blocks = [Block(name, idx, self.prec[np.ix_(idx, idx)]) for name, idx in named]
 
     def initial_vector(self, rng):
         return rng.standard_normal(self.dim)
+
+    def proposal_transform(self, x, block):
+        return np.linalg.inv(np.linalg.cholesky(block.fisher)).T
 
     def _logp(self, x):
         d = x - self.mean
@@ -432,7 +438,7 @@ class TestPinnedDraws:
         return hashlib.sha256(draws.tobytes()).hexdigest()
 
     @pytest.mark.parametrize("digest", [
-        "c4b6d87b137f5dcbc41ea831a6b482fa0dcd129408a6d4d12982049972ea436b",
+        "d109441150c019db88621c3fd8f765eb20617955701a4bbd5416cf4134c441e5",
     ], ids=["random_walk"])
     def test_multi_stage_fit(self, digest, monkeypatch):
         monkeypatch.setenv(sampler.THREADS_ENV, "1")
@@ -445,21 +451,24 @@ class TestPinnedDraws:
         d, spec = golden
         cfg = SamplerConfig(n_chains=2, burn_in=100, kept_iterations=300, thin=1, seed=7)
         assert self._sha(run_chains(spec, d, cfg)) == (
-            "12be54df9c864a87c5cb8c12a811ba5856bc514470d814b3b86cc21b7e0db1e8"
+            "21ad0c025624245769efb7adc2322e3f0a6ef23c032b8119443a37bdd14f21e0"
         )
+
+
+@pytest.fixture(params=["three_race", "season"])
+def class_target(request, season_dataset):
+    """A target whose four prior classes all have blocks."""
+    if request.param == "three_race":
+        d, spec = _three_race_season()
+    else:
+        d, spec = season_dataset, model.ModelSpec.for_dataset(season_dataset)
+    return sampler.ModelTarget(spec, d)
 
 
 class TestProposalFactorization:
     """``proposal_transform`` factorizes each prior class with one stacked
-    call and hands every vector block its own ``inv(L).T`` slice."""
-
-    @pytest.fixture(params=["three_race", "season"])
-    def target(self, request, season_dataset):
-        if request.param == "three_race":
-            d, spec = _three_race_season()
-        else:
-            d, spec = season_dataset, model.ModelSpec.for_dataset(season_dataset)
-        return sampler.ModelTarget(spec, d)
+    call and hands every block, scalar or vector, its own ``inv(L).T``
+    slice of ``fisher + e^{-2v} P_k``."""
 
     @staticmethod
     def _unbatched(target, x, block):
@@ -470,25 +479,23 @@ class TestProposalFactorization:
         L = np.linalg.cholesky(precision)
         return precision, np.linalg.solve(L, np.eye(n)).T
 
-    def test_each_block_gets_its_own_factor(self, target):
+    def test_each_block_gets_its_own_factor(self, class_target):
+        target = class_target
         x = target.initial_vector(np.random.default_rng(2))
-        vector_blocks = [b for b in target.blocks if b.fisher is not None]
-        assert {b.kind for b in vector_blocks} == {"mu", "beta", "omega"}
-        for block in vector_blocks:
+        assert {b.kind for b in target.blocks} == {"mu", "beta", "gamma", "omega"}
+        for block in target.blocks:
             A = target.proposal_transform(x, block)
             precision, A1 = self._unbatched(target, x, block)
             # A @ A.T is the inverse precision: the covariance of the step A @ z
             np.testing.assert_allclose(A @ A.T @ precision, np.eye(len(block.idx)),
                                        rtol=0, atol=1e-9)
             assert np.array_equal(A, A1), block.name
-        for block in target.blocks:
-            if block.fisher is None:
-                assert target.proposal_transform(x, block) is None
 
-    def test_moving_a_scale_refreshes_its_class_only(self, target, monkeypatch):
+    def test_moving_a_scale_refreshes_its_class_only(self, class_target, monkeypatch):
+        target = class_target
         x = target.initial_vector(np.random.default_rng(3))
-        vector_blocks = [b for b in target.blocks if b.fisher is not None]
-        before = {b.name: target.proposal_transform(x, b) for b in vector_blocks}
+        blocks = target.blocks
+        before = {b.name: target.proposal_transform(x, b) for b in blocks}
         stacks = []
         cholesky = np.linalg.cholesky
 
@@ -497,15 +504,13 @@ class TestProposalFactorization:
             return cholesky(a)
 
         for k, kind in enumerate(model.SIGMA_NAMES):
-            if kind == "gamma":  # scalar blocks: no factorization
-                continue
             x[target.lay.sigma.start + k] += 0.3
             stacks.clear()
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "cholesky", counting)
-                got = {b.name: target.proposal_transform(x, b) for b in vector_blocks}
-            members = [b for b in vector_blocks if b.kind == kind]
-            for block in vector_blocks:
+                got = {b.name: target.proposal_transform(x, b) for b in blocks}
+            members = [b for b in blocks if b.kind == kind]
+            for block in blocks:
                 A = got[block.name]
                 if block.kind == kind:
                     _, A1 = self._unbatched(target, x, block)
@@ -516,6 +521,23 @@ class TestProposalFactorization:
             n = len(members[0].idx)
             assert stacks == [(len(members), n, n)], kind
             before = got
+
+
+class TestBlockShares:
+    """Every block prices its prior as ``v @ P_k @ v``, its share of its
+    class's sum of squares; the shares of a class add up to the ss that
+    ``model.class_stats`` computes from the random-walk increments or the
+    squares."""
+
+    def test_shares_sum_to_the_class_ss(self, class_target):
+        target = class_target
+        for seed in range(3):
+            x = target.initial_vector(np.random.default_rng(seed))
+            cache = target.make_cache(x)
+            ss = model.class_stats(model.from_vector(x, target.spec), target.spec)[1]
+            for k, kind in enumerate(model.SIGMA_NAMES):
+                total = sum(cache.share[b.name] for b in target.blocks if b.kind == kind)
+                assert total == pytest.approx(ss[k], rel=1e-12, abs=0), kind
 
 
 class TestRunChains:
@@ -846,6 +868,13 @@ class TestDrawsContainer:
         export_draws(small_fit, path, fmt="csv")
         (tmp_path / "draws.csv.manifest.json").write_bytes(bad)
         with pytest.raises(DataError, match="manifest"):
+            import_draws(path)
+
+    @pytest.mark.parametrize("empty", [np.s_[:0], np.s_[:, :0]], ids=["no_chains", "no_draws"])
+    def test_a_container_without_draws_is_a_data_error(self, small_fit, tmp_path, empty):
+        path = tmp_path / "draws.bin"
+        export_draws(dataclasses.replace(small_fit, draws=small_fit.draws[empty]), path)
+        with pytest.raises(DataError, match="must be a positive integer"):
             import_draws(path)
 
     @pytest.mark.parametrize("bad", _BAD_MANIFESTS)
