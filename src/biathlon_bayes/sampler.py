@@ -1,22 +1,32 @@
 """Adaptive Metropolis-within-Gibbs sampling, convergence diagnostics, and
 the draws container.
 
-One sweep visits a fixed block sequence: the stage baseline vector, each
-free athlete's trajectory, the per-athlete position scalars, each athlete's
-race-effect row; then it draws the four log scales.  Each block takes a
-Metropolis-Hastings step scaled by an adaptive scalar step size, shaped by
-the Cholesky factor of a local Gaussian approximation: the likelihood
-Fisher information plus the exact prior precision P_k / sigma_k^2 of the
-block's class at the current scale.  P_k is the unit prior precision of
-class k: the tridiagonal random-walk band for the stage baseline and the
-trajectories, which carries the prior's serial correlation into the
-proposal, and the identity for the position and race effects.  The
-Cholesky factors are cached per prior class: the blocks of a class share
-one scale parameter, so when it moves, the whole class is factorized again
-with one stacked call.  The step size adapts by Robbins-Monro during
-burn-in only (toward 0.35 acceptance for vector blocks, 0.44 for scalars)
-and is frozen afterwards, so the post-burn-in kernel is a valid fixed MCMC
-kernel.
+One sweep visits the latent field in a fixed order: the stage baseline
+vector, each free athlete's trajectory (two tries each when there are
+several stages), all athletes' position effects in one class step, all
+athletes' race-effect rows in another; then it draws the four log scales.
+Every row of the field (the baseline, one trajectory, one athlete's
+position effect or race-effect row) takes a Metropolis-Hastings step
+scaled by its own adaptive scalar step size, shaped by the Cholesky factor
+of a local Gaussian approximation: the likelihood Fisher information plus
+the exact prior precision P_k / sigma_k^2 of the row's class at the
+current scale.  P_k is the unit prior precision of class k: the
+tridiagonal random-walk band for the stage baseline and the trajectories,
+which carries the prior's serial correlation into the proposal, and the
+identity for the position and race effects.  The Cholesky factors are
+cached per prior class: the rows of a class share one scale parameter, so
+when it moves, the whole class is factorized again with one stacked call.
+The step size adapts by Robbins-Monro during burn-in only (toward 0.35
+acceptance for vector rows, 0.44 for scalars) and is frozen afterwards, so
+the post-burn-in kernel is a valid fixed MCMC kernel.
+
+A class whose rows touch pairwise disjoint records (each athlete's
+position effect, each athlete's race-effect row) is conditionally
+independent row by row given everything else, so its rows are proposed,
+priced, accepted and committed together, each on its own, in one
+vectorized step: the same Markov transition as stepping them one after
+another (Roberts & Sahu 1997, JRSS B 59:291).  Trajectories are coupled
+through the constrained last athlete's records and step one at a time.
 
 The scales need no Metropolis step: given the latent field, sigma_k^2 of
 prior class k is exactly GIG((1 - n_k)/2, 1/c^2, ss_k), for n_k iid
@@ -29,18 +39,22 @@ Chains draw from independent RNG streams keyed by (seed, chain index), so
 results are identical no matter how chains are scheduled across workers.
 
 Likelihood deltas are computed from cached per-record log-odds.  Each
-latent block is built from its columns ``m`` of the model's log-odds
-Jacobian (``model.log_odds_jacobian``): the records whose row is non-zero
-are the ones its move touches, grouped by athlete in ascending order (the
-stage baseline touches every record, as one group), and a block step ``d``
-shifts their log-odds by ``m @ d``.  The same rows give the block's
-Fisher matrix ``w * m.T @ m``, and ``v @ P_k @ v`` is the block's share of
-its class's prior sum of squares.  Scale draws touch no records.  The
-proposal and the commit both read these groups: ``propose_delta`` returns
-the log-posterior delta together with a stash of everything it computed,
-and ``commit`` applies exactly that delta from the stash without
-recomputing a sum.  The cache is rebuilt in full periodically and at
-the burn-in boundary so float accumulation cannot drift.
+latent row is built from its columns ``m`` of the model's log-odds
+Jacobian (``model.log_odds_jacobian``): the records whose row of ``m`` is
+non-zero are the ones its move touches, and a step ``d`` shifts their
+log-odds by ``m @ d``.  Every block reads its records as one group, in
+record order: a trajectory its own athlete's and the constrained
+athlete's records, a class step every record its rows touch, each tagged
+with the row that owns it (the stage baseline touches every record).  The
+same columns give each row's Fisher matrix ``w * m.T @ m``, and
+``v @ P_k @ v`` is the row's share of its class's prior sum of squares.
+Scale draws touch no records.  The proposal and the commit both read the
+group: ``propose_delta`` (``propose_rows`` for a class step) returns the
+log-posterior delta, one per row, together with a stash of everything it
+computed, and ``commit`` (``commit_rows``, given the accepted rows)
+applies exactly those deltas from the stash without recomputing a sum.
+The cache is rebuilt in full periodically and at the burn-in boundary so
+float accumulation cannot drift.
 """
 
 from __future__ import annotations
@@ -116,13 +130,17 @@ class Block:
     matrix over them, and a target-specific payload describing which
     records it touches.
 
-    A block of one coordinate is a scalar block: it starts from a larger
-    step and adapts toward a higher acceptance rate than a vector block.
-    The target turns ``fisher`` into the block's proposal shape
-    (``proposal_transform``); ``ModelTarget`` adds the block's prior
-    precision at the current scale, factorizes the matrices of one prior
-    class together and caches the factors per class until that class's
-    scale moves.
+    A 1-D ``idx`` is one row, stepped on its own.  A 2-D ``idx`` of shape
+    ``(rows, n)`` is a class of rows that are conditionally independent
+    given everything else: they step together, each accepted or rejected
+    on its own, and row ``r`` reports as ``f"{name}[{r + 1}]"``; its
+    ``fisher`` is stacked, ``(rows, n, n)``.  A row of one coordinate is
+    a scalar row: it starts from a larger step and adapts toward a higher
+    acceptance rate than a vector row.  The target turns ``fisher`` into
+    the proposal shape (``proposal_transform``); ``ModelTarget`` adds the
+    prior precision at the current scale, factorizes the matrices of one
+    prior class together and caches the factors per class until that
+    class's scale moves.
     """
 
     name: str
@@ -132,21 +150,36 @@ class Block:
     payload: object = None
     repeats: int = 1  # MH tries per sweep visit
 
+    @property
+    def rows(self) -> int:
+        return 1 if self.idx.ndim == 1 else len(self.idx)
+
+    @property
+    def row_names(self) -> list[str]:
+        if self.idx.ndim == 1:
+            return [self.name]
+        return [f"{self.name}[{r + 1}]" for r in range(len(self.idx))]
+
 
 # ---------------------------------------------------------------------------
 # generic chain runner over a block target
 #
 # A target provides: dim, blocks, initial_vector(rng), make_cache(x),
 # proposal_transform(x, block) -> A, propose_delta(x, cache, block, prop)
-# -> (delta_logp, stash) and commit(x, cache, block, prop, stash).  A is
-# inv(L).T for L the lower Cholesky factor of the block's proposal
-# precision, so the step A @ z has that precision's inverse as covariance.
-# The stash is the target's own record of the proposal: commit, called
-# only on acceptance and before x changes, must raise cache.logp by
-# exactly the delta that propose_delta returned with it.  Optionally
-# draw_scales(x, cache, rng), called once at the end of every sweep: an
-# exact Gibbs step on coordinates that no block covers, which updates x
-# and raises cache.logp by exactly the change it makes.
+# -> (delta_logp, stash), commit(x, cache, block, prop, stash) and
+# draw_scales(x, cache, rng); a target with class blocks (2-D idx) also
+# propose_rows(x, cache, block, prop) -> (delta per row, stash) and
+# commit_rows(x, cache, block, prop, stash, accept).  A is inv(L).T for L
+# the lower Cholesky factor of the block's proposal precision (stacked, one
+# per row, for a class block), so the step A @ z has that precision's
+# inverse as covariance.  The stash is the target's own record of the
+# proposal: commit, called only on acceptance and before x changes, must
+# raise cache.logp by exactly the delta that propose_delta returned with
+# it; commit_rows, called before x changes with the mask of accepted rows
+# (at least one), by exactly the sum of their deltas.  draw_scales, called
+# once at the end of every sweep, is an exact Gibbs step on coordinates
+# that no block covers (a no-op if there are none): it updates x and
+# raises cache.logp by exactly the change it makes.
 
 
 @dataclass
@@ -172,48 +205,58 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
         )
 
     blocks = target.blocks
-    nb = len(blocks)
-    log_scale = np.array(
-        [0.875 if len(b.idx) == 1 else np.log(2.38 / np.sqrt(len(b.idx))) for b in blocks]
+    counts = [b.rows for b in blocks]
+    ends = np.cumsum(counts)
+    rows = [slice(e - c, e) for c, e in zip(counts, ends)]  # each block's rows
+    size = [b.idx.shape[-1] for b in blocks]
+    # every row adapts its own step size; the rows of a block share its try
+    # count, and with it the Robbins-Monro gain
+    log_scale = np.repeat(
+        [0.875 if n == 1 else np.log(2.38 / np.sqrt(n)) for n in size], counts
     )  # 0.875 = ln 2.4
-    adapt_count = np.zeros(nb)
-    post_prop = np.zeros(nb)
-    post_acc = np.zeros(nb)
+    adapt_count = np.zeros(len(blocks))
+    post_prop = np.zeros(len(blocks))
+    post_acc = np.zeros(len(log_scale))
 
     total = cfg.burn_in + cfg.kept_iterations
     retained = np.empty((cfg.n_retained, target.dim))
     r_i = 0
 
-    draw_scales = getattr(target, "draw_scales", None)
-
     for it in range(1, total + 1):
-        for b in range(nb):
-            block = blocks[b]
+        for b, block in enumerate(blocks):
+            r = rows[b]
+            rate = _TARGET_RATE_SCALAR if size[b] == 1 else _TARGET_RATE_VECTOR
             for _try in range(block.repeats):
                 cur = x[block.idx]
-                eps = np.exp(log_scale[b])
-                z = rng.standard_normal(len(block.idx))
-                prop = cur + eps * (target.proposal_transform(x, block) @ z)
-                log_alpha, stash = target.propose_delta(x, cache, block, prop)
-
-                u = rng.random()  # always consumed: keeps streams aligned
-                accept = bool(log_alpha >= 0.0) or (u > 0.0 and np.log(u) < log_alpha)
-                if accept:
-                    target.commit(x, cache, block, prop, stash)
-                    x[block.idx] = prop
+                z = rng.standard_normal(block.idx.shape)
+                A = target.proposal_transform(x, block)
+                if block.idx.ndim == 1:
+                    prop = cur + np.exp(log_scale[r.start]) * (A @ z)
+                    log_alpha, stash = target.propose_delta(x, cache, block, prop)
+                    u = rng.random()  # always consumed: keeps streams aligned
+                    accept = bool(log_alpha >= 0.0) or (u > 0.0 and np.log(u) < log_alpha)
+                    if accept:
+                        target.commit(x, cache, block, prop, stash)
+                        x[block.idx] = prop
+                else:  # a class: every row proposed, tested and committed on its own
+                    prop = cur + np.exp(log_scale[r])[:, None] * np.einsum("rij,rj->ri", A, z)
+                    log_alpha, stash = target.propose_rows(x, cache, block, prop)
+                    u = rng.random(block.rows)
+                    with np.errstate(divide="ignore"):  # log(0) is masked by u > 0
+                        accept = (log_alpha >= 0.0) | ((u > 0.0) & (np.log(u) < log_alpha))
+                    if accept.any():
+                        target.commit_rows(x, cache, block, prop, stash, accept)
+                        x[block.idx[accept]] = prop[accept]
 
                 if it <= cfg.burn_in:
                     adapt_count[b] += 1
-                    alpha_prob = (
-                        float(np.exp(min(log_alpha, 0.0))) if np.isfinite(log_alpha) else 0.0
-                    )
-                    rate = _TARGET_RATE_SCALAR if len(block.idx) == 1 else _TARGET_RATE_VECTOR
-                    log_scale[b] += adapt_count[b] ** -_ADAPT_DECAY * (alpha_prob - rate)
+                    alpha_prob = np.where(np.isfinite(log_alpha),
+                                          np.exp(np.minimum(log_alpha, 0.0)), 0.0)
+                    log_scale[r] += adapt_count[b] ** -_ADAPT_DECAY * (alpha_prob - rate)
                 else:
                     post_prop[b] += 1
-                    post_acc[b] += accept
-        if draw_scales is not None:
-            draw_scales(x, cache, rng)
+                    post_acc[r] += accept
+        target.draw_scales(x, cache, rng)
 
         if it == cfg.burn_in:
             cache = target.make_cache(x)
@@ -223,12 +266,12 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
         if it % _CACHE_REFRESH == 0:
             cache = target.make_cache(x)
 
-    acceptance = post_acc / np.maximum(post_prop, 1.0)
+    acceptance = post_acc / np.maximum(np.repeat(post_prop, counts), 1.0)
     return ChainResult(
         draws=retained,
         acceptance=acceptance,
         scales=np.exp(log_scale),
-        block_names=tuple(b.name for b in blocks),
+        block_names=tuple(n for b in blocks for n in b.row_names),
     )
 
 
@@ -243,7 +286,9 @@ class _Cache:
     ll_sum: float
     ss: np.ndarray  # sufficient statistics per prior class (mu, beta, gamma, omega)
     logp: float
-    share: dict[str, float]  # each latent block's current term of its class's ss
+    # each latent block's current term of its class's ss: one float for a
+    # row block, one per row for a class block
+    share: dict[str, float | np.ndarray]
 
 
 def _rw_precision(T: int) -> np.ndarray:
@@ -254,13 +299,16 @@ def _rw_precision(T: int) -> np.ndarray:
 
 
 class _Group(NamedTuple):
-    """Records that one block move touches, with their rows ``m`` of
-    d eta / d x over the block's coordinates: a block step ``d`` shifts their
-    log-odds by ``m @ d``."""
+    """Records that one block move touches, in record order, with their
+    rows ``m`` of d eta / d x over the block's coordinates: a step ``d``
+    shifts their log-odds by ``m @ d``.  For a class block, ``owner`` is
+    the row each record belongs to, and a step ``d`` of shape
+    ``(rows, n)`` shifts record ``i`` by ``m[i] @ d[owner[i]]``."""
 
     rec: np.ndarray | slice
     hits: np.ndarray
     m: np.ndarray
+    owner: np.ndarray | None = None
 
 
 # The mu move touches every record; its old log-likelihood sum is the
@@ -270,14 +318,20 @@ _ALL = slice(None)
 
 
 class _Stash(NamedTuple):
-    """What ``propose_delta`` hands to ``commit``."""
+    """What ``propose_delta`` hands to ``commit``, and ``propose_rows`` to
+    ``commit_rows``: the group's new log-odds and log-likelihoods, then the
+    log-likelihood change, the class's sum of squares, the log-posterior
+    change returned with the stash and the block's new share of that sum.
+    A class block's stash holds one change per row, and ``ss`` is each
+    row's change of the class's sum of squares rather than its new
+    value."""
 
-    groups: tuple  # (rec, new eta, new log-likelihoods) per touched group
-    d_ll: float
-    k: int  # prior class of the block
-    ss: float  # the class's new sufficient statistic
-    delta: float  # the log-posterior change returned with the stash
-    share: float  # the block's new term of that statistic
+    eta: np.ndarray
+    ll: np.ndarray
+    d_ll: float | np.ndarray
+    ss: float | np.ndarray
+    delta: float | np.ndarray
+    share: float | np.ndarray
 
 
 # prior class (index into the cache's ``ss`` and the four scales) per latent
@@ -290,13 +344,19 @@ class ModelTarget:
     """Posterior of the hierarchical model over its free coordinates.
 
     The blocks cover the latent field; the four log scales are drawn by
-    ``draw_scales``.  Every block's ``payload`` is ``(k, groups)``: its
-    prior class and the record groups its move touches.  A block's groups
-    and ``fisher`` both come from its columns of ``model.log_odds_jacobian``,
-    so the constraint expansion lives in ``model`` only.  Each class keeps
-    its blocks' Fisher matrices, stacked, beside its unit prior precision
-    P_k: a block's prior precision is ``e^{-2 v_k} P_k`` and its share of
-    the class's sum of squares ``v @ P_k @ v``, one rule for every block."""
+    ``draw_scales``.  Every block's ``payload`` is ``(k, group)``: its
+    prior class and the one ``_Group`` of records its move touches.  A
+    prior class whose rows touch pairwise disjoint records (the position
+    effects, the race-effect rows) is one class block, stepped by
+    ``propose_rows``/``commit_rows``; a class whose rows share records (the
+    trajectories, through the constrained athlete) is one block per row,
+    stepped by ``propose_delta``/``commit``, as is the stage baseline.
+    Groups and ``fisher`` both come from the blocks' columns of
+    ``model.log_odds_jacobian``, so the constraint expansion lives in
+    ``model`` only.  Each class keeps its rows' Fisher matrices, stacked,
+    beside its unit prior precision P_k: a row's prior precision is
+    ``e^{-2 v_k} P_k`` and its share of the class's sum of squares
+    ``v @ P_k @ v``, one rule for every row."""
 
     def __init__(self, spec: ModelSpec, dataset: Dataset):
         self.spec = spec
@@ -304,74 +364,88 @@ class ModelTarget:
         self.dim = spec.dim
         self.lay = _model.layout(spec)
         self.class_n = _model.class_stats(_model.ParameterState.zeros(spec), spec)[0]
-        a = _model._check_indices(dataset, spec)
-        self.hits = a.hits
-        self.blocks = self._build_blocks(a)
+        self.hits = _model._check_indices(dataset, spec).hits
+        self.blocks = self._build_blocks()
         self._stack_classes()
 
     # ---- layout ----------------------------------------------------------
 
-    def _build_blocks(self, a):
+    def _build_blocks(self):
         spec, lay, hits = self.spec, self.lay, self.hits
         S, T, Z = spec.S, spec.T, spec.Z
         shots = SHOTS_PER_BOUT * len(hits)
         pbar = np.clip(hits.sum() / shots, 0.1, 0.9) if shots else 0.5
         w = SHOTS_PER_BOUT * pbar * (1.0 - pbar)  # Fisher info of eta per session
 
-        def latent(name, kind, idx, repeats=1):
-            # d eta / d x[idx]; its non-zero rows are the records the move touches
-            m = _model.log_odds_jacobian(self.dataset, spec, idx)
-            if kind == "mu":
-                groups = (_Group(_ALL, hits, m),)
-            else:
-                rec = np.flatnonzero(m.any(axis=1))
-                who = a.athlete[rec]
-                groups = tuple(_Group(r, hits[r], m[r])
-                               for r in (rec[who == i] for i in np.unique(who)))
-            return Block(name, idx, w * (m.T @ m), kind=kind,  # untouched rows are zero
-                         payload=(_PRIOR_CLASS[kind], groups), repeats=repeats)
+        def jacobian(idx):
+            # d eta / d x[idx]; its non-zero rows are the records a move touches
+            return _model.log_odds_jacobian(self.dataset, spec, idx)
 
-        blocks = [latent("mu", "mu", np.arange(T))]
+        def row(name, kind, idx, m, repeats=1):
+            rec = _ALL if kind == "mu" else np.flatnonzero(m.any(axis=1))
+            return Block(name, idx, w * (m.T @ m), kind=kind,  # untouched rows are zero
+                         payload=(_PRIOR_CLASS[kind], _Group(rec, hits[rec], m[rec])),
+                         repeats=repeats)
+
+        def prior_class(kind, idx, repeats=1):
+            # one class block if the rows touch pairwise disjoint records,
+            # else one block per row
+            ms = [jacobian(i) for i in idx]
+            touched = np.array([m.any(axis=1) for m in ms])
+            if len(idx) == 1 or touched.sum(axis=0).max(initial=0) > 1:
+                return [row(f"{kind}[{r + 1}]", kind, i, m, repeats)
+                        for r, (i, m) in enumerate(zip(idx, ms))]
+            rec = np.flatnonzero(touched.any(axis=0))
+            owner = touched[:, rec].argmax(axis=0)
+            group = _Group(rec, hits[rec], np.stack(ms)[owner, rec], owner)
+            return [Block(kind, idx, np.stack([w * (m.T @ m) for m in ms]), kind=kind,
+                          payload=(_PRIOR_CLASS[kind], group), repeats=repeats)]
+
+        mu = np.arange(T)
+        blocks = [row("mu", "mu", mu, jacobian(mu))]
         if spec.mu_only:
             return blocks
-        for s in range(S - 1):
-            start = lay.beta.start + s * T
-            # Two tries per visit: trajectory wiggles are prior-dominated, so
-            # their amplitudes (which drive the beta scale's conditional) need
-            # the extra turnover to keep the scale parameter mixing.
-            blocks.append(latent(f"beta[{s + 1}]", "beta", np.arange(start, start + T),
-                                 repeats=2 if T > 1 else 1))
-        for s in range(S):
-            blocks.append(latent(f"gamma[{s + 1}]", "gamma", np.array([lay.gamma.start + s])))
-        for s in range(S):
-            start = lay.omega.start + s * (Z - 1)
-            blocks.append(latent(f"omega[{s + 1}]", "omega", np.arange(start, start + Z - 1)))
+        athletes = np.arange(S)[:, None]
+        # Two tries per trajectory visit: trajectory wiggles are
+        # prior-dominated, so their amplitudes (which drive the beta scale's
+        # conditional) need the extra turnover to keep the scale mixing.
+        blocks += prior_class("beta", lay.beta.start + athletes[:-1] * T + np.arange(T),
+                              repeats=2 if T > 1 else 1)
+        blocks += prior_class("gamma", lay.gamma.start + athletes)
+        blocks += prior_class("omega", lay.omega.start + athletes * (Z - 1) + np.arange(Z - 1))
         return blocks
 
     def _stack_classes(self):
-        """Per prior class: its blocks' Fisher matrices stacked (every block
-        of a class has the same size) and its unit prior precision P_k, the
+        """Per prior class: its rows' Fisher matrices stacked (every row of
+        a class has the same size) and its unit prior precision P_k, the
         random-walk band for mu and beta and the identity for gamma and
-        omega.  Notes each block's slot in its class's stack."""
+        omega.  Notes each block's slot in its class's stack: a row block's
+        index, or the whole stack for a class block, the only block of its
+        class."""
         members: dict[int, list[Block]] = {}
         for b in self.blocks:
             members.setdefault(b.payload[0], []).append(b)
         self._classes = {}
+        self._slot = {}
         for k, bs in members.items():
-            n = len(bs[0].idx)
+            n = bs[0].idx.shape[-1]
             prior = _rw_precision(n) if bs[0].kind in _RANDOM_WALK else np.eye(n)
-            self._classes[k] = (np.stack([b.fisher for b in bs]), prior)
-        self._slot = {b.name: i for bs in members.values() for i, b in enumerate(bs)}
+            if bs[0].idx.ndim == 2:
+                self._classes[k] = (bs[0].fisher, prior)
+                self._slot[bs[0].name] = _ALL
+            else:
+                self._classes[k] = (np.stack([b.fisher for b in bs]), prior)
+                self._slot.update((b.name, i) for i, b in enumerate(bs))
         self._chol: dict[int, tuple[float, np.ndarray]] = {}
 
     def proposal_transform(self, x, block):
         """``inv(L).T`` for ``L`` the Cholesky factor of the block's
         Gaussian-approximation precision: its Fisher matrix plus its class's
-        prior precision ``e^{-2v} P_k`` at the current scale.  The matrices
-        are cached per prior class: when the class's scale has moved, every
-        block of the class is factorized again by one stacked ``cholesky``
-        and one stacked ``solve``, which give the same bits as one call per
-        block."""
+        prior precision ``e^{-2v} P_k`` at the current scale; for a class
+        block, the stack of one per row.  The matrices are cached per prior
+        class: when the class's scale has moved, every row of the class is
+        factorized again by one stacked ``cholesky`` and one stacked
+        ``solve``, which give the same bits as one call per row."""
         k = block.payload[0]
         v = self._log_sigma(x, k)
         hit = self._chol.get(k)
@@ -404,41 +478,66 @@ class ModelTarget:
     def _log_sigma(self, x: np.ndarray, k: int) -> float:
         return 0.0 if self.spec.mu_only else float(x[self.lay.sigma.start + k])
 
-    def _share(self, block, v: np.ndarray) -> float:
-        """The block's term ``v @ P_k @ v`` of its class's sum of squares."""
-        return float(v @ self._classes[block.payload[0]][1] @ v)
+    def _share(self, block, v: np.ndarray):
+        """The block's term ``v @ P_k @ v`` of its class's sum of squares,
+        one per row of a class block."""
+        prior = self._classes[block.payload[0]][1]
+        if v.ndim == 1:
+            return float(v @ prior @ v)
+        return ((v @ prior) * v).sum(axis=1)
 
     # ---- block moves -------------------------------------------------------
 
     def propose_delta(self, x, cache, block, prop):
-        k, groups = block.payload
-        cur = x[block.idx]
-        d = prop - cur
-        d_ll = 0.0
-        touched = []
-        for g in groups:
-            eta = cache.eta[g.rec] + g.m @ d
-            ll = _model.bout_log_likelihoods(g.hits, eta)
-            old = cache.ll_sum if isinstance(g.rec, slice) else float(cache.ll[g.rec].sum())
-            # summed group by group, left to right: the order sets the last
-            # bits of the delta, and through it the draws
-            d_ll = d_ll + float(ll.sum()) - old
-            touched.append((g.rec, eta, ll))
+        k, g = block.payload
+        d = prop - x[block.idx]
+        eta = cache.eta[g.rec] + g.m @ d
+        ll = _model.bout_log_likelihoods(g.hits, eta)
+        old = cache.ll_sum if isinstance(g.rec, slice) else float(cache.ll[g.rec].sum())
+        d_ll = float(ll.sum()) - old
         share = self._share(block, prop)
         ss_new = cache.ss[k] - cache.share[block.name] + share
         d_prior = -0.5 * (ss_new - cache.ss[k]) * np.exp(-2.0 * self._log_sigma(x, k))
         delta = d_ll + d_prior
-        return delta, _Stash(tuple(touched), d_ll, k, ss_new, delta, share)
+        return delta, _Stash(eta, ll, d_ll, ss_new, delta, share)
 
     def commit(self, x, cache, block, prop, stash):
         """Apply an accepted move: exactly the delta ``propose_delta`` returned."""
-        for rec, eta, ll in stash.groups:
-            cache.eta[rec] = eta
-            cache.ll[rec] = ll
+        k, g = block.payload
+        cache.eta[g.rec] = stash.eta
+        cache.ll[g.rec] = stash.ll
         cache.ll_sum += stash.d_ll
-        cache.ss[stash.k] = stash.ss
+        cache.ss[k] = stash.ss
         cache.logp += stash.delta
         cache.share[block.name] = stash.share
+
+    def propose_rows(self, x, cache, block, prop):
+        """The log-posterior delta of each row of a class block moved alone
+        to its row of ``prop``.  The rows touch disjoint records and their
+        priors are independent, so moving any set of them together changes
+        the log-posterior by the sum of their deltas.  One likelihood call
+        covers every record; ``np.bincount`` sums the changes by row."""
+        k, g = block.payload
+        d = prop - x[block.idx]
+        eta = cache.eta[g.rec] + (g.m * d[g.owner]).sum(axis=1)
+        ll = _model.bout_log_likelihoods(g.hits, eta)
+        d_ll = np.bincount(g.owner, weights=ll - cache.ll[g.rec], minlength=len(d))
+        share = self._share(block, prop)
+        d_ss = share - cache.share[block.name]
+        delta = d_ll - 0.5 * d_ss * np.exp(-2.0 * self._log_sigma(x, k))
+        return delta, _Stash(eta, ll, d_ll, d_ss, delta, share)
+
+    def commit_rows(self, x, cache, block, prop, stash, accept):
+        """Apply the rows of a class move that ``accept`` marks: exactly the
+        sum of their deltas from ``propose_rows``."""
+        k, g = block.payload
+        keep = accept[g.owner]
+        cache.eta[g.rec[keep]] = stash.eta[keep]
+        cache.ll[g.rec[keep]] = stash.ll[keep]
+        cache.ll_sum += float(stash.d_ll[accept].sum())
+        cache.ss[k] += stash.ss[accept].sum()
+        cache.logp += float(stash.delta[accept].sum())
+        cache.share[block.name][accept] = stash.share[accept]
 
     def draw_scales(self, x, cache, rng):
         """Gibbs step on the four log scales, in ``SIGMA_NAMES`` order:

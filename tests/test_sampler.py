@@ -74,6 +74,9 @@ class _GaussTarget:
     def commit(self, x, cache, block, prop, stash):
         cache.logp = stash
 
+    def draw_scales(self, x, cache, rng):
+        pass  # every coordinate is in a block
+
 
 _TOY_MEAN = np.array([1.0, -1.0])
 _TOY_COV = np.array([[1.0, 0.6], [0.6, 1.0]])
@@ -143,20 +146,27 @@ class TestModelTargetBlocks:
         target = sampler.ModelTarget(spec, small_dataset)
         scales = np.arange(spec.dim)[target.lay.sigma]
         assert len(scales) == 4
-        covered = np.concatenate([b.idx for b in target.blocks] + [scales])
+        covered = np.concatenate([b.idx.ravel() for b in target.blocks] + [scales])
         assert np.array_equal(np.sort(covered), np.arange(spec.dim))
 
     def test_block_layout(self, small_dataset):
+        # mu and each trajectory step alone; the position effects and the
+        # race-effect rows, whose rows touch disjoint records, step as one
+        # class block each; the scales are no blocks
         spec = model.ModelSpec.for_dataset(small_dataset)
         target = sampler.ModelTarget(spec, small_dataset)
+        S, Z = spec.S, spec.Z
         names = [b.name for b in target.blocks]
-        assert names[0] == "mu"
-        assert names[-1] == f"omega[{spec.S}]"  # the scales are no blocks
-        assert not any(n.startswith("log_sigma") for n in names)
+        assert names == ["mu", *(f"beta[{s}]" for s in range(1, S)), "gamma", "omega"]
         by_name = {b.name: b for b in target.blocks}
         assert by_name["beta[1]"].repeats == 2  # multi-stage season
         assert {b.repeats for b in target.blocks} == {1, 2}
-        assert len(by_name["gamma[1]"].idx) == 1
+        assert by_name["gamma"].idx.shape == (S, 1) and by_name["gamma"].repeats == 1
+        assert by_name["omega"].idx.shape == (S, Z - 1)
+        assert by_name["gamma"].fisher.shape == (S, 1, 1)
+        assert [b.rows for b in target.blocks] == [1] * S + [S, S]
+        rows = [n for b in target.blocks for n in b.row_names]
+        assert rows[-1] == f"omega[{S}]" and rows[S] == "gamma[1]"
 
 
 def _make_target(shape, small_dataset, golden):
@@ -180,17 +190,45 @@ def target(request, small_dataset, golden):
     return _make_target(request.param, small_dataset, golden)
 
 
+def _log_posterior(target, x):
+    return model.log_posterior(model.from_vector(x, target.spec), target.dataset, target.spec)
+
+
+def _move(target, x, cache, block, prop, accept=None):
+    """Commit a move of ``block`` to ``prop`` the way ``run_chain`` does: a
+    row block whole, a class block's rows where ``accept`` (default: all)
+    is true.  Returns the deltas ``propose_delta``/``propose_rows`` gave."""
+    if block.idx.ndim == 1:
+        delta, stash = target.propose_delta(x, cache, block, prop)
+        target.commit(x, cache, block, prop, stash)
+        x[block.idx] = prop
+        return delta
+    accept = np.ones(block.rows, bool) if accept is None else accept
+    delta, stash = target.propose_rows(x, cache, block, prop)
+    if accept.any():
+        target.commit_rows(x, cache, block, prop, stash, accept)
+        x[block.idx[accept]] = prop[accept]
+    return delta
+
+
+def _assert_cache_exact(target, cache, x):
+    fresh = target.make_cache(x)
+    for field in ("eta", "ll", "ss"):
+        np.testing.assert_allclose(getattr(cache, field), getattr(fresh, field), rtol=0, atol=1e-9)
+    assert cache.ll_sum == pytest.approx(fresh.ll_sum, abs=1e-9)
+    assert cache.logp == pytest.approx(fresh.logp, abs=1e-9)
+    assert cache.logp == pytest.approx(_log_posterior(target, x), abs=1e-9)
+    for name, share in cache.share.items():
+        np.testing.assert_allclose(share, fresh.share[name], rtol=0, atol=1e-9)
+
+
 class TestModelTargetMoves:
     """The delta-cached block moves agree with the model's own densities."""
 
     @staticmethod
-    def _log_posterior(target, x):
-        return model.log_posterior(model.from_vector(x, target.spec), target.dataset, target.spec)
-
-    @staticmethod
     def _step(target, x, block, rng, scale=0.3):
         xp = x.copy()
-        xp[block.idx] = x[block.idx] + scale * rng.standard_normal(len(block.idx))
+        xp[block.idx] = x[block.idx] + scale * rng.standard_normal(block.idx.shape)
         return xp
 
     def test_every_block_kind_is_covered(self, target):
@@ -200,12 +238,12 @@ class TestModelTargetMoves:
 
     def test_delta_matches_log_posterior_difference(self, target):
         rng = np.random.default_rng(3)
-        for block in target.blocks:
+        for block in [b for b in target.blocks if b.idx.ndim == 1]:  # classes: TestClassStep
             x = target.initial_vector(rng)
             cache = target.make_cache(x)
             xp = self._step(target, x, block, rng)
             delta, _ = target.propose_delta(x, cache, block, xp[block.idx])
-            want = self._log_posterior(target, xp) - self._log_posterior(target, x)
+            want = _log_posterior(target, xp) - _log_posterior(target, x)
             assert delta == pytest.approx(want, abs=1e-9), block.name
 
     def test_commits_keep_the_cache_exact(self, target):
@@ -215,20 +253,13 @@ class TestModelTargetMoves:
         for _ in range(300):
             block = target.blocks[rng.integers(len(target.blocks))]
             prop = self._step(target, x, block, rng, scale=0.1)[block.idx]
-            _, stash = target.propose_delta(x, cache, block, prop)
-            target.commit(x, cache, block, prop, stash)
-            x[block.idx] = prop
-        fresh = target.make_cache(x)
-        for field in ("eta", "ll", "ss"):
-            np.testing.assert_allclose(getattr(cache, field), getattr(fresh, field), rtol=0, atol=1e-9)
-        assert cache.ll_sum == pytest.approx(fresh.ll_sum, abs=1e-9)
-        assert cache.logp == pytest.approx(fresh.logp, abs=1e-9)
-        assert cache.logp == pytest.approx(self._log_posterior(target, x), abs=1e-9)
+            _move(target, x, cache, block, prop, rng.random(block.rows) < 0.5)
+        _assert_cache_exact(target, cache, x)
 
 
 class TestLogOddsMap:
     """``model.log_odds_jacobian`` is the derivative of the log-odds, and
-    every latent block's record groups are exactly its non-zero rows."""
+    every latent block's record group is exactly its non-zero rows."""
 
     @pytest.fixture(scope="class", params=["small", "scalar_blocks", "mu_only", "season"])
     def mapped(self, request, small_dataset, golden, season_dataset):
@@ -257,22 +288,33 @@ class TestLogOddsMap:
         rng = np.random.default_rng(6)
         zero = np.zeros(mapped.dim)
         for block in mapped.blocks:
-            if block.kind == "sigma":
-                continue
-            d = rng.standard_normal(len(block.idx))
+            d = rng.standard_normal(block.idx.shape)
             step = zero.copy()
             step[block.idx] = d
             want = self._eta(mapped, step) - self._eta(mapped, zero)
+            g = block.payload[1]
             got = np.full(len(mapped.hits), np.nan)
-            sizes = 0
-            for g in block.payload[1]:
-                assert np.isnan(got[g.rec]).all(), block.name  # groups are disjoint
+            if block.idx.ndim == 1:
+                assert g.owner is None, block.name
                 got[g.rec] = g.m @ d
-                sizes += len(g.hits)
+            else:
+                got[g.rec] = (g.m * d[g.owner]).sum(axis=1)
+                assert np.array_equal(g.rec, np.unique(g.rec)), block.name  # record order
             touched = ~np.isnan(got)
-            assert touched.sum() == sizes, block.name
+            assert touched.sum() == len(g.hits), block.name  # each record once
+            assert np.array_equal(g.hits, mapped.hits[g.rec]), block.name
             assert np.array_equal(got[touched], want[touched]), block.name
             assert not want[~touched].any(), block.name  # untouched rows do not move
+
+    def test_a_class_row_owns_exactly_the_records_its_move_shifts(self, mapped):
+        zero = np.zeros(mapped.dim)
+        for block in (b for b in mapped.blocks if b.idx.ndim == 2):
+            g = block.payload[1]
+            for r, idx in enumerate(block.idx):
+                step = zero.copy()
+                step[idx] = 1.0 + np.arange(len(idx))
+                moved = np.flatnonzero(self._eta(mapped, step) - self._eta(mapped, zero))
+                assert np.array_equal(g.rec[g.owner == r], moved), block.row_names[r]
 
     def test_latent_columns_at_paper_scale(self, season_dataset):
         spec = model.ModelSpec.for_dataset(season_dataset)
@@ -295,15 +337,14 @@ def test_cache_drift_between_rebuilds_at_paper_scale(season_dataset):
     # run_chain rebuilds the running cache every _CACHE_REFRESH sweeps; in
     # between, every accepted move adds its rounding to eta, ll_sum and logp
     target = sampler.ModelTarget(model.ModelSpec.for_dataset(season_dataset), season_dataset)
+    assert {b.name for b in target.blocks if b.idx.ndim == 2} == {"gamma", "omega"}
     rng = np.random.default_rng(8)
     x = target.initial_vector(rng)
     cache = target.make_cache(x)
     for _ in range(sampler._CACHE_REFRESH):
         for block in target.blocks:
-            prop = x[block.idx] + 0.05 * rng.standard_normal(len(block.idx))
-            _, stash = target.propose_delta(x, cache, block, prop)
-            target.commit(x, cache, block, prop, stash)
-            x[block.idx] = prop
+            prop = x[block.idx] + 0.05 * rng.standard_normal(block.idx.shape)
+            _move(target, x, cache, block, prop, rng.random(block.rows) < 0.5)
     fresh = target.make_cache(x)
     assert abs(cache.logp - fresh.logp) <= 1e-8
     assert abs(cache.ll_sum - fresh.ll_sum) <= 1e-9
@@ -438,7 +479,7 @@ class TestPinnedDraws:
         return hashlib.sha256(draws.tobytes()).hexdigest()
 
     @pytest.mark.parametrize("digest", [
-        "d109441150c019db88621c3fd8f765eb20617955701a4bbd5416cf4134c441e5",
+        "f6de5a2e02101c1bc1887cb7f10e7ec7bb542ec4f0a217dcba779f96eb369232",
     ], ids=["random_walk"])
     def test_multi_stage_fit(self, digest, monkeypatch):
         monkeypatch.setenv(sampler.THREADS_ENV, "1")
@@ -465,37 +506,47 @@ def class_target(request, season_dataset):
     return sampler.ModelTarget(spec, d)
 
 
+def _row_factors(target, x, block):
+    """``proposal_transform``'s factors of ``block``, one per row."""
+    A = target.proposal_transform(x, block)
+    return A if block.idx.ndim == 2 else A[None]
+
+
 class TestProposalFactorization:
     """``proposal_transform`` factorizes each prior class with one stacked
-    call and hands every block, scalar or vector, its own ``inv(L).T``
-    slice of ``fisher + e^{-2v} P_k``."""
+    call and hands every row, scalar or vector, its own ``inv(L).T`` slice
+    of ``fisher + e^{-2v} P_k``: a row block its own matrix, a class block
+    the stack of its rows'."""
 
     @staticmethod
     def _unbatched(target, x, block):
         v = float(x[target.lay.sigma.start + block.payload[0]])
-        n = len(block.idx)
+        n = block.idx.shape[-1]
         prior = sampler._rw_precision(n) if block.kind in ("mu", "beta") else np.eye(n)
-        precision = block.fisher + np.exp(-2.0 * v) * prior
-        L = np.linalg.cholesky(precision)
-        return precision, np.linalg.solve(L, np.eye(n)).T
+        for fisher in block.fisher.reshape(-1, n, n):
+            precision = fisher + np.exp(-2.0 * v) * prior
+            L = np.linalg.cholesky(precision)
+            yield precision, np.linalg.solve(L, np.eye(n)).T
 
     def test_each_block_gets_its_own_factor(self, class_target):
         target = class_target
         x = target.initial_vector(np.random.default_rng(2))
         assert {b.kind for b in target.blocks} == {"mu", "beta", "gamma", "omega"}
         for block in target.blocks:
-            A = target.proposal_transform(x, block)
-            precision, A1 = self._unbatched(target, x, block)
-            # A @ A.T is the inverse precision: the covariance of the step A @ z
-            np.testing.assert_allclose(A @ A.T @ precision, np.eye(len(block.idx)),
-                                       rtol=0, atol=1e-9)
-            assert np.array_equal(A, A1), block.name
+            factors = _row_factors(target, x, block)
+            assert len(factors) == block.rows, block.name
+            for A, (precision, A1), name in zip(factors, self._unbatched(target, x, block),
+                                                block.row_names):
+                # A @ A.T is the inverse precision: the covariance of the step A @ z
+                np.testing.assert_allclose(A @ A.T @ precision, np.eye(len(A)),
+                                           rtol=0, atol=1e-9)
+                assert np.array_equal(A, A1), name
 
     def test_moving_a_scale_refreshes_its_class_only(self, class_target, monkeypatch):
         target = class_target
         x = target.initial_vector(np.random.default_rng(3))
         blocks = target.blocks
-        before = {b.name: target.proposal_transform(x, b) for b in blocks}
+        before = {b.name: _row_factors(target, x, b) for b in blocks}
         stacks = []
         cholesky = np.linalg.cholesky
 
@@ -508,23 +559,23 @@ class TestProposalFactorization:
             stacks.clear()
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "cholesky", counting)
-                got = {b.name: target.proposal_transform(x, b) for b in blocks}
+                got = {b.name: _row_factors(target, x, b) for b in blocks}
             members = [b for b in blocks if b.kind == kind]
             for block in blocks:
                 A = got[block.name]
                 if block.kind == kind:
-                    _, A1 = self._unbatched(target, x, block)
+                    A1 = np.stack([a for _, a in self._unbatched(target, x, block)])
                     assert not np.array_equal(A, before[block.name]), block.name
                 else:
                     A1 = before[block.name]
                 assert np.array_equal(A, A1), block.name
-            n = len(members[0].idx)
-            assert stacks == [(len(members), n, n)], kind
+            n = members[0].idx.shape[-1]
+            assert stacks == [(sum(b.rows for b in members), n, n)], kind
             before = got
 
 
 class TestBlockShares:
-    """Every block prices its prior as ``v @ P_k @ v``, its share of its
+    """Every row prices its prior as ``v @ P_k @ v``, its share of its
     class's sum of squares; the shares of a class add up to the ss that
     ``model.class_stats`` computes from the random-walk increments or the
     squares."""
@@ -536,8 +587,78 @@ class TestBlockShares:
             cache = target.make_cache(x)
             ss = model.class_stats(model.from_vector(x, target.spec), target.spec)[1]
             for k, kind in enumerate(model.SIGMA_NAMES):
-                total = sum(cache.share[b.name] for b in target.blocks if b.kind == kind)
+                total = np.concatenate([np.atleast_1d(cache.share[b.name])
+                                        for b in target.blocks if b.kind == kind]).sum()
                 assert total == pytest.approx(ss[k], rel=1e-12, abs=0), kind
+
+
+class TestClassStep:
+    """A class block (the position effects, the race-effect rows) proposes
+    every row at once and accepts each on its own.  That is exact only
+    because its rows are conditionally independent: they touch disjoint
+    records and their priors are independent."""
+
+    @staticmethod
+    def _classes(target):
+        classes = [b for b in target.blocks if b.idx.ndim == 2]
+        assert classes  # gamma and omega (test_block_layout)
+        return classes
+
+    @staticmethod
+    def _prop(x, block, rng, scale=0.3):
+        return x[block.idx] + scale * rng.standard_normal(block.idx.shape)
+
+    def test_each_row_delta_is_that_row_moved_alone(self, class_target):
+        target = class_target
+        rng = np.random.default_rng(21)
+        for block in self._classes(target):
+            x = target.initial_vector(rng)
+            cache = target.make_cache(x)
+            prop = self._prop(x, block, rng)
+            delta, _ = target.propose_rows(x, cache, block, prop)
+            assert delta.shape == (block.rows,)
+            base = _log_posterior(target, x)
+            for r, idx in enumerate(block.idx):
+                xp = x.copy()
+                xp[idx] = prop[r]
+                want = _log_posterior(target, xp) - base
+                assert delta[r] == pytest.approx(want, abs=1e-9), block.row_names[r]
+
+    def test_accepted_rows_add_up_to_the_joint_change(self, class_target):
+        target = class_target
+        rng = np.random.default_rng(22)
+        x = target.initial_vector(rng)
+        cache = target.make_cache(x)
+        for _ in range(3):
+            for block in self._classes(target):
+                prop = self._prop(x, block, rng)
+                accept = rng.random(block.rows) < 0.5
+                accept[rng.integers(block.rows)] = True
+                before = _log_posterior(target, x)
+                delta = _move(target, x, cache, block, prop, accept)
+                joint = _log_posterior(target, x) - before
+                assert delta[accept].sum() == pytest.approx(joint, abs=1e-9), block.name
+                assert np.array_equal(x[block.idx[accept]], prop[accept])
+                _assert_cache_exact(target, cache, x)
+
+    def test_a_non_finite_row_is_rejected_alone(self, class_target):
+        target = class_target
+        rng = np.random.default_rng(23)
+        for block in self._classes(target):
+            x = target.initial_vector(rng)
+            cache = target.make_cache(x)
+            prop = self._prop(x, block, rng, scale=0.01)  # every other row is accepted
+            prop[1, 0] = np.nan
+            with np.errstate(invalid="ignore"):
+                delta, stash = target.propose_rows(x, cache, block, prop)
+            assert np.isnan(delta[1]) and np.isfinite(np.delete(delta, 1)).all(), block.name
+            with np.errstate(divide="ignore"):
+                accept = (delta >= 0.0) | (np.log(0.0) < delta)  # u = 0 in run_chain's test
+            assert np.flatnonzero(~accept).tolist() == [1], block.name
+            target.commit_rows(x, cache, block, prop, stash, accept)
+            x[block.idx[accept]] = prop[accept]
+            assert np.isfinite(x).all()
+            _assert_cache_exact(target, cache, x)
 
 
 class TestRunChains:
@@ -595,7 +716,9 @@ class TestRunChains:
 
     def test_small_fit_acceptance_rates(self, small_fit, small_dataset):
         target = sampler.ModelTarget(small_fit.spec, small_dataset)
-        assert set(small_fit.acceptance_rates) == {b.name for b in target.blocks}
+        # one rate per row: the class blocks report gamma[s] and omega[s]
+        assert list(small_fit.acceptance_rates) == [n for b in target.blocks for n in b.row_names]
+        assert list(small_fit.proposal_scales) == list(small_fit.acceptance_rates)
         for name, rates in small_fit.acceptance_rates.items():
             assert len(rates) == small_fit.n_chains
             for r in rates:

@@ -42,14 +42,17 @@ def short_chain(small_dataset):
 
 
 def _per_sweep(target):
-    """(tries, log-likelihood calls, records) per sweep: one call per record
-    group a try touches; the scale draws make no try and touch no record."""
+    """(traced tries, log-likelihood calls, records) per sweep: every block
+    step reads its one record group with one call.  The tracer counts a try
+    per ``propose_delta`` call, which a class step does not make
+    (``propose_rows``), and the scale draws make no try and touch no
+    record."""
     tries = calls = records = 0
     for block in target.blocks:
-        groups = block.payload[1]
-        tries += block.repeats
-        calls += block.repeats * len(groups)
-        records += block.repeats * sum(len(g.hits) for g in groups)
+        if block.idx.ndim == 1:
+            tries += block.repeats
+        calls += block.repeats
+        records += block.repeats * len(block.payload[1].hits)
     return tries, calls, records
 
 
@@ -58,7 +61,10 @@ def test_one_loglik_call_per_touched_group(short_chain, monkeypatch):
     spec = target.spec
     S, repeats = spec.S, 2  # T > 1: two tries per trajectory visit
     tries, calls, records = _per_sweep(target)
-    assert calls == 1 + 2 * (S - 1) * repeats + 2 * S
+    # mu, one group per trajectory try, and one class step each for gamma
+    # and omega
+    assert calls == 1 + (S - 1) * repeats + 2
+    assert tries == 1 + (S - 1) * repeats
     n = len(target.hits)
     per_athlete = np.bincount(target.dataset.arrays.athlete, minlength=S)
     # mu, gamma and omega touch every record once; a trajectory try touches
@@ -105,14 +111,17 @@ def test_the_tracer_sees_every_layer_of_a_fit(short_chain):
     assert m["model.loglik_calls_per_sweep"] == pytest.approx(calls + rebuilds / sweeps)
     assert m["model.loglik_records_per_sweep"] == pytest.approx(records + rebuilds * n / sweeps)
     for kind in spans.KINDS:
-        # the scales are drawn exactly, by no propose_delta or commit
-        if kind == "sigma":
-            assert m[f"sampler.propose_us.{kind}"] == 0
-            assert m[f"sampler.commit_us.{kind}"] == 0
-            assert m[f"sampler.accept_rate.{kind}"] == 0
+        # the scales are drawn exactly, and gamma and omega step as classes
+        # (propose_rows, commit_rows): none of them calls propose_delta or
+        # commit, so the tracer sees none of their tries
+        if kind in ("gamma", "omega", "sigma"):
+            assert m[f"sampler.propose_us.{kind}"] == 0, kind
+            assert m[f"sampler.commit_us.{kind}"] == 0, kind
+            assert m[f"sampler.accept_rate.{kind}"] == 0, kind
         else:
             assert m[f"sampler.propose_us.{kind}"] > 0, kind
             assert m[f"sampler.commit_us.{kind}"] > 0, kind
+            assert m[f"sampler.accept_rate.{kind}"] > 0, kind
     assert m["sampler.transform_us"] > 0
     assert m["sampler.sweep_ms"] > 0
     assert tracer.counts["sampler.sweeps"] == sweeps
