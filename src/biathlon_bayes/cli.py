@@ -100,11 +100,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_sampler_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.add_argument("--chains", type=int, default=4, help="number of chains")
-    p.add_argument("--burnin", type=int, default=1000, help="burn-in sweeps per chain")
-    p.add_argument("--keep", type=int, default=5000, help="post-burn-in sweeps per chain")
-    p.add_argument("--thin", type=int, default=5, help="retain every k-th sweep")
+    d = SamplerConfig()  # the flags' defaults are the library's
+    p.add_argument("--seed", type=int, default=d.seed, help="base RNG seed")
+    p.add_argument("--chains", type=int, default=d.n_chains, help="number of chains")
+    p.add_argument("--burnin", type=int, default=d.burn_in, help="burn-in sweeps per chain")
+    p.add_argument("--keep", type=int, default=d.kept_iterations,
+                   help="post-burn-in sweeps per chain")
+    p.add_argument("--thin", type=int, default=d.thin, help="retain every k-th sweep")
 
 
 def _build_parser() -> _Parser:
@@ -401,7 +403,7 @@ def _cmd_ingest(args) -> int:
         print(f"warning: {line}", file=sys.stderr)
     print(
         f"{len(d.records)} sessions, {d.n_athletes} athletes, "
-        f"{d.n_stages} stages, {5 * len(d.records)} shots"
+        f"{d.n_stages} stages, {d.total_shots} shots"
     )
     return 0
 

@@ -31,7 +31,9 @@ arrays that all start with ``M`` (only trailing shapes are checked).  The
 densities and the gradient take one state at a time.  The map from free
 coordinates to log-odds is linear, and its Jacobian
 (:func:`log_odds_jacobian`) is that same map evaluated at unit vectors, so
-eta and its derivative come from :func:`log_odds` alone.
+eta and its derivative come from :func:`log_odds` alone.  Each latent
+prior class, its coordinate rows and its unit prior precision, is defined
+once, by :func:`prior_classes`.
 """
 
 from __future__ import annotations
@@ -231,6 +233,16 @@ def _rw_ss(x: np.ndarray) -> float:
     return float((first * first).sum() + (d * d).sum())
 
 
+def rw_precision(T: int) -> np.ndarray:
+    """Unit precision of the anchored random walk of length ``T``: x_1 and
+    every increment N(0, 1), so ``x @ P @ x`` is :func:`_rw_ss` of ``x``.
+    A tridiagonal band (Rue & Held 2005, *Gaussian Markov Random Fields*,
+    ch. 3)."""
+    q = 2.0 * np.eye(T) - np.eye(T, k=1) - np.eye(T, k=-1)
+    q[-1, -1] = 1.0  # the last coordinate enters one increment only
+    return q
+
+
 def _sum_sq(v: np.ndarray) -> float:
     return float((v**2).sum())
 
@@ -270,16 +282,6 @@ def log_posterior(p: ParameterState, d: Dataset, spec: ModelSpec) -> float:
     return log_likelihood(p, d, spec) + log_prior(p, spec)
 
 
-def _rw_grad(x: np.ndarray, sd: float) -> np.ndarray:
-    """Gradient of the random-walk log density along the last axis."""
-    diff = np.empty_like(x)
-    diff[..., 0] = x[..., 0]
-    diff[..., 1:] = x[..., 1:] - x[..., :-1]
-    g = -diff / sd**2
-    g[..., :-1] += diff[..., 1:] / sd**2
-    return g
-
-
 def grad_log_posterior(p: ParameterState, d: Dataset, spec: ModelSpec) -> np.ndarray:
     """Exact gradient with respect to the free coordinates.
 
@@ -296,12 +298,13 @@ def grad_log_posterior(p: ParameterState, d: Dataset, spec: ModelSpec) -> np.nda
     stage_resid = np.zeros((S, T))
     np.add.at(stage_resid, (a.athlete, a.stage0), resid)
 
+    walk = rw_precision(T)
     if spec.mu_only:
-        return stage_resid.sum(axis=0) + _rw_grad(p.mu, 1.0)
+        return stage_resid.sum(axis=0) - p.mu @ walk
 
     sigma = np.exp(p.log_sigma)
-    g_mu = stage_resid.sum(axis=0) + _rw_grad(p.mu, sigma[0])
-    g_beta = (stage_resid[: S - 1] - stage_resid[S - 1]) + _rw_grad(p.beta_free, sigma[1])
+    g_mu = stage_resid.sum(axis=0) - (p.mu @ walk) / sigma[0] ** 2
+    g_beta = (stage_resid[: S - 1] - stage_resid[S - 1]) - (p.beta_free @ walk) / sigma[1] ** 2
 
     possign = 1.0 - 2.0 * a.position  # prone +1, standing -1
     g_gamma = np.zeros(S)
@@ -342,6 +345,35 @@ def layout(spec: ModelSpec) -> VectorLayout:
     o2 = o1 + S
     o3 = o2 + S * (Z - 1)
     return VectorLayout(slice(0, T), slice(T, o1), slice(o1, o2), slice(o2, o3), slice(o3, o3 + 4))
+
+
+class PriorClass(NamedTuple):
+    """One latent prior class: its name in ``SIGMA_NAMES``, its rows as an
+    ``(r, n)`` array of free-coordinate indices, and its unit prior
+    precision ``P`` ``(n, n)``.  Each row ``v`` is a priori
+    N(0, sigma_k^2 P^-1) independently of the others, so the class's sum of
+    squares is the sum over rows of ``v @ P @ v``."""
+
+    name: str
+    rows: np.ndarray
+    precision: np.ndarray
+
+
+def prior_classes(spec: ModelSpec) -> list[PriorClass]:
+    """The latent prior classes in ``SIGMA_NAMES`` order: the stage
+    baseline (one row) and the free trajectories (one per athlete) with the
+    random-walk band, the position effects and the race-effect rows (one
+    per athlete each) with the identity.  A ``mu_only`` spec has mu only."""
+    lay, idx = layout(spec), np.arange(spec.dim)
+    classes = [PriorClass("mu", idx[lay.mu][None], rw_precision(spec.T))]
+    if spec.mu_only:
+        return classes
+    S, Z = spec.S, spec.Z
+    return classes + [
+        PriorClass("beta", idx[lay.beta].reshape(S - 1, spec.T), rw_precision(spec.T)),
+        PriorClass("gamma", idx[lay.gamma].reshape(S, 1), np.eye(1)),
+        PriorClass("omega", idx[lay.omega].reshape(S, Z - 1), np.eye(Z - 1)),
+    ]
 
 
 def to_vector(p: ParameterState, spec: ModelSpec) -> np.ndarray:

@@ -391,8 +391,8 @@ def sbc(
     n_ok = ranks.shape[0]
 
     # Equal-width bins over [0, n_pooled]; a rank equal to n_pooled joins
-    # the last bin.  Keep n_pooled divisible by the bin count for exact
-    # uniformity of the null.
+    # the last bin.  The n_pooled + 1 rank values fill the bins exactly
+    # evenly under the null when n_pooled + 1 is divisible by the bin count.
     bin_idx = np.minimum(N_RANK_BINS - 1, (ranks * N_RANK_BINS) // n_pooled)
     bins = np.zeros((dim, N_RANK_BINS), dtype=np.int64)
     for dcol in range(dim):

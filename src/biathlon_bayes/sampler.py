@@ -10,12 +10,13 @@ position effect or race-effect row) takes a Metropolis-Hastings step
 scaled by its own adaptive scalar step size, shaped by the Cholesky factor
 of a local Gaussian approximation: the likelihood Fisher information plus
 the exact prior precision P_k / sigma_k^2 of the row's class at the
-current scale.  P_k is the unit prior precision of class k: the
-tridiagonal random-walk band for the stage baseline and the trajectories,
-which carries the prior's serial correlation into the proposal, and the
-identity for the position and race effects.  The Cholesky factors are
-cached per prior class: the rows of a class share one scale parameter, so
-when it moves, the whole class is factorized again with one stacked call.
+current scale.  P_k, the unit prior precision of class k
+(``model.prior_classes``), is the tridiagonal random-walk band for the
+stage baseline and the trajectories, which carries the prior's serial
+correlation into the proposal, and the identity for the position and
+race effects.  The Cholesky factors are cached per prior class: the rows
+of a class share one scale parameter, so when it moves, the whole class
+is factorized again with one stacked call.
 The step size adapts by Robbins-Monro during burn-in only (toward 0.35
 acceptance for vector rows, 0.44 for scalars) and is frozen afterwards, so
 the post-burn-in kernel is a valid fixed MCMC kernel.
@@ -126,26 +127,21 @@ class SamplerConfig:
 
 @dataclass
 class Block:
-    """One Gibbs block: coordinate indices, the likelihood information
-    matrix over them, and a target-specific payload describing which
-    records it touches.
+    """One Gibbs block: coordinate indices and a target-specific payload
+    (for ``ModelTarget``, the block's prior class, the records it touches
+    and its slot in the class's factor stack).
 
     A 1-D ``idx`` is one row, stepped on its own.  A 2-D ``idx`` of shape
     ``(rows, n)`` is a class of rows that are conditionally independent
     given everything else: they step together, each accepted or rejected
-    on its own, and row ``r`` reports as ``f"{name}[{r + 1}]"``; its
-    ``fisher`` is stacked, ``(rows, n, n)``.  A row of one coordinate is
-    a scalar row: it starts from a larger step and adapts toward a higher
-    acceptance rate than a vector row.  The target turns ``fisher`` into
-    the proposal shape (``proposal_transform``); ``ModelTarget`` adds the
-    prior precision at the current scale, factorizes the matrices of one
-    prior class together and caches the factors per class until that
-    class's scale moves.
+    on its own, and row ``r`` reports as ``f"{name}[{r + 1}]"``.  A row of
+    one coordinate is a scalar row: it starts from a larger step and adapts
+    toward a higher acceptance rate than a vector row.  The target gives
+    each block its proposal shape (``proposal_transform``).
     """
 
     name: str
     idx: np.ndarray
-    fisher: np.ndarray
     kind: str = "generic"
     payload: object = None
     repeats: int = 1  # MH tries per sweep visit
@@ -179,7 +175,8 @@ class Block:
 # (at least one), by exactly the sum of their deltas.  draw_scales, called
 # once at the end of every sweep, is an exact Gibbs step on coordinates
 # that no block covers (a no-op if there are none): it updates x and
-# raises cache.logp by exactly the change it makes.
+# raises cache.logp by exactly the change it makes.  The runner reads a
+# block's idx, repeats and names only; its payload is the target's own.
 
 
 @dataclass
@@ -230,6 +227,7 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
                 cur = x[block.idx]
                 z = rng.standard_normal(block.idx.shape)
                 A = target.proposal_transform(x, block)
+                # a row's own path: at paper scale a trajectory try takes 15 us, 23 as a class
                 if block.idx.ndim == 1:
                     prop = cur + np.exp(log_scale[r.start]) * (A @ z)
                     log_alpha, stash = target.propose_delta(x, cache, block, prop)
@@ -287,15 +285,9 @@ class _Cache:
     ss: np.ndarray  # sufficient statistics per prior class (mu, beta, gamma, omega)
     logp: float
     # each latent block's current term of its class's ss: one float for a
-    # row block, one per row for a class block
+    # row block, one per row for a class block (cached: recomputing it from
+    # x at every try made a sweep about 6% slower)
     share: dict[str, float | np.ndarray]
-
-
-def _rw_precision(T: int) -> np.ndarray:
-    """Precision of the anchored random walk: x_1 ~ N(0,1), increments N(0,1)."""
-    q = 2.0 * np.eye(T) - np.eye(T, k=1) - np.eye(T, k=-1)
-    q[-1, -1] = 1.0  # the last coordinate enters one increment only
-    return q
 
 
 class _Group(NamedTuple):
@@ -334,29 +326,23 @@ class _Stash(NamedTuple):
     share: float | np.ndarray
 
 
-# prior class (index into the cache's ``ss`` and the four scales) per latent
-# block kind; the mu and beta classes are random walks, the others iid
-_PRIOR_CLASS = {"mu": 0, "beta": 1, "gamma": 2, "omega": 3}
-_RANDOM_WALK = ("mu", "beta")
-
-
 class ModelTarget:
     """Posterior of the hierarchical model over its free coordinates.
 
     The blocks cover the latent field; the four log scales are drawn by
-    ``draw_scales``.  Every block's ``payload`` is ``(k, group)``: its
-    prior class and the one ``_Group`` of records its move touches.  A
-    prior class whose rows touch pairwise disjoint records (the position
-    effects, the race-effect rows) is one class block, stepped by
-    ``propose_rows``/``commit_rows``; a class whose rows share records (the
-    trajectories, through the constrained athlete) is one block per row,
-    stepped by ``propose_delta``/``commit``, as is the stage baseline.
-    Groups and ``fisher`` both come from the blocks' columns of
-    ``model.log_odds_jacobian``, so the constraint expansion lives in
-    ``model`` only.  Each class keeps its rows' Fisher matrices, stacked,
-    beside its unit prior precision P_k: a row's prior precision is
+    ``draw_scales``.  The build makes one pass over ``model.prior_classes``
+    and stores each class's stacked Fisher matrices and unit prior
+    precision P_k once, in ``_classes[k]``: a row's prior precision is
     ``e^{-2 v_k} P_k`` and its share of the class's sum of squares
-    ``v @ P_k @ v``, one rule for every row."""
+    ``v @ P_k @ v``.  A class whose rows touch pairwise disjoint records
+    (the position effects, the race-effect rows) is one class block
+    (``propose_rows``/``commit_rows``); any other row is a block of its own
+    (``propose_delta``/``commit``): the baseline, and the trajectories,
+    which share the constrained athlete's records.  A block's ``payload``
+    is ``(k, group, slot)``: its class, the ``_Group`` of records its move
+    touches and its slot in the class's stack (its row, or every row).
+    Groups and Fisher matrices come from ``model.log_odds_jacobian``, so
+    the constraint expansion lives in ``model`` only."""
 
     def __init__(self, spec: ModelSpec, dataset: Dataset):
         self.spec = spec
@@ -365,78 +351,42 @@ class ModelTarget:
         self.lay = _model.layout(spec)
         self.class_n = _model.class_stats(_model.ParameterState.zeros(spec), spec)[0]
         self.hits = _model._check_indices(dataset, spec).hits
+        self._classes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._chol: dict[int, tuple[float, np.ndarray]] = {}
         self.blocks = self._build_blocks()
-        self._stack_classes()
 
     # ---- layout ----------------------------------------------------------
 
     def _build_blocks(self):
-        spec, lay, hits = self.spec, self.lay, self.hits
-        S, T, Z = spec.S, spec.T, spec.Z
+        spec, hits = self.spec, self.hits
         shots = SHOTS_PER_BOUT * len(hits)
         pbar = np.clip(hits.sum() / shots, 0.1, 0.9) if shots else 0.5
         w = SHOTS_PER_BOUT * pbar * (1.0 - pbar)  # Fisher info of eta per session
-
-        def jacobian(idx):
-            # d eta / d x[idx]; its non-zero rows are the records a move touches
-            return _model.log_odds_jacobian(self.dataset, spec, idx)
-
-        def row(name, kind, idx, m, repeats=1):
-            rec = _ALL if kind == "mu" else np.flatnonzero(m.any(axis=1))
-            return Block(name, idx, w * (m.T @ m), kind=kind,  # untouched rows are zero
-                         payload=(_PRIOR_CLASS[kind], _Group(rec, hits[rec], m[rec])),
-                         repeats=repeats)
-
-        def prior_class(kind, idx, repeats=1):
-            # one class block if the rows touch pairwise disjoint records,
-            # else one block per row
-            ms = [jacobian(i) for i in idx]
+        blocks = []
+        for k, cls in enumerate(_model.prior_classes(spec)):
+            # d eta / d x of each row; its non-zero rows are the records a move touches
+            ms = [_model.log_odds_jacobian(self.dataset, spec, i) for i in cls.rows]
+            self._classes[k] = (np.stack([w * (m.T @ m) for m in ms]), cls.precision)
             touched = np.array([m.any(axis=1) for m in ms])
-            if len(idx) == 1 or touched.sum(axis=0).max(initial=0) > 1:
-                return [row(f"{kind}[{r + 1}]", kind, i, m, repeats)
-                        for r, (i, m) in enumerate(zip(idx, ms))]
-            rec = np.flatnonzero(touched.any(axis=0))
-            owner = touched[:, rec].argmax(axis=0)
-            group = _Group(rec, hits[rec], np.stack(ms)[owner, rec], owner)
-            return [Block(kind, idx, np.stack([w * (m.T @ m) for m in ms]), kind=kind,
-                          payload=(_PRIOR_CLASS[kind], group), repeats=repeats)]
-
-        mu = np.arange(T)
-        blocks = [row("mu", "mu", mu, jacobian(mu))]
-        if spec.mu_only:
-            return blocks
-        athletes = np.arange(S)[:, None]
-        # Two tries per trajectory visit: trajectory wiggles are
-        # prior-dominated, so their amplitudes (which drive the beta scale's
-        # conditional) need the extra turnover to keep the scale mixing.
-        blocks += prior_class("beta", lay.beta.start + athletes[:-1] * T + np.arange(T),
-                              repeats=2 if T > 1 else 1)
-        blocks += prior_class("gamma", lay.gamma.start + athletes)
-        blocks += prior_class("omega", lay.omega.start + athletes * (Z - 1) + np.arange(Z - 1))
-        return blocks
-
-    def _stack_classes(self):
-        """Per prior class: its rows' Fisher matrices stacked (every row of
-        a class has the same size) and its unit prior precision P_k, the
-        random-walk band for mu and beta and the identity for gamma and
-        omega.  Notes each block's slot in its class's stack: a row block's
-        index, or the whole stack for a class block, the only block of its
-        class."""
-        members: dict[int, list[Block]] = {}
-        for b in self.blocks:
-            members.setdefault(b.payload[0], []).append(b)
-        self._classes = {}
-        self._slot = {}
-        for k, bs in members.items():
-            n = bs[0].idx.shape[-1]
-            prior = _rw_precision(n) if bs[0].kind in _RANDOM_WALK else np.eye(n)
-            if bs[0].idx.ndim == 2:
-                self._classes[k] = (bs[0].fisher, prior)
-                self._slot[bs[0].name] = _ALL
+            # Two tries per trajectory visit: trajectory wiggles are
+            # prior-dominated, so their amplitudes (which drive the beta scale's
+            # conditional) need the extra turnover to keep the scale mixing.
+            repeats = 2 if cls.name == "beta" and spec.T > 1 else 1
+            # rows that share records, or a lone row (a row try is cheaper), step one by one
+            if len(ms) == 1 or touched.sum(axis=0).max(initial=0) > 1:
+                for r, (i, m) in enumerate(zip(cls.rows, ms)):
+                    if cls.name == "mu":  # the baseline touches every record
+                        name, rec = "mu", _ALL
+                    else:
+                        name, rec = f"{cls.name}[{r + 1}]", np.flatnonzero(touched[r])
+                    group = _Group(rec, hits[rec], m[rec])
+                    blocks.append(Block(name, i, cls.name, (k, group, r), repeats))
             else:
-                self._classes[k] = (np.stack([b.fisher for b in bs]), prior)
-                self._slot.update((b.name, i) for i, b in enumerate(bs))
-        self._chol: dict[int, tuple[float, np.ndarray]] = {}
+                rec = np.flatnonzero(touched.any(axis=0))
+                owner = touched[:, rec].argmax(axis=0)
+                group = _Group(rec, hits[rec], np.stack(ms)[owner, rec], owner)
+                blocks.append(Block(cls.name, cls.rows, cls.name, (k, group, _ALL), repeats))
+        return blocks
 
     def proposal_transform(self, x, block):
         """``inv(L).T`` for ``L`` the Cholesky factor of the block's
@@ -454,7 +404,7 @@ class ModelTarget:
             L = np.linalg.cholesky(fisher + np.exp(-2.0 * v) * prior)
             A = np.linalg.solve(L, np.broadcast_to(np.eye(len(prior)), L.shape))
             hit = self._chol[k] = (v, A.swapaxes(-1, -2))
-        return hit[1][self._slot[block.name]]
+        return hit[1][block.payload[2]]
 
     # ---- state plumbing --------------------------------------------------
 
@@ -489,7 +439,7 @@ class ModelTarget:
     # ---- block moves -------------------------------------------------------
 
     def propose_delta(self, x, cache, block, prop):
-        k, g = block.payload
+        k, g, _ = block.payload
         d = prop - x[block.idx]
         eta = cache.eta[g.rec] + g.m @ d
         ll = _model.bout_log_likelihoods(g.hits, eta)
@@ -503,7 +453,7 @@ class ModelTarget:
 
     def commit(self, x, cache, block, prop, stash):
         """Apply an accepted move: exactly the delta ``propose_delta`` returned."""
-        k, g = block.payload
+        k, g, _ = block.payload
         cache.eta[g.rec] = stash.eta
         cache.ll[g.rec] = stash.ll
         cache.ll_sum += stash.d_ll
@@ -517,7 +467,7 @@ class ModelTarget:
         priors are independent, so moving any set of them together changes
         the log-posterior by the sum of their deltas.  One likelihood call
         covers every record; ``np.bincount`` sums the changes by row."""
-        k, g = block.payload
+        k, g, _ = block.payload
         d = prop - x[block.idx]
         eta = cache.eta[g.rec] + (g.m * d[g.owner]).sum(axis=1)
         ll = _model.bout_log_likelihoods(g.hits, eta)
@@ -530,7 +480,7 @@ class ModelTarget:
     def commit_rows(self, x, cache, block, prop, stash, accept):
         """Apply the rows of a class move that ``accept`` marks: exactly the
         sum of their deltas from ``propose_rows``."""
-        k, g = block.payload
+        k, g, _ = block.payload
         keep = accept[g.owner]
         cache.eta[g.rec[keep]] = stash.eta[keep]
         cache.ll[g.rec[keep]] = stash.ll[keep]
@@ -932,19 +882,18 @@ def _csv_chunks(samples: PosteriorSamples):
 
 def _parse_manifest(raw: bytes) -> dict:
     """Decode a draws manifest (binary header or CSV sidecar): a JSON
-    object holding at least one draw (positive ``n_chains`` and
-    ``n_retained``) of a non-negative ``dim``, else DataError."""
+    object holding at least one draw of at least one parameter (positive
+    ``n_chains``, ``n_retained`` and ``dim``), else DataError."""
     try:
         manifest = json.loads(raw.decode())
     except ValueError as e:  # undecodable bytes or malformed JSON
         raise DataError(f"bad draws manifest: {e}") from None
     if not isinstance(manifest, dict):
         raise DataError("bad draws manifest: not a JSON object")
-    for key, least in (("n_chains", 1), ("n_retained", 1), ("dim", 0)):
+    for key in ("n_chains", "n_retained", "dim"):
         n = manifest.get(key)
-        if isinstance(n, bool) or not isinstance(n, int) or n < least:
-            kind = "positive" if least else "non-negative"
-            raise DataError(f"bad draws manifest: {key} must be a {kind} integer")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise DataError(f"bad draws manifest: {key} must be a positive integer")
     return manifest
 
 

@@ -65,7 +65,8 @@ class TestIngest:
         assert (out / "sessions.csv").exists()
         assert (out / "validation.json").exists()
         assert (out / "manifest.json").exists()
-        assert "72 sessions, 4 athletes" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "72 sessions, 4 athletes" in printed and printed.endswith(", 360 shots\n")
 
     def test_normalized_roundtrip(self, ws, tmp_path):
         out = tmp_path / "ing"
@@ -217,6 +218,19 @@ class TestDiagnose:
         sampler.export_draws(frozen, fitdir / "draws.bin")
         out = tmp_path / "diag"
         assert cli.main(["diagnose", "--fit", str(fitdir), "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    def test_a_fit_without_parameters_exit_2(self, ws, tmp_path, capsys, fmt):
+        samples = sampler.import_draws(ws / "fit" / "draws.bin")
+        empty = dataclasses.replace(samples, draws=samples.draws[..., :0], param_names=())
+        fitdir = tmp_path / "emptyfit"
+        fitdir.mkdir()
+        sampler.export_draws(empty, fitdir / ("draws.bin" if fmt == "binary" else "draws.csv"),
+                             fmt=fmt)
+        out = tmp_path / "diag"
+        assert cli.main(["diagnose", "--fit", str(fitdir), "--out", str(out)]) == 2
+        assert "dim must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
     def test_too_short_fit_writes_nothing(self, tmp_path, capsys):
@@ -531,6 +545,14 @@ class TestCountsCheckedBeforeOutput:
 class TestConfigAndUsage:
     _PROTO = ["--chains", "1", "--burnin", "60", "--keep", "60", "--thin", "1",
               "--seed", "3"]
+
+    @pytest.mark.parametrize("argv", [["fit", "--data", "x.csv", "--out", "o"],
+                                      ["validate", "oracle"]], ids=["fit", "validate"])
+    def test_sampler_flag_defaults_are_the_library_defaults(self, argv):
+        args = cli._build_parser().parse_args(argv)
+        d = sampler.SamplerConfig()
+        assert (args.chains, args.burnin, args.keep, args.thin, args.seed) == (
+            d.n_chains, d.burn_in, d.kept_iterations, d.thin, d.seed)
 
     def test_config_supplies_required_flags(self, ws, tmp_path):
         flags_dir = tmp_path / "flags"

@@ -182,6 +182,37 @@ class TestPrior:
         assert draws.mean() == pytest.approx(0.399, abs=0.05)
 
 
+class TestPriorClasses:
+    """``prior_classes`` defines each latent class once: its rows cover the
+    layout's latent coordinates, and its unit precision P prices a row as
+    ``v @ P @ v``, which must add up to ``class_stats``' sum of squares
+    (computed there from random-walk increments and plain squares)."""
+
+    @pytest.fixture(params=["S4_T3_Z3", "season", "mu_only"])
+    def spec(self, request, season_dataset):
+        if request.param == "season":
+            return ModelSpec.for_dataset(season_dataset)
+        return ModelSpec(S=4, T=3, Z=3, mu_only=request.param == "mu_only")
+
+    def test_rows_partition_the_latent_coordinates_in_vector_order(self, spec):
+        classes = model.prior_classes(spec)
+        want = ["mu"] if spec.mu_only else list(model.SIGMA_NAMES)
+        assert [c.name for c in classes] == want
+        rows = np.concatenate([c.rows.ravel() for c in classes])
+        assert np.array_equal(rows, np.arange(layout(spec).sigma.start))
+        for c in classes:
+            n = c.rows.shape[1]
+            assert c.rows.ndim == 2 and c.precision.shape == (n, n), c.name
+
+    def test_row_quadratic_forms_sum_to_the_class_ss(self, spec):
+        for seed in range(3):
+            x = rng_for(seed).normal(0.0, 1.0, spec.dim)
+            ss = model.class_stats(from_vector(x, spec), spec)[1]
+            for k, c in enumerate(model.prior_classes(spec)):
+                total = sum(float(v @ c.precision @ v) for v in x[c.rows])
+                assert total == pytest.approx(ss[k], rel=1e-12, abs=0), c.name
+
+
 class TestVectorization:
     def test_roundtrip(self):
         spec = ModelSpec(S=3, T=2)

@@ -39,7 +39,7 @@ class _GaussTarget:
 
     ``block_mode`` picks one joint vector block or one scalar block per
     coordinate, so both adaptation targets get exercised.  Each block's
-    ``fisher`` is its conditional precision, and it proposes from that.
+    ``payload`` is its conditional precision, and it proposes from that.
     """
 
     def __init__(self, mean, cov, block_mode="vector"):
@@ -50,13 +50,14 @@ class _GaussTarget:
             named = [("xy", np.arange(self.dim))]
         else:
             named = [(f"x{i}", np.array([i])) for i in range(self.dim)]
-        self.blocks = [Block(name, idx, self.prec[np.ix_(idx, idx)]) for name, idx in named]
+        self.blocks = [Block(name, idx, payload=self.prec[np.ix_(idx, idx)])
+                       for name, idx in named]
 
     def initial_vector(self, rng):
         return rng.standard_normal(self.dim)
 
     def proposal_transform(self, x, block):
-        return np.linalg.inv(np.linalg.cholesky(block.fisher)).T
+        return np.linalg.inv(np.linalg.cholesky(block.payload)).T
 
     def _logp(self, x):
         d = x - self.mean
@@ -163,7 +164,9 @@ class TestModelTargetBlocks:
         assert {b.repeats for b in target.blocks} == {1, 2}
         assert by_name["gamma"].idx.shape == (S, 1) and by_name["gamma"].repeats == 1
         assert by_name["omega"].idx.shape == (S, Z - 1)
-        assert by_name["gamma"].fisher.shape == (S, 1, 1)
+        assert target._classes[2][0].shape == (S, 1, 1)  # gamma's Fisher stack
+        assert by_name["gamma"].payload[2] == slice(None)  # its slot: every row
+        assert [by_name[f"beta[{s}]"].payload[2] for s in range(1, S)] == list(range(S - 1))
         assert [b.rows for b in target.blocks] == [1] * S + [S, S]
         rows = [n for b in target.blocks for n in b.row_names]
         assert rows[-1] == f"omega[{S}]" and rows[S] == "gamma[1]"
@@ -520,10 +523,11 @@ class TestProposalFactorization:
 
     @staticmethod
     def _unbatched(target, x, block):
-        v = float(x[target.lay.sigma.start + block.payload[0]])
+        k, _, slot = block.payload
+        v = float(x[target.lay.sigma.start + k])
         n = block.idx.shape[-1]
-        prior = sampler._rw_precision(n) if block.kind in ("mu", "beta") else np.eye(n)
-        for fisher in block.fisher.reshape(-1, n, n):
+        prior = model.rw_precision(n) if block.kind in ("mu", "beta") else np.eye(n)
+        for fisher in target._classes[k][0][slot].reshape(-1, n, n):
             precision = fisher + np.exp(-2.0 * v) * prior
             L = np.linalg.cholesky(precision)
             yield precision, np.linalg.solve(L, np.eye(n)).T
@@ -993,10 +997,16 @@ class TestDrawsContainer:
         with pytest.raises(DataError, match="manifest"):
             import_draws(path)
 
-    @pytest.mark.parametrize("empty", [np.s_[:0], np.s_[:, :0]], ids=["no_chains", "no_draws"])
-    def test_a_container_without_draws_is_a_data_error(self, small_fit, tmp_path, empty):
-        path = tmp_path / "draws.bin"
-        export_draws(dataclasses.replace(small_fit, draws=small_fit.draws[empty]), path)
+    @pytest.mark.parametrize("empty, fmt", [
+        (np.s_[:0], "binary"), (np.s_[:, :0], "binary"),
+        (np.s_[..., :0], "binary"), (np.s_[..., :0], "csv"),
+    ], ids=["no_chains", "no_draws", "no_params", "no_params_csv"])
+    def test_a_container_without_draws_is_a_data_error(self, small_fit, tmp_path, empty, fmt):
+        path = tmp_path / "draws"
+        draws = small_fit.draws[empty]
+        export_draws(dataclasses.replace(small_fit, draws=draws,
+                                         param_names=small_fit.param_names[:draws.shape[2]]),
+                     path, fmt=fmt)
         with pytest.raises(DataError, match="must be a positive integer"):
             import_draws(path)
 
