@@ -757,6 +757,9 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
     )
     d, truth = generate_synthetic(cfg)
+    if not d.records:  # checked before any output is written
+        print("warning: simulated dataset is empty (participation too low)", file=sys.stderr)
+        return 2
     _write_manifest(args, {})
     body = serialize_sessions(d)
     _write_atomic(os.path.join(args.out, "sessions.csv"), lambda fh: fh.write(body))
@@ -771,9 +774,6 @@ def _cmd_simulate(args) -> int:
             "seed": args.seed,
         },
     )
-    if not d.records:
-        print("warning: simulated dataset is empty (participation too low)", file=sys.stderr)
-        return 2
     print(f"simulate: {len(d.records)} sessions, {d.n_athletes} athletes, {d.n_stages} stages")
     return 0
 

@@ -7,16 +7,15 @@ several stages), all athletes' position effects in one class step, all
 athletes' race-effect rows in another; then it draws the four log scales.
 Every row of the field (the baseline, one trajectory, one athlete's
 position effect or race-effect row) takes a Metropolis-Hastings step
-scaled by its own adaptive scalar step size, shaped by the Cholesky factor
-of a local Gaussian approximation: the likelihood Fisher information plus
-the exact prior precision P_k / sigma_k^2 of the row's class at the
-current scale.  P_k, the unit prior precision of class k
-(``model.prior_classes``), is the tridiagonal random-walk band for the
-stage baseline and the trajectories, which carries the prior's serial
-correlation into the proposal, and the identity for the position and
-race effects.  The Cholesky factors are cached per prior class: the rows
-of a class share one scale parameter, so when it moves, the whole class
-is factorized again with one stacked call.
+scaled by its own adaptive scalar step size, shaped by a local Gaussian
+approximation: the likelihood Fisher information F plus the exact prior
+precision P_k / sigma_k^2 of the row's class at the current scale.  P_k,
+the unit prior precision of class k (``model.prior_classes``), is the
+tridiagonal random-walk band for the stage baseline and the trajectories,
+which carries the prior's serial correlation into the proposal, and the
+identity for the position and race effects.  Only the scale moves during
+a fit, so the build makes each row's pencil F + lam P_k diagonal once
+(Golub & Van Loan, Matrix Computations, 8.7) and no chain factorizes.
 The step size adapts by Robbins-Monro during burn-in only (toward 0.35
 acceptance for vector rows, 0.44 for scalars) and is frozen afterwards, so
 the post-burn-in kernel is a valid fixed MCMC kernel.
@@ -129,7 +128,7 @@ class SamplerConfig:
 class Block:
     """One Gibbs block: coordinate indices and a target-specific payload
     (for ``ModelTarget``, the block's prior class, the records it touches
-    and its slot in the class's factor stack).
+    and its slot in the class's eigenbasis stack).
 
     A 1-D ``idx`` is one row, stepped on its own.  A 2-D ``idx`` of shape
     ``(rows, n)`` is a class of rows that are conditionally independent
@@ -165,18 +164,19 @@ class Block:
 # -> (delta_logp, stash), commit(x, cache, block, prop, stash) and
 # draw_scales(x, cache, rng); a target with class blocks (2-D idx) also
 # propose_rows(x, cache, block, prop) -> (delta per row, stash) and
-# commit_rows(x, cache, block, prop, stash, accept).  A is inv(L).T for L
-# the lower Cholesky factor of the block's proposal precision (stacked, one
-# per row, for a class block), so the step A @ z has that precision's
-# inverse as covariance.  The stash is the target's own record of the
-# proposal: commit, called only on acceptance and before x changes, must
-# raise cache.logp by exactly the delta that propose_delta returned with
-# it; commit_rows, called before x changes with the mask of accepted rows
-# (at least one), by exactly the sum of their deltas.  draw_scales, called
-# once at the end of every sweep, is an exact Gibbs step on coordinates
-# that no block covers (a no-op if there are none): it updates x and
-# raises cache.logp by exactly the change it makes.  The runner reads a
-# block's idx, repeats and names only; its payload is the target's own.
+# commit_rows(x, cache, block, prop, stash, accept).  A is any matrix
+# with A @ A.T the block's proposal covariance (stacked, one per row, for a
+# class block), so the step A @ z has that covariance; it is asked for once
+# per block visit, so it may depend only on coordinates no block covers.
+# The stash is the target's own record of the proposal: commit, called
+# only on acceptance and before x changes, must raise cache.logp by exactly
+# the delta that propose_delta returned with it; commit_rows, called before
+# x changes with the mask of accepted rows (at least one), by exactly the
+# sum of their deltas.  draw_scales, called once at the end of every sweep,
+# is an exact Gibbs step on coordinates that no block covers (a no-op if
+# there are none): it updates x and raises cache.logp by exactly the change
+# it makes.  The runner reads a block's idx, repeats and names only; its
+# payload is the target's own.
 
 
 @dataclass
@@ -223,10 +223,10 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
         for b, block in enumerate(blocks):
             r = rows[b]
             rate = _TARGET_RATE_SCALAR if size[b] == 1 else _TARGET_RATE_VECTOR
+            A = target.proposal_transform(x, block)  # no try of the visit moves a scale
             for _try in range(block.repeats):
                 cur = x[block.idx]
                 z = rng.standard_normal(block.idx.shape)
-                A = target.proposal_transform(x, block)
                 # a row's own path: at paper scale a trajectory try takes 15 us, 23 as a class
                 if block.idx.ndim == 1:
                     prop = cur + np.exp(log_scale[r.start]) * (A @ z)
@@ -331,18 +331,19 @@ class ModelTarget:
 
     The blocks cover the latent field; the four log scales are drawn by
     ``draw_scales``.  The build makes one pass over ``model.prior_classes``
-    and stores each class's stacked Fisher matrices and unit prior
-    precision P_k once, in ``_classes[k]``: a row's prior precision is
-    ``e^{-2 v_k} P_k`` and its share of the class's sum of squares
-    ``v @ P_k @ v``.  A class whose rows touch pairwise disjoint records
-    (the position effects, the race-effect rows) is one class block
-    (``propose_rows``/``commit_rows``); any other row is a block of its own
-    (``propose_delta``/``commit``): the baseline, and the trajectories,
-    which share the constrained athlete's records.  A block's ``payload``
-    is ``(k, group, slot)``: its class, the ``_Group`` of records its move
-    touches and its slot in the class's stack (its row, or every row).
-    Groups and Fisher matrices come from ``model.log_odds_jacobian``, so
-    the constraint expansion lives in ``model`` only."""
+    and stores in ``_classes[k]``, once, each class's unit prior precision
+    P_k and the eigenbases that make its rows' ``fisher + lam P_k``
+    diagonal: a row's prior precision is ``e^{-2 v_k} P_k``, its share of
+    the class's sum of squares ``v @ P_k @ v``.  A class whose rows touch
+    pairwise disjoint records (the position effects, the race-effect rows)
+    is one class block (``propose_rows``/``commit_rows``); any other row is
+    a block of its own (``propose_delta``/``commit``): the baseline, and
+    the trajectories, which share the constrained athlete's records.  A
+    block's ``payload`` is ``(k, group, slot)``: its class, the ``_Group``
+    of records its move touches and its slot in the class's stacks (its
+    row, or every row).  Groups and Fisher matrices come from
+    ``model.log_odds_jacobian``, so the constraint expansion lives in
+    ``model`` only."""
 
     def __init__(self, spec: ModelSpec, dataset: Dataset):
         self.spec = spec
@@ -351,8 +352,7 @@ class ModelTarget:
         self.lay = _model.layout(spec)
         self.class_n = _model.class_stats(_model.ParameterState.zeros(spec), spec)[0]
         self.hits = _model._check_indices(dataset, spec).hits
-        self._classes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._chol: dict[int, tuple[float, np.ndarray]] = {}
+        self._classes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.blocks = self._build_blocks()
 
     # ---- layout ----------------------------------------------------------
@@ -366,7 +366,12 @@ class ModelTarget:
         for k, cls in enumerate(_model.prior_classes(spec)):
             # d eta / d x of each row; its non-zero rows are the records a move touches
             ms = [_model.log_odds_jacobian(self.dataset, spec, i) for i in cls.rows]
-            self._classes[k] = (np.stack([w * (m.T @ m) for m in ms]), cls.precision)
+            # each row's F + lam P_k made diagonal at every scale (Golub & Van
+            # Loan, 8.7): P_k = L L^T, L^-1 F L^-T = U diag(e) U^T, V = L^-T U
+            # with V^T F V = diag(e), V^T P_k V = I; e >= 0 up to rounding
+            inv_l = np.linalg.inv(np.linalg.cholesky(cls.precision))
+            e, u = np.linalg.eigh(inv_l @ np.stack([w * (m.T @ m) for m in ms]) @ inv_l.T)
+            self._classes[k] = (inv_l.T @ u, np.maximum(e, 0.0), cls.precision)
             touched = np.array([m.any(axis=1) for m in ms])
             # Two tries per trajectory visit: trajectory wiggles are
             # prior-dominated, so their amplitudes (which drive the beta scale's
@@ -389,22 +394,16 @@ class ModelTarget:
         return blocks
 
     def proposal_transform(self, x, block):
-        """``inv(L).T`` for ``L`` the Cholesky factor of the block's
-        Gaussian-approximation precision: its Fisher matrix plus its class's
-        prior precision ``e^{-2v} P_k`` at the current scale; for a class
-        block, the stack of one per row.  The matrices are cached per prior
-        class: when the class's scale has moved, every row of the class is
-        factorized again by one stacked ``cholesky`` and one stacked
-        ``solve``, which give the same bits as one call per row."""
-        k = block.payload[0]
-        v = self._log_sigma(x, k)
-        hit = self._chol.get(k)
-        if hit is None or hit[0] != v:
-            fisher, prior = self._classes[k]
-            L = np.linalg.cholesky(fisher + np.exp(-2.0 * v) * prior)
-            A = np.linalg.solve(L, np.broadcast_to(np.eye(len(prior)), L.shape))
-            hit = self._chol[k] = (v, A.swapaxes(-1, -2))
-        return hit[1][block.payload[2]]
+        """A matrix ``A`` with ``A @ A.T`` the inverse of the block's
+        Gaussian-approximation precision, its Fisher matrix plus its class's
+        prior precision ``e^{-2v} P_k`` at the current scale (for a class
+        block, one per row): ``V diag((e + e^{-2v})^-1/2)`` from the row's
+        eigenbasis fixed at build, one broadcast multiply that changes no
+        state."""
+        k, _, slot = block.payload
+        basis, e, _ = self._classes[k]
+        lam = np.exp(-2.0 * self._log_sigma(x, k))
+        return basis[slot] * ((e[slot] + lam) ** -0.5)[..., None, :]
 
     # ---- state plumbing --------------------------------------------------
 
@@ -431,7 +430,7 @@ class ModelTarget:
     def _share(self, block, v: np.ndarray):
         """The block's term ``v @ P_k @ v`` of its class's sum of squares,
         one per row of a class block."""
-        prior = self._classes[block.payload[0]][1]
+        prior = self._classes[block.payload[0]][2]
         if v.ndim == 1:
             return float(v @ prior @ v)
         return ((v @ prior) * v).sum(axis=1)
@@ -663,8 +662,8 @@ def run_chains(
     Chains are distributed over at most :func:`worker_cap` processes; draws
     are identical for any worker count because every chain owns its RNG
     stream.  Every chain runs on one ``ModelTarget`` (a worker process on
-    its own copy): its only state is the factor cache, keyed by the scale
-    value it was built at, so sharing it does not change a bit.
+    its own copy): nothing in it changes after the build, so sharing it
+    does not change a bit.
     """
     cfg = cfg or SamplerConfig()
     t0 = time.perf_counter()

@@ -53,6 +53,7 @@ class TestSimulate:
                        "--stages", "1", "--participation", "0.0"])
         assert rc == 2
         assert "empty" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()  # nothing written
 
     def test_too_many_stages(self, tmp_path):
         assert cli.main(["simulate", "--out", str(tmp_path / "x"), "--stages", "99"]) == 2
@@ -623,7 +624,7 @@ class TestConfigAndUsage:
         draws = sampler.import_draws(tmp_path / "fit" / "draws.bin").draws
         # the draws of the same fit with the removed proposal setting left out
         assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == (
-            "013863ce0387ee027d83acf0bb874de4c170714bbb7419129a3c3a13c95f3291"
+            "4be7c480f12bf4f2d5c42f450fd626e5d90c8a8a42cfe8f355df48ede5eb2416"
         )
 
     def test_older_validate_manifest_replays_its_result(self, tmp_path):

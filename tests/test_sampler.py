@@ -18,6 +18,7 @@ from scipy.signal import lfilter
 from scipy.special import logsumexp
 
 from biathlon_bayes import model, sampler, synth
+from biathlon_bayes.data import Dataset
 from biathlon_bayes.errors import DataError, NumericalError
 from biathlon_bayes.sampler import (
     Block,
@@ -164,7 +165,7 @@ class TestModelTargetBlocks:
         assert {b.repeats for b in target.blocks} == {1, 2}
         assert by_name["gamma"].idx.shape == (S, 1) and by_name["gamma"].repeats == 1
         assert by_name["omega"].idx.shape == (S, Z - 1)
-        assert target._classes[2][0].shape == (S, 1, 1)  # gamma's Fisher stack
+        assert target._classes[2][0].shape == (S, 1, 1)  # gamma's eigenbasis stack
         assert by_name["gamma"].payload[2] == slice(None)  # its slot: every row
         assert [by_name[f"beta[{s}]"].payload[2] for s in range(1, S)] == list(range(S - 1))
         assert [b.rows for b in target.blocks] == [1] * S + [S, S]
@@ -482,7 +483,7 @@ class TestPinnedDraws:
         return hashlib.sha256(draws.tobytes()).hexdigest()
 
     @pytest.mark.parametrize("digest", [
-        "f6de5a2e02101c1bc1887cb7f10e7ec7bb542ec4f0a217dcba779f96eb369232",
+        "d68150f532a6e7d0fa9f9c7b7ba45edfa75e07de58a2c42430da491dd566d105",
     ], ids=["random_walk"])
     def test_multi_stage_fit(self, digest, monkeypatch):
         monkeypatch.setenv(sampler.THREADS_ENV, "1")
@@ -510,72 +511,81 @@ def class_target(request, season_dataset):
 
 
 def _row_factors(target, x, block):
-    """``proposal_transform``'s factors of ``block``, one per row."""
+    """``proposal_transform``'s matrices for ``block``, one per row."""
     A = target.proposal_transform(x, block)
     return A if block.idx.ndim == 2 else A[None]
 
 
-class TestProposalFactorization:
-    """``proposal_transform`` factorizes each prior class with one stacked
-    call and hands every row, scalar or vector, its own ``inv(L).T`` slice
-    of ``fisher + e^{-2v} P_k``: a row block its own matrix, a class block
-    the stack of its rows'."""
+class TestProposalShape:
+    """``proposal_transform`` hands every row, scalar or vector, a matrix
+    ``A`` with ``A @ A.T`` the inverse of ``fisher + e^{-2v} P_k`` at its
+    class's current scale: a row block one matrix, a class block the stack
+    of its rows'.  It reads an eigenbasis fixed at build and changes no
+    state."""
 
     @staticmethod
-    def _unbatched(target, x, block):
-        k, _, slot = block.payload
-        v = float(x[target.lay.sigma.start + k])
+    def _precisions(target, x, block):
+        """Each row's precision, its Fisher matrix taken from the model's
+        log-odds map at the pooled hit rate (clipped to [0.1, 0.9])."""
+        hits = target.dataset.arrays.hits
+        pbar = np.clip(hits.sum() / (model.SHOTS_PER_BOUT * len(hits)), 0.1, 0.9)
+        w = model.SHOTS_PER_BOUT * pbar * (1.0 - pbar)
+        k = model.SIGMA_NAMES.index(block.kind)
         n = block.idx.shape[-1]
         prior = model.rw_precision(n) if block.kind in ("mu", "beta") else np.eye(n)
-        for fisher in target._classes[k][0][slot].reshape(-1, n, n):
-            precision = fisher + np.exp(-2.0 * v) * prior
-            L = np.linalg.cholesky(precision)
-            yield precision, np.linalg.solve(L, np.eye(n)).T
+        lam = np.exp(-2.0 * x[target.lay.sigma.start + k])
+        for idx in block.idx.reshape(-1, n):
+            m = model.log_odds_jacobian(target.dataset, target.spec, idx)
+            yield w * (m.T @ m) + lam * prior
 
-    def test_each_block_gets_its_own_factor(self, class_target):
+    @pytest.mark.parametrize("log_scale", [-4.0, 0.0, 3.0, None],
+                             ids=["v=-4", "v=0", "v=3", "initial"])
+    def test_a_at_inverts_the_precision(self, class_target, log_scale):
         target = class_target
         x = target.initial_vector(np.random.default_rng(2))
+        if log_scale is not None:
+            x[target.lay.sigma] = log_scale
         assert {b.kind for b in target.blocks} == {"mu", "beta", "gamma", "omega"}
         for block in target.blocks:
             factors = _row_factors(target, x, block)
-            assert len(factors) == block.rows, block.name
-            for A, (precision, A1), name in zip(factors, self._unbatched(target, x, block),
-                                                block.row_names):
+            precisions = list(self._precisions(target, x, block))
+            assert len(factors) == len(precisions) == block.rows, block.name
+            for A, precision, name in zip(factors, precisions, block.row_names):
                 # A @ A.T is the inverse precision: the covariance of the step A @ z
                 np.testing.assert_allclose(A @ A.T @ precision, np.eye(len(A)),
-                                           rtol=0, atol=1e-9)
-                assert np.array_equal(A, A1), name
+                                           rtol=0, atol=1e-9, err_msg=name)
 
-    def test_moving_a_scale_refreshes_its_class_only(self, class_target, monkeypatch):
+    def test_is_pure(self, class_target):
+        # the same bits whatever was asked before, and after a chain ran
         target = class_target
         x = target.initial_vector(np.random.default_rng(3))
+        other = target.initial_vector(np.random.default_rng(4))
         blocks = target.blocks
-        before = {b.name: _row_factors(target, x, b) for b in blocks}
-        stacks = []
-        cholesky = np.linalg.cholesky
+        first = [target.proposal_transform(x, b) for b in blocks]
+        twin = sampler.ModelTarget(target.spec, target.dataset)
+        for b in reversed(twin.blocks):
+            twin.proposal_transform(other, b)
+        again = [twin.proposal_transform(x, b) for b in reversed(twin.blocks)][::-1]
+        run_chain(target, SamplerConfig(n_chains=1, burn_in=10, kept_iterations=10,
+                                        thin=1, seed=5), 0)
+        after = [target.proposal_transform(x, b) for b in blocks]
+        for block, A, B, C in zip(blocks, first, again, after):
+            assert np.array_equal(A, B) and np.array_equal(A, C), block.name
 
-        def counting(a):
-            stacks.append(a.shape)
-            return cholesky(a)
-
-        for k, kind in enumerate(model.SIGMA_NAMES):
-            x[target.lay.sigma.start + k] += 0.3
-            stacks.clear()
-            with monkeypatch.context() as m:
-                m.setattr(np.linalg, "cholesky", counting)
-                got = {b.name: _row_factors(target, x, b) for b in blocks}
-            members = [b for b in blocks if b.kind == kind]
-            for block in blocks:
-                A = got[block.name]
-                if block.kind == kind:
-                    A1 = np.stack([a for _, a in self._unbatched(target, x, block)])
-                    assert not np.array_equal(A, before[block.name]), block.name
-                else:
-                    A1 = before[block.name]
-                assert np.array_equal(A, A1), block.name
-            n = members[0].idx.shape[-1]
-            assert stacks == [(sum(b.rows for b in members), n, n)], kind
-            before = got
+    def test_a_row_without_fisher_information_stays_finite(self):
+        # one athlete shot individual races only: its race-effect row's
+        # sprint column touches no record (no sprint, no pursuit)
+        d, spec = _three_race_season()
+        first = d.athletes[0]
+        d = Dataset.from_records([r for r in d.records
+                                  if r.athlete != first or r.race_type == "individual"])
+        target = sampler.ModelTarget(spec, d)
+        omega = next(b for b in target.blocks if b.kind == "omega")
+        ms = [model.log_odds_jacobian(d, spec, idx) for idx in omega.idx]
+        assert any(not m[:, 1].any() for m in ms) and all(m[:, 0].any() for m in ms)
+        x = target.initial_vector(np.random.default_rng(6))
+        x[target.lay.sigma] = 10.0
+        assert np.isfinite(target.proposal_transform(x, omega)).all()
 
 
 class TestBlockShares:
