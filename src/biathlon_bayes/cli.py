@@ -80,6 +80,7 @@ from .sampler import (
     import_draws,
     run_chains,
     summarize,
+    worker_cap,
 )
 from .synth import SEASON_SCHEDULE, SynthConfig, generate_synthetic
 
@@ -447,6 +448,7 @@ def _cmd_explore(args) -> int:
 
 
 def _sampler_config(args) -> SamplerConfig:
+    worker_cap()  # BIATHLON_BAYES_THREADS is checked with the flags, before any output
     return SamplerConfig(
         n_chains=args.chains,
         burn_in=args.burnin,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -272,7 +273,8 @@ def spearman(a, b) -> float:
 
 
 def load_ranks(source) -> dict[str, float]:
-    """Parse an end-of-season rank file: CSV with header ``athlete,final_rank``."""
+    """Parse an end-of-season rank file: CSV with header ``athlete,final_rank``
+    (a leading byte-order mark is dropped) and a finite rank per athlete."""
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, (bytes, bytearray)):
@@ -281,7 +283,7 @@ def load_ranks(source) -> dict[str, float]:
         text = source.read_text(encoding="utf-8")
     else:
         text = source
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
         header = next(reader)
     except StopIteration:
@@ -299,6 +301,8 @@ def load_ranks(source) -> dict[str, float]:
             rank = float(rank_s)
         except ValueError:
             raise DataError(f"rank file: not a number: {rank_s!r}") from None
+        if not math.isfinite(rank):
+            raise DataError(f"rank file: rank of {athlete!r} is not finite: {rank_s!r}")
         if athlete in ranks:
             raise DataError(f"rank file: duplicate athlete {athlete!r}")
         ranks[athlete] = rank

@@ -33,7 +33,7 @@ from .model import (
     sample_prior,
     to_vector,
 )
-from .sampler import SamplerConfig, run_chains
+from .sampler import SamplerConfig, run_chains, worker_cap
 from .streams import rng_for, seed_sequence
 from .synth import SynthConfig, generate_synthetic
 
@@ -338,6 +338,7 @@ def sbc(
         raise DataError("sbc draws its own true parameters; synth config must not fix them")
     if sampler_cfg is None:
         sampler_cfg = SamplerConfig()
+    worker_cap()  # a bad BIATHLON_BAYES_THREADS is the caller's error, not a failed fit
 
     names = param_names(spec)
     dim = spec.dim

@@ -48,13 +48,16 @@ athlete's records, a class step every record its rows touch, each tagged
 with the row that owns it (the stage baseline touches every record).  The
 same columns give each row's Fisher matrix ``w * m.T @ m``, and
 ``v @ P_k @ v`` is the row's share of its class's prior sum of squares.
-Scale draws touch no records.  The proposal and the commit both read the
-group: ``propose_delta`` (``propose_rows`` for a class step) returns the
-log-posterior delta, one per row, together with a stash of everything it
-computed, and ``commit`` (``commit_rows``, given the accepted rows)
-applies exactly those deltas from the stash without recomputing a sum.
-The cache is rebuilt in full periodically and at the burn-in boundary so
-float accumulation cannot drift.
+The cache keeps each number once: the per-record log-odds and
+log-likelihoods, the log-posterior and every row's share.  Sums are taken
+where they are read (a move sums its group, ``draw_scales`` a class's
+shares).  Scale draws touch no records.  ``propose_delta``
+(``propose_rows`` for a class step) returns the log-posterior delta, one
+per row, with a stash of what it computed, and ``commit`` (``commit_rows``,
+given the accepted rows) stores the stash and adds exactly that delta.
+Shares are stored, never accumulated, so they equal a rebuild bit for bit;
+the full rebuild, periodic and at the burn-in boundary, keeps rounding in
+the log-odds and the log-posterior from drifting.
 """
 
 from __future__ import annotations
@@ -90,7 +93,6 @@ _TARGET_RATE_VECTOR = 0.35
 _TARGET_RATE_SCALAR = 0.44
 _ADAPT_DECAY = 0.6
 _CACHE_REFRESH = 500  # sweeps between full cache rebuilds
-_INIT_ATTEMPTS = 100
 
 
 @dataclass(frozen=True)
@@ -159,12 +161,13 @@ class Block:
 # ---------------------------------------------------------------------------
 # generic chain runner over a block target
 #
-# A target provides: dim, blocks, initial_vector(rng), make_cache(x),
-# proposal_transform(x, block) -> A, propose_delta(x, cache, block, prop)
-# -> (delta_logp, stash), commit(x, cache, block, prop, stash) and
-# draw_scales(x, cache, rng); a target with class blocks (2-D idx) also
-# propose_rows(x, cache, block, prop) -> (delta per row, stash) and
-# commit_rows(x, cache, block, prop, stash, accept).  A is any matrix
+# A target provides: dim, blocks, initial_vector(rng), make_cache(x) (a
+# finite cache.logp at every finite x), proposal_transform(x, block) -> A,
+# propose_delta(x, cache, block, prop) -> (delta_logp, stash),
+# commit(x, cache, block, prop, stash) and draw_scales(x, cache, rng); a
+# target with class blocks (2-D idx) also propose_rows(x, cache, block,
+# prop) -> (delta per row, stash) and commit_rows(x, cache, block, prop,
+# stash, accept).  A is any matrix
 # with A @ A.T the block's proposal covariance (stacked, one per row, for a
 # class block), so the step A @ z has that covariance; it is asked for once
 # per block visit, so it may depend only on coordinates no block covers.
@@ -190,16 +193,10 @@ class ChainResult:
 def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
     """Run one chain; deterministic given (target inputs, cfg.seed, chain_idx)."""
     rng = rng_for(cfg.seed, chain_idx)
-    x = cache = None
-    for _ in range(_INIT_ATTEMPTS):
-        x = target.initial_vector(rng)
-        cache = target.make_cache(x)
-        if np.isfinite(cache.logp):
-            break
-    else:
-        raise NumericalError(
-            f"chain {chain_idx}: no finite log-posterior in {_INIT_ATTEMPTS} initialization draws"
-        )
+    x = target.initial_vector(rng)
+    cache = target.make_cache(x)
+    if not np.isfinite(cache.logp):
+        raise NumericalError(f"chain {chain_idx}: initial log-posterior is {cache.logp}")
 
     blocks = target.blocks
     counts = [b.rows for b in blocks]
@@ -281,13 +278,11 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
 class _Cache:
     eta: np.ndarray
     ll: np.ndarray
-    ll_sum: float
-    ss: np.ndarray  # sufficient statistics per prior class (mu, beta, gamma, omega)
     logp: float
-    # each latent block's current term of its class's ss: one float for a
-    # row block, one per row for a class block (cached: recomputing it from
-    # x at every try made a sweep about 6% slower)
-    share: dict[str, float | np.ndarray]
+    # per prior class, each row's term v @ P_k @ v of the class's sum of
+    # squares, in the class's row order (stored: recomputing it from x at
+    # every try made a sweep about 6% slower)
+    share: list[np.ndarray]
 
 
 class _Group(NamedTuple):
@@ -297,31 +292,20 @@ class _Group(NamedTuple):
     the row each record belongs to, and a step ``d`` of shape
     ``(rows, n)`` shifts record ``i`` by ``m[i] @ d[owner[i]]``."""
 
-    rec: np.ndarray | slice
+    rec: np.ndarray
     hits: np.ndarray
     m: np.ndarray
     owner: np.ndarray | None = None
 
 
-# The mu move touches every record; its old log-likelihood sum is the
-# cache's running total rather than a fresh sum.  Moves test for it by type,
-# not identity, so a pickled target (a worker process's copy) does the same.
-_ALL = slice(None)
-
-
 class _Stash(NamedTuple):
     """What ``propose_delta`` hands to ``commit``, and ``propose_rows`` to
-    ``commit_rows``: the group's new log-odds and log-likelihoods, then the
-    log-likelihood change, the class's sum of squares, the log-posterior
-    change returned with the stash and the block's new share of that sum.
-    A class block's stash holds one change per row, and ``ss`` is each
-    row's change of the class's sum of squares rather than its new
-    value."""
+    ``commit_rows``: the group's new log-odds and log-likelihoods, the
+    log-posterior change returned with the stash and the block's new
+    shares, one per row for a class block."""
 
     eta: np.ndarray
     ll: np.ndarray
-    d_ll: float | np.ndarray
-    ss: float | np.ndarray
     delta: float | np.ndarray
     share: float | np.ndarray
 
@@ -343,16 +327,17 @@ class ModelTarget:
     of records its move touches and its slot in the class's stacks (its
     row, or every row).  Groups and Fisher matrices come from
     ``model.log_odds_jacobian``, so the constraint expansion lives in
-    ``model`` only."""
+    ``model`` only.  ``class_n[k]`` is class k's coordinate count, the n_k
+    of its scale's conditional."""
 
     def __init__(self, spec: ModelSpec, dataset: Dataset):
         self.spec = spec
         self.dataset = dataset
         self.dim = spec.dim
         self.lay = _model.layout(spec)
-        self.class_n = _model.class_stats(_model.ParameterState.zeros(spec), spec)[0]
         self.hits = _model._check_indices(dataset, spec).hits
         self._classes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.class_n: list[int] = []
         self.blocks = self._build_blocks()
 
     # ---- layout ----------------------------------------------------------
@@ -372,6 +357,7 @@ class ModelTarget:
             inv_l = np.linalg.inv(np.linalg.cholesky(cls.precision))
             e, u = np.linalg.eigh(inv_l @ np.stack([w * (m.T @ m) for m in ms]) @ inv_l.T)
             self._classes[k] = (inv_l.T @ u, np.maximum(e, 0.0), cls.precision)
+            self.class_n.append(cls.rows.size)
             touched = np.array([m.any(axis=1) for m in ms])
             # Two tries per trajectory visit: trajectory wiggles are
             # prior-dominated, so their amplitudes (which drive the beta scale's
@@ -380,17 +366,15 @@ class ModelTarget:
             # rows that share records, or a lone row (a row try is cheaper), step one by one
             if len(ms) == 1 or touched.sum(axis=0).max(initial=0) > 1:
                 for r, (i, m) in enumerate(zip(cls.rows, ms)):
-                    if cls.name == "mu":  # the baseline touches every record
-                        name, rec = "mu", _ALL
-                    else:
-                        name, rec = f"{cls.name}[{r + 1}]", np.flatnonzero(touched[r])
+                    name = "mu" if cls.name == "mu" else f"{cls.name}[{r + 1}]"
+                    rec = np.flatnonzero(touched[r])
                     group = _Group(rec, hits[rec], m[rec])
                     blocks.append(Block(name, i, cls.name, (k, group, r), repeats))
             else:
                 rec = np.flatnonzero(touched.any(axis=0))
                 owner = touched[:, rec].argmax(axis=0)
                 group = _Group(rec, hits[rec], np.stack(ms)[owner, rec], owner)
-                blocks.append(Block(cls.name, cls.rows, cls.name, (k, group, _ALL), repeats))
+                blocks.append(Block(cls.name, cls.rows, cls.name, (k, group, slice(None)), repeats))
         return blocks
 
     def proposal_transform(self, x, block):
@@ -418,47 +402,40 @@ class ModelTarget:
         state = _model.from_vector(x, self.spec)
         eta = _model.linear_predictors(state, self.dataset, self.spec)
         ll = _model.bout_log_likelihoods(self.hits, eta)
-        ss = _model.class_stats(state, self.spec)[1]
-        ll_sum = float(ll.sum())
-        logp = ll_sum + _model.log_prior(state, self.spec)
-        share = {b.name: self._share(b, x[b.idx]) for b in self.blocks}
-        return _Cache(eta=eta, ll=ll, ll_sum=ll_sum, ss=ss, logp=logp, share=share)
+        logp = float(ll.sum()) + _model.log_prior(state, self.spec)
+        share = [np.empty(len(basis)) for basis, _, _ in self._classes.values()]
+        for b in self.blocks:  # through _share, as a move does: a rebuild matches bit for bit
+            k, _, slot = b.payload
+            share[k][slot] = self._share(b, x[b.idx])
+        return _Cache(eta=eta, ll=ll, logp=logp, share=share)
 
     def _log_sigma(self, x: np.ndarray, k: int) -> float:
         return 0.0 if self.spec.mu_only else float(x[self.lay.sigma.start + k])
 
     def _share(self, block, v: np.ndarray):
-        """The block's term ``v @ P_k @ v`` of its class's sum of squares,
-        one per row of a class block."""
+        """The term ``v @ P_k @ v`` of the block's class's sum of squares,
+        for one row ``v`` or each row of a stack."""
         prior = self._classes[block.payload[0]][2]
-        if v.ndim == 1:
-            return float(v @ prior @ v)
-        return ((v @ prior) * v).sum(axis=1)
+        return ((v @ prior) * v).sum(axis=-1)
 
     # ---- block moves -------------------------------------------------------
 
     def propose_delta(self, x, cache, block, prop):
-        k, g, _ = block.payload
-        d = prop - x[block.idx]
-        eta = cache.eta[g.rec] + g.m @ d
+        k, g, slot = block.payload
+        eta = cache.eta[g.rec] + g.m @ (prop - x[block.idx])
         ll = _model.bout_log_likelihoods(g.hits, eta)
-        old = cache.ll_sum if isinstance(g.rec, slice) else float(cache.ll[g.rec].sum())
-        d_ll = float(ll.sum()) - old
         share = self._share(block, prop)
-        ss_new = cache.ss[k] - cache.share[block.name] + share
-        d_prior = -0.5 * (ss_new - cache.ss[k]) * np.exp(-2.0 * self._log_sigma(x, k))
-        delta = d_ll + d_prior
-        return delta, _Stash(eta, ll, d_ll, ss_new, delta, share)
+        d_prior = -0.5 * (share - cache.share[k][slot]) * np.exp(-2.0 * self._log_sigma(x, k))
+        delta = float(ll.sum() - cache.ll[g.rec].sum() + d_prior)
+        return delta, _Stash(eta, ll, delta, share)
 
     def commit(self, x, cache, block, prop, stash):
         """Apply an accepted move: exactly the delta ``propose_delta`` returned."""
-        k, g, _ = block.payload
+        k, g, slot = block.payload
         cache.eta[g.rec] = stash.eta
         cache.ll[g.rec] = stash.ll
-        cache.ll_sum += stash.d_ll
-        cache.ss[k] = stash.ss
         cache.logp += stash.delta
-        cache.share[block.name] = stash.share
+        cache.share[k][slot] = stash.share
 
     def propose_rows(self, x, cache, block, prop):
         """The log-posterior delta of each row of a class block moved alone
@@ -472,9 +449,8 @@ class ModelTarget:
         ll = _model.bout_log_likelihoods(g.hits, eta)
         d_ll = np.bincount(g.owner, weights=ll - cache.ll[g.rec], minlength=len(d))
         share = self._share(block, prop)
-        d_ss = share - cache.share[block.name]
-        delta = d_ll - 0.5 * d_ss * np.exp(-2.0 * self._log_sigma(x, k))
-        return delta, _Stash(eta, ll, d_ll, d_ss, delta, share)
+        delta = d_ll - 0.5 * (share - cache.share[k]) * np.exp(-2.0 * self._log_sigma(x, k))
+        return delta, _Stash(eta, ll, delta, share)
 
     def commit_rows(self, x, cache, block, prop, stash, accept):
         """Apply the rows of a class move that ``accept`` marks: exactly the
@@ -483,23 +459,22 @@ class ModelTarget:
         keep = accept[g.owner]
         cache.eta[g.rec[keep]] = stash.eta[keep]
         cache.ll[g.rec[keep]] = stash.ll[keep]
-        cache.ll_sum += float(stash.d_ll[accept].sum())
-        cache.ss[k] += stash.ss[accept].sum()
         cache.logp += float(stash.delta[accept].sum())
-        cache.share[block.name][accept] = stash.share[accept]
+        cache.share[k][accept] = stash.share[accept]
 
     def draw_scales(self, x, cache, rng):
         """Gibbs step on the four log scales, in ``SIGMA_NAMES`` order:
         sigma_k^2 is drawn from its exact conditional GIG((1 - n_k)/2,
-        1/c^2, ss_k) and ``cache.logp`` moves by the exact change.  A sum of
-        squares that is zero or not finite leaves the conditional improper,
-        and a draw that is not a positive finite number is no state: both
-        raise NumericalError.  A ``mu_only`` target has no scales."""
+        1/c^2, ss_k), ss_k the sum of the class's cached shares, and
+        ``cache.logp`` moves by the exact change.  A sum of squares that is
+        zero or not finite leaves the conditional improper, and a draw that
+        is not a positive finite number is no state: both raise
+        NumericalError.  A ``mu_only`` target has no scales."""
         if self.spec.mu_only:
             return
         c = self.spec.sigma_scale
         for k, name in enumerate(_model.SIGMA_NAMES):
-            n, ss = self.class_n[k], float(cache.ss[k])
+            n, ss = self.class_n[k], float(cache.share[k].sum())
             if not 0.0 < ss < math.inf:
                 raise NumericalError(f"log_sigma_{name}: sum of squares {ss} leaves "
                                      "its conditional improper")

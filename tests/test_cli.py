@@ -143,6 +143,17 @@ class TestExplore:
                          "--ranks", str(ranks)]) == 0
         assert (out / "correlations.csv").exists()
 
+    def test_a_rank_that_is_not_finite_exits_2_before_writing(self, ws, tmp_path, capsys):
+        d = load_sessions(_data(ws))
+        ranks = tmp_path / "ranks.csv"
+        ranks.write_text("athlete,final_rank\n" + f"{d.athletes[0]},nan\n"
+                         + "".join(f"{a},{i + 2}\n" for i, a in enumerate(d.athletes[1:])))
+        out = tmp_path / "expr"
+        assert cli.main(["explore", "--data", _data(ws), "--out", str(out),
+                         "--ranks", str(ranks)]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFit:
     def test_outputs(self, ws):
@@ -542,6 +553,20 @@ class TestCountsCheckedBeforeOutput:
         assert "error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--data", "{data}"],
+        ["validate", "oracle"],
+        ["validate", "sbc", "--reps", "20"],
+    ], ids=["fit", "oracle", "sbc"])
+    def test_bad_worker_env_exits_2_before_writing(self, ws, tmp_path, argv, capsys,
+                                                    monkeypatch):
+        monkeypatch.setenv(sampler.THREADS_ENV, "abc")
+        out = tmp_path / "out"
+        argv = [a.format(data=_data(ws)) for a in argv]
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert sampler.THREADS_ENV in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigAndUsage:
     _PROTO = ["--chains", "1", "--burnin", "60", "--keep", "60", "--thin", "1",
@@ -624,7 +649,7 @@ class TestConfigAndUsage:
         draws = sampler.import_draws(tmp_path / "fit" / "draws.bin").draws
         # the draws of the same fit with the removed proposal setting left out
         assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == (
-            "4be7c480f12bf4f2d5c42f450fd626e5d90c8a8a42cfe8f355df48ede5eb2416"
+            "6b176eed21217926176461ecf0654ecff20803a6d2c293ef5f051ee507937da5"
         )
 
     def test_older_validate_manifest_replays_its_result(self, tmp_path):

@@ -211,6 +211,14 @@ class TestRankFile:
         p.write_text("athlete,final_rank\nalice,1\nbob,2.5\n")
         assert load_ranks(p) == {"alice": 1.0, "bob": 2.5}
 
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        p = tmp_path / "ranks.csv"
+        p.write_text("athlete,final_rank\nalice,1\nbob,2.5\n", encoding="utf-8-sig")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_ranks(p) == {"alice": 1.0, "bob": 2.5}
+        with open(p, encoding="utf-8") as fh:  # as explore --ranks opens it
+            assert load_ranks(fh) == {"alice": 1.0, "bob": 2.5}
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -219,6 +227,9 @@ class TestRankFile:
             "athlete,final_rank\na,one\n",
             "athlete,final_rank\na,1\na,2\n",
             "athlete,final_rank\na\n",
+            "athlete,final_rank\na,nan\n",
+            "athlete,final_rank\na,1\nb,inf\n",
+            "athlete,final_rank\na,-inf\n",
         ],
     )
     def test_bad_rank_files_rejected(self, tmp_path, text):

@@ -379,6 +379,12 @@ class TestSBCHarness:
         with pytest.raises(DataError, match="true parameters"):
             sbc(ModelSpec(S=3, T=1), fixed, replications=20, fit_fn=_prior_draws_fit(10))
 
+    def test_a_bad_worker_count_is_a_data_error(self, monkeypatch):
+        # the caller's error, raised before the first replication, not 20 failed fits
+        monkeypatch.setenv("BIATHLON_BAYES_THREADS", "abc")
+        with pytest.raises(DataError, match="BIATHLON_BAYES_THREADS"):
+            sbc(_SBC_SPEC, _SBC_SYNTH, replications=20, sampler_cfg=_SBC_FIT_CFG, seed=0)
+
     def test_wrong_shape_fit_counts_as_failure(self):
         def wrong(dataset, spec, cfg, fit_seed):
             return np.zeros((30, spec.dim + 1))

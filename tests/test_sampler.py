@@ -102,6 +102,17 @@ class TestRunnerOnKnownTarget:
         for rate in res.acceptance:
             assert 0.15 < rate < 0.65
 
+    def test_a_nonfinite_initial_log_posterior_is_a_numerical_error(self):
+        # make_cache gives a finite logp at every finite x, so a chain draws
+        # one initial vector and stops, naming itself, if the target does not
+        class NanTarget(_GaussTarget):
+            def make_cache(self, x):
+                return SimpleNamespace(logp=np.nan)
+
+        cfg = SamplerConfig(n_chains=1, burn_in=1, kept_iterations=1, thin=1, seed=3)
+        with pytest.raises(NumericalError, match="chain 2: initial log-posterior is nan"):
+            run_chain(NanTarget(_TOY_MEAN, _TOY_COV), cfg, 2)
+
     def test_adaptation_stops_at_burn_in(self):
         # scales reported at termination must be the ones frozen when
         # burn-in ended, however many kept sweeps follow
@@ -217,13 +228,17 @@ def _move(target, x, cache, block, prop, accept=None):
 
 def _assert_cache_exact(target, cache, x):
     fresh = target.make_cache(x)
-    for field in ("eta", "ll", "ss"):
+    for field in ("eta", "ll"):
         np.testing.assert_allclose(getattr(cache, field), getattr(fresh, field), rtol=0, atol=1e-9)
-    assert cache.ll_sum == pytest.approx(fresh.ll_sum, abs=1e-9)
     assert cache.logp == pytest.approx(fresh.logp, abs=1e-9)
     assert cache.logp == pytest.approx(_log_posterior(target, x), abs=1e-9)
-    for name, share in cache.share.items():
-        np.testing.assert_allclose(share, fresh.share[name], rtol=0, atol=1e-9)
+    # the shares are stored, never accumulated: a rebuild gives the same bits
+    assert len(cache.share) == len(fresh.share)
+    for k, (share, want) in enumerate(zip(cache.share, fresh.share)):
+        assert np.array_equal(share, want), model.SIGMA_NAMES[k]
+    ss = model.class_stats(model.from_vector(x, target.spec), target.spec)[1]
+    np.testing.assert_allclose([s.sum() for s in cache.share], ss[:len(cache.share)],
+                               rtol=0, atol=1e-9)
 
 
 class TestModelTargetMoves:
@@ -339,7 +354,8 @@ class TestLogOddsMap:
 
 def test_cache_drift_between_rebuilds_at_paper_scale(season_dataset):
     # run_chain rebuilds the running cache every _CACHE_REFRESH sweeps; in
-    # between, every accepted move adds its rounding to eta, ll_sum and logp
+    # between, every accepted move and scale draw adds its rounding to eta
+    # and logp, while the shares are stored and stay exact
     target = sampler.ModelTarget(model.ModelSpec.for_dataset(season_dataset), season_dataset)
     assert {b.name for b in target.blocks if b.idx.ndim == 2} == {"gamma", "omega"}
     rng = np.random.default_rng(8)
@@ -349,10 +365,13 @@ def test_cache_drift_between_rebuilds_at_paper_scale(season_dataset):
         for block in target.blocks:
             prop = x[block.idx] + 0.05 * rng.standard_normal(block.idx.shape)
             _move(target, x, cache, block, prop, rng.random(block.rows) < 0.5)
+        target.draw_scales(x, cache, rng)
     fresh = target.make_cache(x)
     assert abs(cache.logp - fresh.logp) <= 1e-8
-    assert abs(cache.ll_sum - fresh.ll_sum) <= 1e-9
     np.testing.assert_allclose(cache.eta, fresh.eta, rtol=0, atol=1e-9)
+    assert len(cache.share) == len(fresh.share) == 4
+    for k, name in enumerate(model.SIGMA_NAMES):
+        assert np.array_equal(cache.share[k], fresh.share[k]), name
 
 
 
@@ -417,7 +436,7 @@ class TestScaleDraws:
         v = np.linspace(-12.0, 8.0, 200_001)
         for k, name in enumerate(model.SIGMA_NAMES):
             # the log sigma_k conditional given the latent field, on a grid
-            n, ss = target.class_n[k], cache.ss[k]
+            n, ss = target.class_n[k], cache.share[k].sum()
             lw = model._gauss_class_logp(n, ss, v) + model._halfnormal_log_logp(v, c)
             w = np.exp(lw - lw.max())
             w /= w.sum()
@@ -447,7 +466,7 @@ class TestScaleDraws:
         with pytest.raises(NumericalError, match="log_sigma_gamma"):
             target.draw_scales(x, cache, np.random.default_rng(16))
         assert np.isfinite(x).all()
-        cache.ss[1] = np.nan
+        cache.share[1][0] = np.nan
         with pytest.raises(NumericalError, match="log_sigma_beta"):
             target.draw_scales(x, cache, np.random.default_rng(16))
         assert np.isfinite(x).all()
@@ -483,7 +502,7 @@ class TestPinnedDraws:
         return hashlib.sha256(draws.tobytes()).hexdigest()
 
     @pytest.mark.parametrize("digest", [
-        "d68150f532a6e7d0fa9f9c7b7ba45edfa75e07de58a2c42430da491dd566d105",
+        "0d411fe5685564349cdfdd6b62a5f567bc67ff6a53730fecf1cd9f5850a96780",
     ], ids=["random_walk"])
     def test_multi_stage_fit(self, digest, monkeypatch):
         monkeypatch.setenv(sampler.THREADS_ENV, "1")
@@ -590,9 +609,9 @@ class TestProposalShape:
 
 class TestBlockShares:
     """Every row prices its prior as ``v @ P_k @ v``, its share of its
-    class's sum of squares; the shares of a class add up to the ss that
-    ``model.class_stats`` computes from the random-walk increments or the
-    squares."""
+    class's sum of squares; the cache keeps one share per row of each
+    class, and they add up to the ss that ``model.class_stats`` computes
+    from the random-walk increments or the squares."""
 
     def test_shares_sum_to_the_class_ss(self, class_target):
         target = class_target
@@ -601,9 +620,9 @@ class TestBlockShares:
             cache = target.make_cache(x)
             ss = model.class_stats(model.from_vector(x, target.spec), target.spec)[1]
             for k, kind in enumerate(model.SIGMA_NAMES):
-                total = np.concatenate([np.atleast_1d(cache.share[b.name])
-                                        for b in target.blocks if b.kind == kind]).sum()
-                assert total == pytest.approx(ss[k], rel=1e-12, abs=0), kind
+                rows = sum(b.rows for b in target.blocks if b.kind == kind)
+                assert cache.share[k].shape == (rows,), kind
+                assert cache.share[k].sum() == pytest.approx(ss[k], rel=1e-12, abs=0), kind
 
 
 class TestClassStep:
