@@ -315,20 +315,20 @@ class ModelTarget:
 
     The blocks cover the latent field; the four log scales are drawn by
     ``draw_scales``.  The build makes one pass over ``model.prior_classes``
-    and stores in ``_classes[k]``, once, each class's unit prior precision
-    P_k and the eigenbases that make its rows' ``fisher + lam P_k``
-    diagonal: a row's prior precision is ``e^{-2 v_k} P_k``, its share of
-    the class's sum of squares ``v @ P_k @ v``.  A class whose rows touch
-    pairwise disjoint records (the position effects, the race-effect rows)
-    is one class block (``propose_rows``/``commit_rows``); any other row is
-    a block of its own (``propose_delta``/``commit``): the baseline, and
-    the trajectories, which share the constrained athlete's records.  A
-    block's ``payload`` is ``(k, group, slot)``: its class, the ``_Group``
-    of records its move touches and its slot in the class's stacks (its
-    row, or every row).  Groups and Fisher matrices come from
-    ``model.log_odds_jacobian``, so the constraint expansion lives in
-    ``model`` only.  ``class_n[k]`` is class k's coordinate count, the n_k
-    of its scale's conditional."""
+    and stores in ``_classes[k]``, once, the eigenbases that make the rows'
+    ``fisher + lam P_k`` diagonal and the ``PriorClass`` itself, its rows
+    and unit prior precision P_k: a row's prior precision is
+    ``e^{-2 v_k} P_k``, its share of the class's sum of squares
+    ``PriorClass.shares``, and n_k is the class's coordinate count.  A
+    class whose rows touch pairwise disjoint records (the position effects,
+    the race-effect rows) is one class block
+    (``propose_rows``/``commit_rows``); any other row is a block of its own
+    (``propose_delta``/``commit``): the baseline, and the trajectories,
+    which share the constrained athlete's records.  A block's ``payload``
+    is ``(k, group, slot)``: its class, the ``_Group`` of records its move
+    touches and its slot in the class's stacks (its row, or every row).
+    Groups and Fisher matrices come from ``model.log_odds_jacobian``, so
+    the constraint expansion lives in ``model`` only."""
 
     def __init__(self, spec: ModelSpec, dataset: Dataset):
         self.spec = spec
@@ -336,8 +336,7 @@ class ModelTarget:
         self.dim = spec.dim
         self.lay = _model.layout(spec)
         self.hits = _model._check_indices(dataset, spec).hits
-        self._classes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self.class_n: list[int] = []
+        self._classes: list[tuple[np.ndarray, np.ndarray, _model.PriorClass]] = []
         self.blocks = self._build_blocks()
 
     # ---- layout ----------------------------------------------------------
@@ -356,8 +355,7 @@ class ModelTarget:
             # with V^T F V = diag(e), V^T P_k V = I; e >= 0 up to rounding
             inv_l = np.linalg.inv(np.linalg.cholesky(cls.precision))
             e, u = np.linalg.eigh(inv_l @ np.stack([w * (m.T @ m) for m in ms]) @ inv_l.T)
-            self._classes[k] = (inv_l.T @ u, np.maximum(e, 0.0), cls.precision)
-            self.class_n.append(cls.rows.size)
+            self._classes.append((inv_l.T @ u, np.maximum(e, 0.0), cls))
             touched = np.array([m.any(axis=1) for m in ms])
             # Two tries per trajectory visit: trajectory wiggles are
             # prior-dominated, so their amplitudes (which drive the beta scale's
@@ -403,7 +401,7 @@ class ModelTarget:
         eta = _model.linear_predictors(state, self.dataset, self.spec)
         ll = _model.bout_log_likelihoods(self.hits, eta)
         logp = float(ll.sum()) + _model.log_prior(state, self.spec)
-        share = [np.empty(len(basis)) for basis, _, _ in self._classes.values()]
+        share = [np.empty(len(basis)) for basis, _, _ in self._classes]
         for b in self.blocks:  # through _share, as a move does: a rebuild matches bit for bit
             k, _, slot = b.payload
             share[k][slot] = self._share(b, x[b.idx])
@@ -415,8 +413,7 @@ class ModelTarget:
     def _share(self, block, v: np.ndarray):
         """The term ``v @ P_k @ v`` of the block's class's sum of squares,
         for one row ``v`` or each row of a stack."""
-        prior = self._classes[block.payload[0]][2]
-        return ((v @ prior) * v).sum(axis=-1)
+        return self._classes[block.payload[0]][2].shares(v)
 
     # ---- block moves -------------------------------------------------------
 
@@ -474,7 +471,7 @@ class ModelTarget:
             return
         c = self.spec.sigma_scale
         for k, name in enumerate(_model.SIGMA_NAMES):
-            n, ss = self.class_n[k], float(cache.share[k].sum())
+            n, ss = self._classes[k][2].rows.size, float(cache.share[k].sum())
             if not 0.0 < ss < math.inf:
                 raise NumericalError(f"log_sigma_{name}: sum of squares {ss} leaves "
                                      "its conditional improper")
@@ -886,6 +883,9 @@ def _samples_from_manifest(manifest: dict, draws: np.ndarray) -> PosteriorSample
         raise DataError(
             f"manifest names ({len(names)}) do not match draw dim ({draws.shape[2]})"
         )
+    if spec.dim != draws.shape[2]:
+        raise DataError(f"manifest model dim ({spec.dim}) does not match draw dim "
+                        f"({draws.shape[2]})")
     return PosteriorSamples(
         draws=draws,
         param_names=names,

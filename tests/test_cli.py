@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -565,6 +566,28 @@ class TestCountsCheckedBeforeOutput:
         argv = [a.format(data=_data(ws)) for a in argv]
         assert cli.main(argv + ["--out", str(out)]) == 2
         assert sampler.THREADS_ENV in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, match", [
+        ({"S": 4.0}, "S must be an integer"),
+        ({"T": 2}, r"model dim \(28\) does not match draw dim \(32\)"),
+    ], ids=["float-S", "T-of-another-fit"])
+    @pytest.mark.parametrize("command", ["diagnose", "predict"])
+    def test_sidecar_model_that_does_not_fit_the_draws_exits_2_before_writing(
+            self, ws, tmp_path, capsys, command, edit, match):
+        # the CSV sidecar carries no checksum of its own
+        fitdir = tmp_path / "csvfit"
+        fitdir.mkdir()
+        samples = sampler.import_draws(ws / "fit" / "draws.bin")
+        sampler.export_draws(samples, fitdir / "draws.csv", fmt="csv")
+        side = fitdir / "draws.csv.manifest.json"
+        manifest = json.loads(side.read_text())
+        manifest["model"].update(edit)
+        side.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        argv = [command, "--fit", str(fitdir), "--out", str(out)]
+        assert cli.main(argv + (["--data", _data(ws)] if command == "predict" else [])) == 2
+        assert re.search(match, capsys.readouterr().err)
         assert not out.exists()
 
 

@@ -58,10 +58,16 @@ class TestModelSpec:
         spec = ModelSpec.for_dataset(d)
         assert (spec.S, spec.T) == (2, 3)
 
-    @pytest.mark.parametrize("kw", [dict(S=0, T=1), dict(S=2, T=0), dict(S=2, T=1, Z=1)])
+    @pytest.mark.parametrize("kw", [dict(S=0, T=1), dict(S=2, T=0), dict(S=2, T=1, Z=1),
+                                    dict(S=4.0, T=3), dict(S=4, T=True),
+                                    dict(S=4, T=3, Z=np.float64(4)), dict(S=4, T=3, mu_only=1)])
     def test_degenerate_shapes_rejected(self, kw):
         with pytest.raises(DataError):
             ModelSpec(**kw)
+
+    def test_numpy_integer_shapes_accepted(self):
+        spec = ModelSpec(S=np.int64(3), T=np.int32(2), mu_only=np.bool_(False))
+        assert spec == ModelSpec(S=3, T=2) and spec.dim == ModelSpec(S=3, T=2).dim
 
 
 class TestLikelihood:
@@ -185,8 +191,9 @@ class TestPrior:
 class TestPriorClasses:
     """``prior_classes`` defines each latent class once: its rows cover the
     layout's latent coordinates, and its unit precision P prices a row as
-    ``v @ P @ v``, which must add up to ``class_stats``' sum of squares
-    (computed there from random-walk increments and plain squares)."""
+    ``v @ P @ v``, which must add up to the class's sum of squares: the
+    squared first elements and increments of the random walks, the plain
+    squares of the iid effects."""
 
     @pytest.fixture(params=["S4_T3_Z3", "season", "mu_only"])
     def spec(self, request, season_dataset):
@@ -205,12 +212,32 @@ class TestPriorClasses:
             assert c.rows.ndim == 2 and c.precision.shape == (n, n), c.name
 
     def test_row_quadratic_forms_sum_to_the_class_ss(self, spec):
+        S, T, Z = spec.S, spec.T, spec.Z
         for seed in range(3):
             x = rng_for(seed).normal(0.0, 1.0, spec.dim)
-            ss = model.class_stats(from_vector(x, spec), spec)[1]
-            for k, c in enumerate(model.prior_classes(spec)):
+            p = from_vector(x, spec)
+            walks = [p.mu[None], p.beta_free]
+            want = [float((w[:, 0] ** 2).sum() + (np.diff(w, axis=1) ** 2).sum())
+                    for w in walks] + [float((p.gamma_free ** 2).sum()),
+                                       float((p.omega_free ** 2).sum())]
+            counts = [T, (S - 1) * T, S, S * (Z - 1)]
+            n, ss = model.class_stats(p, spec)
+            classes = model.prior_classes(spec)
+            assert len(n) == len(ss) == len(classes)
+            for k, c in enumerate(classes):
+                assert n[k] == counts[k], c.name
+                assert ss[k] == pytest.approx(want[k], rel=1e-12, abs=0), c.name
                 total = sum(float(v @ c.precision @ v) for v in x[c.rows])
-                assert total == pytest.approx(ss[k], rel=1e-12, abs=0), c.name
+                assert total == pytest.approx(want[k], rel=1e-12, abs=0), c.name
+
+    def test_built_once_per_spec_and_read_only(self, spec):
+        classes = model.prior_classes(spec)
+        assert model.prior_classes(dataclasses.replace(spec)) is classes
+        for c in classes:
+            with pytest.raises(ValueError):
+                c.rows[0, 0] = 0
+            with pytest.raises(ValueError):
+                c.precision[0, 0] = 0.0
 
 
 class TestVectorization:
@@ -221,13 +248,13 @@ class TestVectorization:
         assert np.array_equal(to_vector(q, spec), to_vector(p, spec))
 
     def test_layout_covers_vector_exactly(self):
-        spec = ModelSpec(S=3, T=2)
-        lay = layout(spec)
-        stops = [lay.mu, lay.beta, lay.gamma, lay.omega, lay.sigma]
-        assert stops[0].start == 0
-        for a, b in zip(stops, stops[1:]):
-            assert a.stop == b.start
-        assert stops[-1].stop == spec.dim
+        for spec, dim in [(ModelSpec(S=3, T=2), 22), (ModelSpec(S=3, T=2, mu_only=True), 2)]:
+            lay = layout(spec)
+            stops = [lay.mu, lay.beta, lay.gamma, lay.omega, lay.sigma]
+            assert stops[0] == slice(0, spec.T)
+            for a, b in zip(stops, stops[1:]):
+                assert a.stop == b.start
+            assert stops[-1].stop == spec.dim == dim
 
     def test_param_names_align_with_vector(self):
         spec = ModelSpec(S=3, T=2)
@@ -264,20 +291,22 @@ class TestVectorization:
 
 class TestGradient:
     def test_matches_finite_differences_small(self):
-        d, _ = make_season_small()
-        spec = ModelSpec.for_dataset(d)
+        full, _ = make_season_small()
+        reduced, _ = make_season_small(n_stages=3)
         rng = rng_for(19)
-        f = lambda v: log_posterior(from_vector(v, spec), d, spec)
-        for _ in range(20):
-            x = rng.normal(0.0, 0.5, spec.dim)
-            g = grad_log_posterior(from_vector(x, spec), d, spec)
-            for i in rng.choice(spec.dim, 6, replace=False):
-                h = 1e-5 * (1.0 + abs(x[i]))
-                e = np.zeros(spec.dim)
-                e[i] = h
-                fd = (f(x + e) - f(x - e)) / (2 * h)
-                rel = abs(g[i] - fd) / max(1.0, abs(g[i]), abs(fd))
-                assert rel < 1e-6, f"coord {i}: analytic {g[i]}, fd {fd}"
+        for d, spec in [(full, ModelSpec.for_dataset(full)),
+                        (reduced, ModelSpec(S=3, T=3, mu_only=True))]:
+            f = lambda v: log_posterior(from_vector(v, spec), d, spec)
+            for _ in range(20):
+                x = rng.normal(0.0, 0.5, spec.dim)
+                g = grad_log_posterior(from_vector(x, spec), d, spec)
+                for i in rng.choice(spec.dim, min(6, spec.dim), replace=False):
+                    h = 1e-5 * (1.0 + abs(x[i]))
+                    e = np.zeros(spec.dim)
+                    e[i] = h
+                    fd = (f(x + e) - f(x - e)) / (2 * h)
+                    rel = abs(g[i] - fd) / max(1.0, abs(g[i]), abs(fd))
+                    assert rel < 1e-6, f"{spec} coord {i}: analytic {g[i]}, fd {fd}"
 
     def test_gradient_shape_and_finiteness(self, season):
         d, _ = season
@@ -287,11 +316,12 @@ class TestGradient:
         assert np.all(np.isfinite(g))
 
 
-def make_season_small():
-    schedule = {1: ("sprint", "pursuit"), 2: ("individual",)}
+def make_season_small(n_stages=2):
+    schedule = {1: ("sprint", "pursuit"), 2: ("individual",), 3: ("sprint",)}
     from biathlon_bayes import synth
 
-    cfg = synth.SynthConfig(n_athletes=3, n_stages=2, schedule=schedule, seed=13)
+    cfg = synth.SynthConfig(n_athletes=3, n_stages=n_stages,
+                            schedule={t: schedule[t] for t in range(1, n_stages + 1)}, seed=13)
     return synth.generate_synthetic(cfg)
 
 

@@ -434,9 +434,11 @@ class TestScaleDraws:
             target.draw_scales(x, cache, rng)
             draws[j] = x[i]
         v = np.linspace(-12.0, 8.0, 200_001)
+        S, T, Z = target.spec.S, target.spec.T, target.spec.Z
+        counts = [T, (S - 1) * T, S, S * (Z - 1)]  # each class's coordinates
         for k, name in enumerate(model.SIGMA_NAMES):
             # the log sigma_k conditional given the latent field, on a grid
-            n, ss = target.class_n[k], cache.share[k].sum()
+            n, ss = counts[k], cache.share[k].sum()
             lw = model._gauss_class_logp(n, ss, v) + model._halfnormal_log_logp(v, c)
             w = np.exp(lw - lw.max())
             w /= w.sum()
@@ -1055,12 +1057,13 @@ _EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0
 
 @pytest.fixture
 def tiny_samples():
-    """2 chains x 3 draws of 3 coordinates, two of whose names need quoting."""
+    """2 chains x 3 draws of 3 coordinates, two of whose names need quoting
+    (the container checks only their count against the model's dim)."""
     values = np.array(_EDGE_VALUES + [-v for v in _EDGE_VALUES] + _EDGE_VALUES[::-1])
     return PosteriorSamples(
         draws=values.reshape(2, 3, 3),
         param_names=("mu[1]", "beta[1,1]", "omega[1,individual]"),
-        spec=model.ModelSpec(S=2, T=1, Z=2),
+        spec=model.ModelSpec(S=2, T=3, Z=2, mu_only=True),
         config=SamplerConfig(n_chains=2, burn_in=0, kept_iterations=3, thin=1),
         source_digest="x",
         acceptance_rates={},
@@ -1149,6 +1152,30 @@ class TestCsvContainer:
         _forge_csv(path, long.getvalue())
         expected = "the columns ['chain', 'iter', 'mu[1]', 'beta[1,1]', 'omega[1,individual]']"
         with pytest.raises(DataError, match=re.escape(expected)):
+            import_draws(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        ({"S": 4.0}, "S must be an integer"),
+        ({"T": 2}, r"model dim \(28\) does not match draw dim \(32\)"),
+    ], ids=["float-S", "T-of-another-fit"])
+    def test_sidecar_model_must_fit_the_draws(self, tmp_path, edit, match):
+        spec = model.ModelSpec(S=4, T=3)
+        samples = PosteriorSamples(
+            draws=np.zeros((1, 2, spec.dim)),
+            param_names=model.param_names(spec),
+            spec=spec,
+            config=SamplerConfig(n_chains=1, burn_in=0, kept_iterations=2, thin=1),
+            source_digest="x",
+            acceptance_rates={},
+            proposal_scales={},
+        )
+        path = tmp_path / "draws.csv"
+        export_draws(samples, path, fmt="csv")
+        side = path.with_name(path.name + ".manifest.json")
+        manifest = json.loads(side.read_text())
+        manifest["model"].update(edit)
+        side.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=match):
             import_draws(path)
 
     @pytest.mark.parametrize("patch", [
