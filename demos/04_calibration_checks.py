@@ -10,7 +10,7 @@ not share code with the sampler:
 3. simulation-based calibration (SBC): fit many prior-simulated seasons
    and test that the true parameters' posterior ranks are uniform.
 
-Run from the repository root (takes ~2 min, mostly the SBC loop):
+Run from the repository root (takes about 15 s):
 
     python demos/04_calibration_checks.py
 """
@@ -77,7 +77,7 @@ def main() -> None:
     # replication draws truth from the prior, simulates a season, fits
     # it, and ranks the truth among the posterior draws; correct
     # software yields uniform ranks.  (The acceptance suite runs this
-    # at full size; here a 2-athlete model keeps the loop ~2 minutes.)
+    # at full size; here a 2-athlete model keeps it to a few seconds.)
     print("\n=== Oracle 3: simulation-based calibration (40 replications) ===")
     report = sbc(
         ModelSpec(S=2, T=1, Z=4),

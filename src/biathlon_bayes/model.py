@@ -91,8 +91,10 @@ class ModelSpec:
             raise DataError(f"T must be >= 1, got {self.T}")
         if not 2 <= self.Z <= len(RACE_TYPES):
             raise DataError(f"Z must be in 2..{len(RACE_TYPES)}, got {self.Z}")
-        if self.sigma_scale <= 0:
-            raise DataError("sigma_scale must be positive")
+        c = self.sigma_scale
+        if isinstance(c, bool) or not isinstance(c, (int, float, np.integer, np.floating)) \
+                or not 0 < c < np.inf:
+            raise DataError(f"sigma_scale must be a finite positive number, got {c!r}")
 
     @classmethod
     def for_dataset(cls, d: Dataset) -> "ModelSpec":

@@ -33,7 +33,7 @@ from .model import (
     sample_prior,
     to_vector,
 )
-from .sampler import SamplerConfig, run_chains, worker_cap
+from .sampler import SamplerConfig, run_stack, worker_cap
 from .streams import rng_for, seed_sequence
 from .synth import SynthConfig, generate_synthetic
 
@@ -311,6 +311,28 @@ def _seed_int(*keys: int) -> int:
     return int(seed_sequence(*keys).generate_state(1, np.uint64)[0])
 
 
+def _stacked_fits(spec, seasons, sampler_cfg, fit_seeds):
+    """Each season's pooled draws from one stacked fit, or None for every
+    season if that fit fails."""
+    try:
+        draws = run_stack(spec, seasons, sampler_cfg, fit_seeds)
+    except (DataError, NumericalError):
+        yield from [None] * len(seasons)
+        return
+    for fit in draws:
+        yield fit.reshape(-1, spec.dim)
+
+
+def _one_fit(fit_fn, dataset, spec, sampler_cfg, fit_seed):
+    """``fit_fn``'s pooled draws of one season, or None if it fails or
+    returns draws of the wrong shape."""
+    try:
+        pooled = np.asarray(fit_fn(dataset, spec, sampler_cfg, fit_seed), dtype=float)
+    except (DataError, NumericalError):
+        return None
+    return pooled if pooled.ndim == 2 and pooled.shape[1] == spec.dim else None
+
+
 def sbc(
     spec: ModelSpec,
     synth_cfg: SynthConfig,
@@ -328,8 +350,16 @@ def sbc(
     rank is uniform, so per-parameter chi-square tests on the binned ranks
     should not reject and central intervals should cover at nominal rates.
 
+    The real sampler fits every simulated season as one stacked chain
+    (``sampler.run_stack``), replication r from the streams of its own fit
+    seed: its draws are those of any stack that holds it, so they do not
+    depend on the other replications.  A DataError or NumericalError in
+    that fit fails every replication of the stack.
+
     ``fit_fn(dataset, spec, sampler_cfg, fit_seed) -> (M, dim) array`` may
-    replace the real sampler (used by fault-injection tests).  Failed
+    replace the real sampler (used by fault-injection tests); it fits one
+    replication at a time, and each failure is that replication's.  A
+    season that cannot be simulated fails its replication alone.  Failed
     replications are recorded; more than 10% of them fail the whole op.
     """
     if replications < 20:
@@ -347,6 +377,7 @@ def sbc(
     cov90_rows: list[np.ndarray] = []
     failures: list[int] = []
     seeds: list[tuple[int, int, int]] = []
+    simulated: list[tuple[int, np.ndarray, Dataset]] = []  # (replication, truth, season)
     n_pooled: int | None = None
 
     for r in range(replications):
@@ -356,18 +387,21 @@ def sbc(
         seeds.append((truth_seed, data_seed, fit_seed))
 
         truth = sample_prior(spec, np.random.default_rng(np.random.SeedSequence(truth_seed)))
-        truth_vec = to_vector(truth, spec)
-        cfg_r = replace(synth_cfg, true_params=truth, seed=data_seed)
         try:
-            d, _ = generate_synthetic(cfg_r)
-            if fit_fn is not None:
-                pooled = np.asarray(fit_fn(d, spec, sampler_cfg, fit_seed), dtype=float)
-            else:
-                samples = run_chains(spec, d, replace(sampler_cfg, seed=fit_seed))
-                pooled = samples.pooled()
-            if pooled.ndim != 2 or pooled.shape[1] != dim:
-                raise NumericalError("fit returned draws of the wrong shape")
+            d, _ = generate_synthetic(replace(synth_cfg, true_params=truth, seed=data_seed))
         except (DataError, NumericalError):
+            failures.append(r)
+            continue
+        simulated.append((r, to_vector(truth, spec), d))
+
+    fit_seeds = [seeds[r][2] for r, _, _ in simulated]
+    seasons = [d for _, _, d in simulated]
+    if fit_fn is None:
+        fits = _stacked_fits(spec, seasons, sampler_cfg, fit_seeds)
+    else:
+        fits = (_one_fit(fit_fn, d, spec, sampler_cfg, s) for d, s in zip(seasons, fit_seeds))
+    for (r, truth_vec, _), pooled in zip(simulated, fits):
+        if pooled is None:
             failures.append(r)
             continue
 
@@ -382,6 +416,7 @@ def sbc(
         cov50_rows.append((lo50 <= truth_vec) & (truth_vec <= hi50))
         cov90_rows.append((lo90 <= truth_vec) & (truth_vec <= hi90))
 
+    failures.sort()
     if len(failures) > 0.1 * replications:
         raise NumericalError(
             f"sbc failed: {len(failures)}/{replications} replications did not fit"

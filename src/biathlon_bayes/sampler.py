@@ -38,6 +38,18 @@ every sweep (``_gig``, after Hörmann & Leydold 2014, Stat. Comput.
 Chains draw from independent RNG streams keyed by (seed, chain index), so
 results are identical no matter how chains are scheduled across workers.
 
+Many small fits of one model shape run as one stack (``run_stack``, which
+the calibration oracle uses): one target over R datasets that share no
+record.  Every block of the single-dataset layout is one class block
+across the stack, a trajectory's rows included, so each block steps every
+replication at once by the class path, and each replication still follows
+its own fit's law and block order.  Replication r keeps its own streams,
+keyed (seed_r, chain index) as its own fit's are, and draws from them in
+its own fit's order, so its draws do not depend on which other datasets
+share its stack.  They match its own fit only to rounding: a fit of one
+dataset keeps the row path for its row blocks, whose sums round
+differently.
+
 Likelihood deltas are computed from cached per-record log-odds.  Each
 latent row is built from its columns ``m`` of the model's log-odds
 Jacobian (``model.log_odds_jacobian``): the records whose row of ``m`` is
@@ -180,6 +192,14 @@ class Block:
 # there are none): it updates x and raises cache.logp by exactly the change
 # it makes.  The runner reads a block's idx, repeats and names only; its
 # payload is the target's own.
+#
+# A stack of R datasets is a target whose blocks are all class blocks, each
+# block's rows R equal runs in replication order, run from R streams, one
+# per replication (``seeds``).  rng is then the list of the R streams:
+# initial_vector and draw_scales draw replication r from stream r, in
+# replication order, and a class step draws each run of rows from its own
+# stream.  So every stream is consumed in exactly the order that its
+# replication's fit of one dataset consumes it.
 
 
 @dataclass
@@ -190,9 +210,18 @@ class ChainResult:
     block_names: tuple[str, ...]
 
 
-def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
-    """Run one chain; deterministic given (target inputs, cfg.seed, chain_idx)."""
-    rng = rng_for(cfg.seed, chain_idx)
+def run_chain(target, cfg: SamplerConfig, chain_idx: int, seeds=None) -> ChainResult:
+    """Run one chain; deterministic given (target inputs, seeds, chain_idx).
+    ``seeds`` keys one stream per dataset of a stacked target, each as
+    ``rng_for(seed, chain_idx)``; a target of one dataset has the one
+    stream of ``cfg.seed``."""
+    streams = [rng_for(s, chain_idx) for s in (seeds or (cfg.seed,))]
+    if len(streams) == 1:
+        rng = streams[0]
+        normals, uniforms = rng.standard_normal, rng.random
+    else:
+        rng = streams
+        normals, uniforms = _by_stream(streams, "standard_normal"), _by_stream(streams, "random")
     x = target.initial_vector(rng)
     cache = target.make_cache(x)
     if not np.isfinite(cache.logp):
@@ -223,7 +252,7 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
             A = target.proposal_transform(x, block)  # no try of the visit moves a scale
             for _try in range(block.repeats):
                 cur = x[block.idx]
-                z = rng.standard_normal(block.idx.shape)
+                z = normals(block.idx.shape)
                 # a row's own path: at paper scale a trajectory try takes 15 us, 23 as a class
                 if block.idx.ndim == 1:
                     prop = cur + np.exp(log_scale[r.start]) * (A @ z)
@@ -236,7 +265,7 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
                 else:  # a class: every row proposed, tested and committed on its own
                     prop = cur + np.exp(log_scale[r])[:, None] * np.einsum("rij,rj->ri", A, z)
                     log_alpha, stash = target.propose_rows(x, cache, block, prop)
-                    u = rng.random(block.rows)
+                    u = uniforms(block.rows)
                     with np.errstate(divide="ignore"):  # log(0) is masked by u > 0
                         accept = (log_alpha >= 0.0) | ((u > 0.0) & (np.log(u) < log_alpha))
                     if accept.any():
@@ -268,6 +297,19 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int) -> ChainResult:
         scales=np.exp(log_scale),
         block_names=tuple(n for b in blocks for n in b.row_names),
     )
+
+
+def _by_stream(streams, method: str):
+    """A draw of a stack's rows: the leading axis of ``shape`` is one equal
+    run of rows per stream, each run drawn by that stream's ``method``, in
+    stream order."""
+
+    def draw(shape):
+        shape = np.atleast_1d(shape)
+        run = (shape[0] // len(streams), *shape[1:])
+        return np.concatenate([getattr(g, method)(run) for g in streams])
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +370,30 @@ class ModelTarget:
     is ``(k, group, slot)``: its class, the ``_Group`` of records its move
     touches and its slot in the class's stacks (its row, or every row).
     Groups and Fisher matrices come from ``model.log_odds_jacobian``, so
-    the constraint expansion lives in ``model`` only."""
+    the constraint expansion lives in ``model`` only.
+
+    ``dataset`` may also be a stack, a sequence of datasets of one
+    ``spec``; a stack of one is that dataset's target.  A stack of R >= 2
+    is their joint posterior: x holds the R vectors one after another,
+    ``cache.logp`` is the sum of the R log-posteriors, and block j is
+    block j of every dataset's own target as one class block, its rows in
+    replication order (a trajectory's slot is every (S - 1)-th row of its
+    class).  Each row reads its own replication's scale."""
 
     def __init__(self, spec: ModelSpec, dataset: Dataset):
         self.spec = spec
-        self.dataset = dataset
-        self.dim = spec.dim
+        self.datasets = (dataset,) if isinstance(dataset, Dataset) else tuple(dataset)
+        if not self.datasets:
+            raise DataError("a stack needs at least one dataset")
+        self.dataset = self.datasets[0] if len(self.datasets) == 1 else None
+        self.dim = spec.dim * len(self.datasets)
         self.lay = _model.layout(spec)
-        self.hits = _model._check_indices(dataset, spec).hits
         self._classes: list[tuple[np.ndarray, np.ndarray, _model.PriorClass]] = []
-        self.blocks = self._build_blocks()
+        if self.dataset is not None:
+            self.hits = _model._check_indices(self.dataset, spec).hits
+            self.blocks = self._build_blocks()
+        else:
+            self.blocks = self._stack([ModelTarget(spec, d) for d in self.datasets])
 
     # ---- layout ----------------------------------------------------------
 
@@ -375,6 +431,40 @@ class ModelTarget:
                 blocks.append(Block(cls.name, cls.rows, cls.name, (k, group, slice(None)), repeats))
         return blocks
 
+    def _stack(self, parts):
+        """The blocks of a stack from the targets of its datasets: block j
+        of every part, as one class block whose rows, records and
+        eigenbases are the parts' in replication order."""
+        def layout(t):
+            return [(b.name, b.repeats, b.idx.tolist()) for b in t.blocks]
+
+        if any(layout(p) != layout(parts[0]) for p in parts[1:]):
+            raise DataError("the stacked datasets give different block layouts")
+        dim = self.spec.dim
+        first_rec = np.cumsum([0] + [len(p.hits) for p in parts[:-1]])
+        for k, (_, _, cls) in enumerate(parts[0]._classes):
+            self._classes.append((np.concatenate([p._classes[k][0] for p in parts]),
+                                  np.concatenate([p._classes[k][1] for p in parts]), cls))
+        # the x index of each class row's log scale, in the class's stacked row order
+        self._scale_at = [np.repeat(np.arange(len(parts)) * dim + self.lay.sigma.start + k,
+                                    len(cls.rows)) for k, (_, _, cls) in enumerate(self._classes)]
+        blocks = []
+        for j, b in enumerate(parts[0].blocks):
+            k, _, slot = b.payload
+            groups = [p.blocks[j].payload[1] for p in parts]
+            owner = [np.zeros(len(g.rec), dtype=np.intp) if g.owner is None else g.owner
+                     for g in groups]
+            group = _Group(np.concatenate([g.rec + f for g, f in zip(groups, first_rec)]),
+                           np.concatenate([g.hits for g in groups]),
+                           np.concatenate([g.m for g in groups]),
+                           np.concatenate([o + r * b.rows for r, o in enumerate(owner)]))
+            idx = np.concatenate([np.atleast_2d(p.blocks[j].idx) + r * dim
+                                  for r, p in enumerate(parts)])
+            rows = len(self._classes[k][2].rows)
+            slot = slice(slot, None, rows) if b.idx.ndim == 1 else slot
+            blocks.append(Block(b.name, idx, b.kind, (k, group, slot), b.repeats))
+        return blocks
+
     def proposal_transform(self, x, block):
         """A matrix ``A`` with ``A @ A.T`` the inverse of the block's
         Gaussian-approximation precision, its Fisher matrix plus its class's
@@ -384,31 +474,48 @@ class ModelTarget:
         state."""
         k, _, slot = block.payload
         basis, e, _ = self._classes[k]
-        lam = np.exp(-2.0 * self._log_sigma(x, k))
+        lam = np.exp(-2.0 * self._log_sigma(x, k, slot))
+        if self.dataset is None:  # a stack: one scale per row
+            lam = lam[:, None]
         return basis[slot] * ((e[slot] + lam) ** -0.5)[..., None, :]
 
     # ---- state plumbing --------------------------------------------------
 
+    def _streams(self, rng) -> list:
+        """The runner's streams as a list, one per dataset of the stack."""
+        return [rng] if self.dataset is not None else rng
+
     def initial_vector(self, rng: np.random.Generator) -> np.ndarray:
         # overdispersed: free coords N(0, 0.5); log scales N(0, 0.25)
-        x = rng.normal(0.0, 0.5, self.dim)
-        if not self.spec.mu_only:
-            x[self.lay.sigma] = rng.normal(0.0, 0.25, 4)
-        return x
+        xs = []
+        for g in self._streams(rng):
+            x = g.normal(0.0, 0.5, self.spec.dim)
+            if not self.spec.mu_only:
+                x[self.lay.sigma] = g.normal(0.0, 0.25, 4)
+            xs.append(x)
+        return np.concatenate(xs)
 
     def make_cache(self, x: np.ndarray) -> _Cache:
-        state = _model.from_vector(x, self.spec)
-        eta = _model.linear_predictors(state, self.dataset, self.spec)
-        ll = _model.bout_log_likelihoods(self.hits, eta)
-        logp = float(ll.sum()) + _model.log_prior(state, self.spec)
+        eta, ll, logp = [], [], 0.0
+        for d, xr in zip(self.datasets, x.reshape(len(self.datasets), -1)):
+            state = _model.from_vector(xr, self.spec)
+            eta.append(_model.linear_predictors(state, d, self.spec))
+            ll.append(_model.bout_log_likelihoods(d.arrays.hits, eta[-1]))
+            logp += float(ll[-1].sum()) + _model.log_prior(state, self.spec)
         share = [np.empty(len(basis)) for basis, _, _ in self._classes]
         for b in self.blocks:  # through _share, as a move does: a rebuild matches bit for bit
             k, _, slot = b.payload
             share[k][slot] = self._share(b, x[b.idx])
-        return _Cache(eta=eta, ll=ll, logp=logp, share=share)
+        return _Cache(eta=np.concatenate(eta), ll=np.concatenate(ll), logp=logp, share=share)
 
-    def _log_sigma(self, x: np.ndarray, k: int) -> float:
-        return 0.0 if self.spec.mu_only else float(x[self.lay.sigma.start + k])
+    def _log_sigma(self, x: np.ndarray, k: int, slot=None):
+        """Class k's log scale: one number, or in a stack one per row of
+        the class's ``slot``, each its own replication's."""
+        if self.spec.mu_only:
+            return 0.0
+        if self.dataset is None:
+            return x[self._scale_at[k][slot]]
+        return float(x[self.lay.sigma.start + k])
 
     def _share(self, block, v: np.ndarray):
         """The term ``v @ P_k @ v`` of the block's class's sum of squares,
@@ -440,24 +547,25 @@ class ModelTarget:
         priors are independent, so moving any set of them together changes
         the log-posterior by the sum of their deltas.  One likelihood call
         covers every record; ``np.bincount`` sums the changes by row."""
-        k, g, _ = block.payload
+        k, g, slot = block.payload
         d = prop - x[block.idx]
         eta = cache.eta[g.rec] + (g.m * d[g.owner]).sum(axis=1)
         ll = _model.bout_log_likelihoods(g.hits, eta)
         d_ll = np.bincount(g.owner, weights=ll - cache.ll[g.rec], minlength=len(d))
         share = self._share(block, prop)
-        delta = d_ll - 0.5 * (share - cache.share[k]) * np.exp(-2.0 * self._log_sigma(x, k))
+        lam = np.exp(-2.0 * self._log_sigma(x, k, slot))
+        delta = d_ll - 0.5 * (share - cache.share[k][slot]) * lam
         return delta, _Stash(eta, ll, delta, share)
 
     def commit_rows(self, x, cache, block, prop, stash, accept):
         """Apply the rows of a class move that ``accept`` marks: exactly the
         sum of their deltas from ``propose_rows``."""
-        k, g, _ = block.payload
+        k, g, slot = block.payload
         keep = accept[g.owner]
         cache.eta[g.rec[keep]] = stash.eta[keep]
         cache.ll[g.rec[keep]] = stash.ll[keep]
         cache.logp += float(stash.delta[accept].sum())
-        cache.share[k][accept] = stash.share[accept]
+        cache.share[k][slot][accept] = stash.share[accept]
 
     def draw_scales(self, x, cache, rng):
         """Gibbs step on the four log scales, in ``SIGMA_NAMES`` order:
@@ -466,25 +574,31 @@ class ModelTarget:
         ``cache.logp`` moves by the exact change.  A sum of squares that is
         zero or not finite leaves the conditional improper, and a draw that
         is not a positive finite number is no state: both raise
-        NumericalError.  A ``mu_only`` target has no scales."""
+        NumericalError.  A ``mu_only`` target has no scales.  A stack draws
+        each replication's four in turn, in replication order, from its own
+        stream and its own rows' shares."""
         if self.spec.mu_only:
             return
-        c = self.spec.sigma_scale
-        for k, name in enumerate(_model.SIGMA_NAMES):
-            n, ss = self._classes[k][2].rows.size, float(cache.share[k].sum())
-            if not 0.0 < ss < math.inf:
-                raise NumericalError(f"log_sigma_{name}: sum of squares {ss} leaves "
-                                     "its conditional improper")
-            s = _gig(rng, 0.5 * (1.0 - n), 1.0 / (c * c), ss)
-            if not 0.0 < s < math.inf:
-                raise NumericalError(f"log_sigma_{name}: scale draw sigma^2 = {s}")
-            i = self.lay.sigma.start + k
-            old, new = x[i], 0.5 * math.log(s)
-            cache.logp += (_model._gauss_class_logp(n, ss, new)
-                           + _model._halfnormal_log_logp(new, c)
-                           - _model._gauss_class_logp(n, ss, old)
-                           - _model._halfnormal_log_logp(old, c))
-            x[i] = new
+        c, dim = self.spec.sigma_scale, self.spec.dim
+        streams = self._streams(rng)
+        for r, g in enumerate(streams):
+            for k, name in enumerate(_model.SIGMA_NAMES):
+                share = cache.share[k]
+                rows = len(share) // len(streams)
+                n, ss = self._classes[k][2].rows.size, float(share[r * rows:(r + 1) * rows].sum())
+                if not 0.0 < ss < math.inf:
+                    raise NumericalError(f"log_sigma_{name}: sum of squares {ss} leaves "
+                                         "its conditional improper")
+                s = _gig(g, 0.5 * (1.0 - n), 1.0 / (c * c), ss)
+                if not 0.0 < s < math.inf:
+                    raise NumericalError(f"log_sigma_{name}: scale draw sigma^2 = {s}")
+                i = r * dim + self.lay.sigma.start + k
+                old, new = x[i], 0.5 * math.log(s)
+                cache.logp += (_model._gauss_class_logp(n, ss, new)
+                               + _model._halfnormal_log_logp(new, c)
+                               - _model._gauss_class_logp(n, ss, old)
+                               - _model._halfnormal_log_logp(old, c))
+                x[i] = new
 
 
 def _gig(rng, p: float, a: float, b: float) -> float:
@@ -626,27 +740,30 @@ def worker_cap() -> int:
         raise DataError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
 
 
-def run_chains(
-    spec: ModelSpec, dataset: Dataset, cfg: SamplerConfig | None = None
-) -> PosteriorSamples:
-    """Sample the posterior with ``cfg.n_chains`` independent chains.
-
-    Chains are distributed over at most :func:`worker_cap` processes; draws
-    are identical for any worker count because every chain owns its RNG
-    stream.  Every chain runs on one ``ModelTarget`` (a worker process on
-    its own copy): nothing in it changes after the build, so sharing it
-    does not change a bit.
-    """
-    cfg = cfg or SamplerConfig()
-    t0 = time.perf_counter()
-    target = ModelTarget(spec, dataset)
+def _chain_results(target, cfg: SamplerConfig, seeds):
+    """Each chain of ``target``, in chain order, run on at most
+    :func:`worker_cap` processes (a worker process on its own copy of the
+    target).  Draws are identical for any worker count because every chain
+    owns its streams, and nothing in the target changes after the build, so
+    sharing it does not change a bit."""
     n = cfg.n_chains
     workers = min(worker_cap(), n)
     if workers == 1:
-        results = [run_chain(target, cfg, c) for c in range(n)]
+        yield from (run_chain(target, cfg, c, seeds) for c in range(n))
     else:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run_chain, [target] * n, [cfg] * n, range(n)))
+            yield from ex.map(run_chain, [target] * n, [cfg] * n, range(n), [seeds] * n)
+
+
+def run_chains(
+    spec: ModelSpec, dataset: Dataset, cfg: SamplerConfig | None = None
+) -> PosteriorSamples:
+    """Sample the posterior with ``cfg.n_chains`` independent chains, from
+    the streams of ``cfg.seed``: :func:`run_stack`'s runner on one dataset,
+    with every chain's acceptance rates and proposal scales."""
+    cfg = cfg or SamplerConfig()
+    t0 = time.perf_counter()
+    results = list(_chain_results(ModelTarget(spec, dataset), cfg, (cfg.seed,)))
     block_names = results[0].block_names
     acceptance = {
         name: tuple(float(r.acceptance[i]) for r in results)
@@ -665,6 +782,25 @@ def run_chains(
         proposal_scales=scales,
         wall_time_s=time.perf_counter() - t0,
     )
+
+
+def run_stack(spec: ModelSpec, datasets, cfg: SamplerConfig, seeds) -> np.ndarray:
+    """Fit every dataset of a stack of one ``spec`` with ``cfg``'s chains,
+    dataset r from the streams of ``seeds[r]`` (``cfg.seed`` is not read),
+    each chain one stacked chain of ``ModelTarget(spec, datasets)``.
+    Returns the draws as ``(datasets, chains, retained, spec.dim)``.
+
+    Dataset r's draws are bit-identical in any stack that holds it with
+    its seed.  A stack of one gives ``run_chains``' draws.  A DataError or
+    NumericalError anywhere in the stack is the whole stack's."""
+    seeds = tuple(seeds)
+    if len(seeds) != len(datasets):
+        raise DataError(f"{len(datasets)} datasets but {len(seeds)} seeds")
+    target = ModelTarget(spec, datasets)
+    draws = np.empty((cfg.n_chains, cfg.n_retained, target.dim))
+    for c, result in enumerate(_chain_results(target, cfg, seeds)):
+        draws[c] = result.draws
+    return draws.reshape(cfg.n_chains, cfg.n_retained, len(seeds), spec.dim).transpose(2, 0, 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -886,6 +1022,8 @@ def _samples_from_manifest(manifest: dict, draws: np.ndarray) -> PosteriorSample
     if spec.dim != draws.shape[2]:
         raise DataError(f"manifest model dim ({spec.dim}) does not match draw dim "
                         f"({draws.shape[2]})")
+    if names != _model.param_names(spec):
+        raise DataError("manifest param_names are not the model's names in vector order")
     return PosteriorSamples(
         draws=draws,
         param_names=names,

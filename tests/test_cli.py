@@ -517,13 +517,12 @@ class TestValidate:
 
     def test_sbc_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         # a sampler defect: every draw shifted off the posterior
-        real = oracles.run_chains
+        real = oracles.run_stack
 
         def shifted(*args, **kwargs):
-            samples = real(*args, **kwargs)
-            return dataclasses.replace(samples, draws=samples.draws + 0.5)
+            return real(*args, **kwargs) + 0.5
 
-        monkeypatch.setattr(oracles, "run_chains", shifted)
+        monkeypatch.setattr(oracles, "run_stack", shifted)
         out = tmp_path / "sbc"
         rc = cli.main(["validate", "sbc", "--out", str(out), "--reps", "20",
                        "--athletes", "2", "--stages", "1", "--chains", "1",

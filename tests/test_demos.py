@@ -3,7 +3,7 @@
 Demo 01 (about 1.5 s) tours the model-free exploration of a season, and
 demo 03 (about 6 s) drives the fit -> effects -> predictive path; each
 runs as its own process and must exit 0.  Demos 02 and 04 take about
-16 s and 28 s, so they run in a CI step of their own
+12 s and 14 s, so they run in a CI step of their own
 (``.github/workflows/tier1.yml``) rather than here; by hand,
 ``python demos/02_fit_and_diagnose.py`` and
 ``python demos/04_calibration_checks.py`` from the repository root.

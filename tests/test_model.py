@@ -65,6 +65,18 @@ class TestModelSpec:
         with pytest.raises(DataError):
             ModelSpec(**kw)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0, -1.0, True,
+                                       np.bool_(True), "1.0", None],
+                             ids=["nan", "inf", "-inf", "zero", "negative", "bool", "np-bool",
+                                  "string", "none"])
+    def test_sigma_scale_must_be_a_finite_positive_number(self, scale):
+        with pytest.raises(DataError, match="sigma_scale"):
+            ModelSpec(S=3, T=2, sigma_scale=scale)
+
+    @pytest.mark.parametrize("scale", [0.5, 2, np.float64(0.7), np.int64(3)])
+    def test_sigma_scale_takes_any_real_number_type(self, scale):
+        assert ModelSpec(S=3, T=2, sigma_scale=scale).sigma_scale == scale
+
     def test_numpy_integer_shapes_accepted(self):
         spec = ModelSpec(S=np.int64(3), T=np.int32(2), mu_only=np.bool_(False))
         assert spec == ModelSpec(S=3, T=2) and spec.dim == ModelSpec(S=3, T=2).dim

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from biathlon_bayes import model, oracles
+from biathlon_bayes import model, oracles, sampler
 from biathlon_bayes.data import Dataset, SessionRecord
 from biathlon_bayes.errors import DataError, NumericalError
 from biathlon_bayes.model import ModelSpec
@@ -418,6 +418,42 @@ class TestSBCHarness:
             "coverage50_mean",
             "coverage90_mean",
         }
+
+    def test_stacked_ranks_do_not_depend_on_the_worker_count(self, monkeypatch):
+        cfg = SamplerConfig(n_chains=2, burn_in=20, kept_iterations=20, thin=2)
+        monkeypatch.setenv("BIATHLON_BAYES_THREADS", "1")
+        serial = sbc(_SBC_SPEC, _SBC_SYNTH, replications=20, sampler_cfg=cfg, seed=3)
+        monkeypatch.setenv("BIATHLON_BAYES_THREADS", "2")
+        pooled = sbc(_SBC_SPEC, _SBC_SYNTH, replications=20, sampler_cfg=cfg, seed=3)
+        assert serial.n_pooled == 20
+        assert np.array_equal(serial.ranks, pooled.ranks)
+
+    def test_a_numerical_error_in_one_replication_fails_the_stack(self, monkeypatch):
+        # the third scale draw of the first sweep is replication 0's gamma
+        # scale: one replication's failure is the whole stacked fit's
+        real, calls = sampler._gig, []
+
+        def failing(rng, p, a, b):
+            calls.append(1)
+            return math.nan if len(calls) == 3 else real(rng, p, a, b)
+
+        monkeypatch.setattr(sampler, "_gig", failing)
+        with pytest.raises(NumericalError, match="20/20 replications did not fit"):
+            sbc(_SBC_SPEC, _SBC_SYNTH, replications=20, sampler_cfg=_SBC_FIT_CFG, seed=0)
+
+    def test_a_season_that_cannot_be_simulated_fails_alone(self, monkeypatch):
+        real = oracles.generate_synthetic
+        bad_seed = oracles._seed_int(0, 4, 1)  # replication 4's data seed
+
+        def generate(cfg):
+            if cfg.seed == bad_seed:
+                raise DataError("injected")
+            return real(cfg)
+
+        monkeypatch.setattr(oracles, "generate_synthetic", generate)
+        report = sbc(_SBC_SPEC, _SBC_SYNTH, replications=20, sampler_cfg=_SBC_FIT_CFG, seed=0)
+        assert report.failures == (4,)
+        assert report.replications == 19 and report.ranks.shape == (19, _SBC_SPEC.dim)
 
     def test_real_sampler_smoke(self):
         # tiny end-to-end run through the actual fitting path

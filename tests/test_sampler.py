@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import re
 import struct
 import warnings
@@ -17,7 +18,7 @@ from scipy import stats
 from scipy.signal import lfilter
 from scipy.special import logsumexp
 
-from biathlon_bayes import model, sampler, synth
+from biathlon_bayes import data, model, sampler, synth
 from biathlon_bayes.data import Dataset
 from biathlon_bayes.errors import DataError, NumericalError
 from biathlon_bayes.sampler import (
@@ -765,6 +766,124 @@ class TestRunChains:
         assert (pooled.std(axis=0) > 0).all()
 
 
+def _seasons(S, T, R, seed=0):
+    """R seasons simulated from prior draws of ``ModelSpec(S, T)`` with
+    every race type at every stage, and R fit seeds."""
+    spec = model.ModelSpec(S=S, T=T)
+    schedule = {t: data.RACE_TYPES for t in range(1, T + 1)}
+    seasons = []
+    for r in range(R):
+        truth = model.sample_prior(spec, np.random.default_rng([seed, r]))
+        cfg = synth.SynthConfig(n_athletes=S, n_stages=T, schedule=schedule,
+                                true_params=truth, seed=1000 + r)
+        seasons.append(synth.generate_synthetic(cfg)[0])
+    return spec, seasons, [77 + 3 * r for r in range(R)]
+
+
+_STACK_CFG = SamplerConfig(n_chains=1, burn_in=30, kept_iterations=40, thin=2)
+
+
+class TestStack:
+    """A stack of seasons of one spec is one target: every block of the
+    single-season layout steps as one class block across the stack, and
+    replication r draws from the streams of its own seed."""
+
+    @pytest.fixture(scope="class")
+    def stacked(self):
+        spec, seasons, _ = _seasons(3, 2, 4)
+        return sampler.ModelTarget(spec, seasons), [sampler.ModelTarget(spec, d) for d in seasons]
+
+    def test_layout(self, stacked):
+        target, parts = stacked
+        R, dim = len(parts), target.spec.dim
+        assert target.dim == R * dim and target.dataset is None
+        assert [b.name for b in target.blocks] == [b.name for b in parts[0].blocks]
+        for j, b in enumerate(target.blocks):
+            assert b.idx.ndim == 2 and b.rows == R * parts[0].blocks[j].rows
+            assert b.repeats == parts[0].blocks[j].repeats
+            # rows in replication-major order, each part's coordinates shifted by its offset
+            want = [np.atleast_2d(p.blocks[j].idx) + r * dim for r, p in enumerate(parts)]
+            assert np.array_equal(b.idx, np.concatenate(want))
+            # and its records: every part's, shifted by the records before it
+            first = np.cumsum([0] + [len(p.hits) for p in parts[:-1]])
+            rec = [p.blocks[j].payload[1].rec + f for p, f in zip(parts, first)]
+            assert np.array_equal(b.payload[1].rec, np.concatenate(rec))
+
+    def test_each_row_sees_its_own_replications_scale(self, stacked):
+        target, parts = stacked
+        x = target.initial_vector([np.random.default_rng(r) for r in range(len(parts))])
+        xs = x.reshape(len(parts), -1)
+        for j, block in enumerate(target.blocks):
+            A = target.proposal_transform(x, block)
+            want = [np.reshape(p.proposal_transform(xr, p.blocks[j]),
+                               (-1,) + A.shape[1:]) for p, xr in zip(parts, xs)]
+            np.testing.assert_allclose(A, np.concatenate(want), rtol=1e-14, atol=0)
+
+    def test_commits_keep_the_cache_exact(self, stacked):
+        target, parts = stacked
+        rng = np.random.default_rng(5)
+        x = target.initial_vector([np.random.default_rng(r) for r in range(len(parts))])
+        cache = target.make_cache(x)
+        for _ in range(200):
+            block = target.blocks[rng.integers(len(target.blocks))]
+            prop = x[block.idx] + 0.1 * rng.standard_normal(block.idx.shape)
+            _move(target, x, cache, block, prop, rng.random(block.rows) < 0.5)
+        fresh = target.make_cache(x)
+        np.testing.assert_allclose(cache.eta, fresh.eta, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(cache.ll, fresh.ll, rtol=0, atol=1e-9)
+        for share, want in zip(cache.share, fresh.share):
+            assert np.array_equal(share, want)
+        # the stack's log-posterior is the sum of its replications'
+        xs = x.reshape(len(parts), -1)
+        joint = sum(model.log_posterior(model.from_vector(xr, target.spec), p.dataset,
+                                        target.spec) for p, xr in zip(parts, xs))
+        assert cache.logp == pytest.approx(joint, abs=1e-9)
+        assert fresh.logp == pytest.approx(joint, abs=1e-9)
+
+    def test_scale_draws_follow_each_replications_stream(self, stacked):
+        target, parts = stacked
+        x = target.initial_vector([np.random.default_rng(r) for r in range(len(parts))])
+        cache = target.make_cache(x)
+        solo = [x.reshape(len(parts), -1)[r].copy() for r in range(len(parts))]
+        target.draw_scales(x, cache, [np.random.default_rng([9, r]) for r in range(len(parts))])
+        for r, (p, xr) in enumerate(zip(parts, solo)):
+            p.draw_scales(xr, p.make_cache(xr), np.random.default_rng([9, r]))
+            np.testing.assert_allclose(x.reshape(len(parts), -1)[r], xr, rtol=1e-12, atol=0)
+        assert cache.logp == pytest.approx(target.make_cache(x).logp, abs=1e-9)
+
+    @pytest.mark.parametrize("S, T", [(3, 2), (4, 3)])
+    def test_draws_do_not_depend_on_the_rest_of_the_stack(self, S, T):
+        spec, seasons, seeds = _seasons(S, T, 20)
+        whole = sampler.run_stack(spec, seasons, _STACK_CFG, seeds)
+        first = sampler.run_stack(spec, seasons[:10], _STACK_CFG, seeds[:10])
+        assert whole.shape == (20, 1, _STACK_CFG.n_retained, spec.dim)
+        assert whole[:10].tobytes() == first.tobytes()
+
+    def test_another_replications_seed_leaves_the_draws_unchanged(self):
+        spec, seasons, seeds = _seasons(3, 2, 6)
+        base = sampler.run_stack(spec, seasons, _STACK_CFG, seeds)
+        other = sampler.run_stack(spec, seasons, _STACK_CFG, seeds[:3] + [5] + seeds[4:])
+        assert np.array_equal(np.delete(base, 3, axis=0), np.delete(other, 3, axis=0))
+        assert not np.array_equal(base[3], other[3])
+
+    def test_a_stack_of_one_is_run_chains(self, small_dataset, monkeypatch):
+        monkeypatch.setenv(sampler.THREADS_ENV, "1")
+        spec = model.ModelSpec.for_dataset(small_dataset)
+        cfg = dataclasses.replace(_STACK_CFG, n_chains=2, seed=4)
+        one = sampler.run_stack(spec, [small_dataset], cfg, [4])
+        assert one[0].tobytes() == run_chains(spec, small_dataset, cfg).draws.tobytes()
+
+    def test_seasons_of_another_layout_do_not_stack(self):
+        spec, seasons, seeds = _seasons(3, 2, 2)
+        # the last athlete shoots nowhere, so the trajectories share no
+        # record and step as one class block: another layout
+        short = Dataset.from_records([r for r in seasons[1].records if r.athlete != "ath03"])
+        with pytest.raises(DataError, match="block layouts"):
+            sampler.ModelTarget(spec, [seasons[0], short])
+        with pytest.raises(DataError, match="2 datasets but 1 seeds"):
+            sampler.run_stack(spec, seasons, _STACK_CFG, seeds[:1])
+
+
 class TestWorkerCap:
     def test_env_overrides_cpu_count(self, monkeypatch):
         monkeypatch.setenv("BIATHLON_BAYES_THREADS", "3")
@@ -1057,13 +1176,15 @@ _EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0
 
 @pytest.fixture
 def tiny_samples():
-    """2 chains x 3 draws of 3 coordinates, two of whose names need quoting
-    (the container checks only their count against the model's dim)."""
-    values = np.array(_EDGE_VALUES + [-v for v in _EDGE_VALUES] + _EDGE_VALUES[::-1])
+    """2 chains x 3 draws of the 10 coordinates of an S=2, T=1, Z=2 model,
+    three of whose names need quoting ("beta[1,1]", "omega[s,individual]"),
+    holding every edge value of each sign."""
+    spec = model.ModelSpec(S=2, T=1, Z=2)
+    values = np.array((_EDGE_VALUES + [-v for v in _EDGE_VALUES]) * 5)
     return PosteriorSamples(
-        draws=values.reshape(2, 3, 3),
-        param_names=("mu[1]", "beta[1,1]", "omega[1,individual]"),
-        spec=model.ModelSpec(S=2, T=3, Z=2, mu_only=True),
+        draws=values.reshape(2, 3, spec.dim),
+        param_names=model.param_names(spec),
+        spec=spec,
         config=SamplerConfig(n_chains=2, burn_in=0, kept_iterations=3, thin=1),
         source_digest="x",
         acceptance_rates={},
@@ -1082,15 +1203,22 @@ def _forge_csv(path, text):
 
 
 _WIDE_TEXT = (
-    'chain,iter,mu[1],"beta[1,1]","omega[1,individual]"\n'
-    "1,1,-0.0,5e-324,2.2250738585072014e-308\n"
-    "1,2,1.7976931348623157e+308,0.1,0.3333333333333333\n"
-    "1,3,0.0,-5e-324,-2.2250738585072014e-308\n"
-    "2,1,-1.7976931348623157e+308,-0.1,-0.3333333333333333\n"
-    "2,2,0.3333333333333333,0.1,1.7976931348623157e+308\n"
-    "2,3,2.2250738585072014e-308,5e-324,-0.0\n"
+    'chain,iter,mu[1],"beta[1,1]",gamma_prone[1],gamma_prone[2],"omega[1,individual]",'
+    '"omega[2,individual]",log_sigma_mu,log_sigma_beta,log_sigma_gamma,log_sigma_omega\n'
+    "1,1,-0.0,5e-324,2.2250738585072014e-308,1.7976931348623157e+308,0.1,0.3333333333333333,"
+    "0.0,-5e-324,-2.2250738585072014e-308,-1.7976931348623157e+308\n"
+    "1,2,-0.1,-0.3333333333333333,-0.0,5e-324,2.2250738585072014e-308,1.7976931348623157e+308,"
+    "0.1,0.3333333333333333,0.0,-5e-324\n"
+    "1,3,-2.2250738585072014e-308,-1.7976931348623157e+308,-0.1,-0.3333333333333333,-0.0,"
+    "5e-324,2.2250738585072014e-308,1.7976931348623157e+308,0.1,0.3333333333333333\n"
+    "2,1,0.0,-5e-324,-2.2250738585072014e-308,-1.7976931348623157e+308,-0.1,"
+    "-0.3333333333333333,-0.0,5e-324,2.2250738585072014e-308,1.7976931348623157e+308\n"
+    "2,2,0.1,0.3333333333333333,0.0,-5e-324,-2.2250738585072014e-308,-1.7976931348623157e+308,"
+    "-0.1,-0.3333333333333333,-0.0,5e-324\n"
+    "2,3,2.2250738585072014e-308,1.7976931348623157e+308,0.1,0.3333333333333333,0.0,-5e-324,"
+    "-2.2250738585072014e-308,-1.7976931348623157e+308,-0.1,-0.3333333333333333\n"
 )
-_ROW_1_1 = "\n1,1,-0.0,5e-324,2.2250738585072014e-308\n"
+_ROW_1_1 = _WIDE_TEXT[_WIDE_TEXT.index("\n1,1,"):_WIDE_TEXT.index("\n1,2,") + 1]
 
 
 class TestCsvContainer:
@@ -1100,7 +1228,8 @@ class TestCsvContainer:
         assert path.read_text() == _WIDE_TEXT
         back = import_draws(path)
         assert back.draws.tobytes() == tiny_samples.draws.tobytes()
-        assert np.signbit(back.draws[0, 0, 0]) and np.signbit(back.draws[1, 2, 2])  # -0.0
+        assert np.signbit(back.draws[0, 0, 0]) and np.signbit(back.draws[1, 1, 8])  # -0.0
+        assert not np.signbit(back.draws[0, 0, 6])  # +0.0
         assert back.param_names == tiny_samples.param_names
 
     @pytest.mark.parametrize("edit, match", [
@@ -1108,8 +1237,8 @@ class TestCsvContainer:
         (lambda t: t.replace("\n1,3,", "\n1,0,"), "each draw once"),
         (lambda t: t.replace("\n1,2,", "\n1,4,"), "each draw once"),
         (lambda t: t.replace("\n1,2,", "\n1,1,"), "each draw once"),
-        (lambda t: t + t.splitlines(keepends=True)[1], "7 rows of 5 columns, expected 6 of 5"),
-        (lambda t: "".join(t.splitlines(keepends=True)[:-1]), "5 rows of 5 columns"),
+        (lambda t: t + t.splitlines(keepends=True)[1], "7 rows of 12 columns, expected 6 of 12"),
+        (lambda t: "".join(t.splitlines(keepends=True)[:-1]), "5 rows of 12 columns"),
         (lambda t: t.replace("\n1,1,", "\n1,x,").replace("\n1,2,", "\n1,1,")
                     .replace("\n1,x,", "\n1,2,"), "each draw once"),
     ], ids=["chain-0", "iter-0", "iter-past-end", "duplicate-cell", "extra-row", "missing-row",
@@ -1123,6 +1252,7 @@ class TestCsvContainer:
 
     @pytest.mark.parametrize("edit, match", [
         (lambda t: t.replace(_ROW_1_1, "\n1,1,-0.0\n"), "malformed row"),
+        (lambda t: t.replace(_ROW_1_1, "\n1,1,-0.0,5e-324,0.1,7,8\n"), "malformed row"),
         (lambda t: t.replace(_ROW_1_1, _ROW_1_1[:-1] + ",7,8\n"), "malformed row"),
         (lambda t: t.replace("mu[1]", "mu[9]", 1), "header"),
         (lambda t: t.replace("\n1,1,", "\n1x,1,"), "malformed row"),
@@ -1131,7 +1261,7 @@ class TestCsvContainer:
         (lambda t: "", "header"),
         (lambda t: t.splitlines(keepends=True)[0], "no rows"),
         (lambda t: t.splitlines()[0] + "\r\n\r\n", "no rows"),
-    ], ids=["3-fields", "7-fields", "unknown-param", "chain-1x", "value-abc", "bad-header",
+    ], ids=["3-fields", "7-fields", "14-fields", "unknown-param", "chain-1x", "value-abc", "bad-header",
             "empty-file", "header-only", "blank-lines-only"])
     def test_malformed_body_is_a_data_error(self, tiny_samples, tmp_path, edit, match):
         path = tmp_path / "draws.csv"
@@ -1150,14 +1280,16 @@ class TestCsvContainer:
         path = tmp_path / "draws.csv"
         export_draws(tiny_samples, path, fmt="csv")
         _forge_csv(path, long.getvalue())
-        expected = "the columns ['chain', 'iter', 'mu[1]', 'beta[1,1]', 'omega[1,individual]']"
+        expected = ("the columns ['chain', 'iter', 'mu[1]', 'beta[1,1]', 'gamma_prone[1]'] "
+                    "and 7 more")
         with pytest.raises(DataError, match=re.escape(expected)):
             import_draws(path)
 
     @pytest.mark.parametrize("edit, match", [
         ({"S": 4.0}, "S must be an integer"),
         ({"T": 2}, r"model dim \(28\) does not match draw dim \(32\)"),
-    ], ids=["float-S", "T-of-another-fit"])
+        ({"sigma_scale": math.nan}, "sigma_scale must be a finite positive number"),
+    ], ids=["float-S", "T-of-another-fit", "nan-sigma_scale"])
     def test_sidecar_model_must_fit_the_draws(self, tmp_path, edit, match):
         spec = model.ModelSpec(S=4, T=3)
         samples = PosteriorSamples(
@@ -1176,6 +1308,20 @@ class TestCsvContainer:
         manifest["model"].update(edit)
         side.write_text(json.dumps(manifest))
         with pytest.raises(DataError, match=match):
+            import_draws(path)
+
+    def test_param_names_must_be_the_models(self, tiny_samples, tmp_path):
+        # mu[1] and beta[1,1] swapped in the header and the sidecar alike: the
+        # container is self-consistent, but diagnose would misname both columns
+        path = tmp_path / "draws.csv"
+        export_draws(tiny_samples, path, fmt="csv")
+        _forge_csv(path, path.read_text().replace('mu[1],"beta[1,1]"', '"beta[1,1]",mu[1]', 1))
+        side = path.with_name(path.name + ".manifest.json")
+        manifest = json.loads(side.read_text())
+        names = manifest["param_names"]
+        names[0], names[1] = names[1], names[0]
+        side.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="param_names are not the model's names"):
             import_draws(path)
 
     @pytest.mark.parametrize("patch", [

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biathlon_bayes import model, sampler
+from biathlon_bayes import model, oracles, sampler, synth
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -125,3 +125,24 @@ def test_the_tracer_sees_every_layer_of_a_fit(short_chain):
     assert m["sampler.transform_us"] > 0
     assert m["sampler.sweep_ms"] > 0
     assert tracer.counts["sampler.sweeps"] == sweeps
+
+
+def test_the_tracer_reads_a_stacked_sbc():
+    # a stack steps by class moves only (propose_rows, commit_rows), and
+    # its cache.logp is one number, the sum over its replications
+    spec = model.ModelSpec(S=3, T=2)
+    synth_cfg = synth.SynthConfig(n_athletes=3, n_stages=2,
+                                  schedule={1: ("sprint",), 2: ("pursuit", "individual")})
+    cfg = sampler.SamplerConfig(n_chains=1, burn_in=10, kept_iterations=10, thin=1)
+    tracer = spans.Tracer()
+    spans.instrument(tracer)
+    try:
+        root = tracer.open("bench.round")
+        report = oracles.sbc(spec, synth_cfg, replications=20, sampler_cfg=cfg, seed=1)
+        tracer.close(root)
+    finally:
+        tracer.uninstall()
+    m = spans.layer_metrics(tracer)
+    assert report.replications == 20
+    assert tracer.counts["sampler.sweeps"] == cfg.burn_in + cfg.kept_iterations  # one chain
+    assert m["sampler.sweep_ms"] > 0 and m["oracles.sbc_self_s"] > 0
