@@ -629,6 +629,8 @@ def _cmd_predict(args) -> int:
                      _replicate_rows([f"s{stage}r{seq}" for stage, seq, _ in path.races],
                                      path.summaries))
 
+    n_rep = joint.shape[0]
+    del joint  # the forecast's replicates take its place rather than join it
     if future is not None:
         fdraws = predictive_draws(
             samples, future.records, d, n_rep=args.reps, seed=args.seed
@@ -649,11 +651,11 @@ def _cmd_predict(args) -> int:
         "draws_sha256": _sha256(draws_path),
         "source_digest": d.source_digest,
         "seed": args.seed,
-        "n_rep": joint.shape[0],
+        "n_rep": n_rep,
         "files": {name: _sha256(os.path.join(out, name)) for name in sorted(files)},
     }
     _write_json(os.path.join(out, "report.json"), report)
-    print(f"predict: wrote {len(files)} files + report.json ({joint.shape[0]} replicates)")
+    print(f"predict: wrote {len(files)} files + report.json ({n_rep} replicates)")
     return 0
 
 

@@ -18,15 +18,22 @@ import numpy as np
 from .errors import DataError
 
 
+def quantile_rank(n: int, q: float) -> int:
+    """The 1-based rank ``k`` of the order statistic that is the type-1
+    q-quantile of ``n`` values.  With counts instead of a sort: the
+    quantile is at most t iff at least k values are, and at least t iff
+    fewer than k values are below t."""
+    if not 0.0 <= q <= 1.0:
+        raise DataError(f"quantile level outside [0, 1]: {q}")
+    if n == 0:
+        raise DataError("no draws")
+    return min(n, max(1, math.ceil(q * n)))
+
+
 def sorted_quantile(sorted_values: np.ndarray, q: float, axis: int = 0):
     """Type-1 (inverse-CDF) empirical quantile of values already sorted along
     ``axis``; one order statistic per position on the other axes."""
-    if not 0.0 <= q <= 1.0:
-        raise DataError(f"quantile level outside [0, 1]: {q}")
-    n = sorted_values.shape[axis]
-    if n == 0:
-        raise DataError("no draws")
-    k = min(n, max(1, math.ceil(q * n)))
+    k = quantile_rank(sorted_values.shape[axis], q)
     return np.take(sorted_values, k - 1, axis=axis)
 
 

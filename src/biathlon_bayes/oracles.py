@@ -22,7 +22,7 @@ from scipy import stats
 
 from .data import Dataset, SessionRecord
 from .errors import DataError, NumericalError
-from .intervals import sorted_quantile
+from .intervals import quantile_rank
 from .model import (
     ModelSpec,
     from_vector,
@@ -311,26 +311,48 @@ def _seed_int(*keys: int) -> int:
     return int(seed_sequence(*keys).generate_state(1, np.uint64)[0])
 
 
-def _stacked_fits(spec, seasons, sampler_cfg, fit_seeds):
-    """Each season's pooled draws from one stacked fit, or None for every
-    season if that fit fails."""
+def _counts(draws: np.ndarray, truth: np.ndarray, axis: int):
+    """Per coordinate, the draws along ``axis`` below ``truth`` and the draws
+    at or below it."""
+    return (draws < truth).sum(axis=axis), (draws <= truth).sum(axis=axis)
+
+
+def _stacked_counts(spec, seasons, truths, sampler_cfg, fit_seeds):
+    """Each season's ``(draw count, below, at or below)`` of its true
+    coordinates ``truths[r]`` from one stacked fit, summed chain by chain
+    so that one chain's draws are held at a time, or None for every season
+    if that fit fails."""
+    below = at_or_below = 0
     try:
-        draws = run_stack(spec, seasons, sampler_cfg, fit_seeds)
+        for draws in run_stack(spec, seasons, sampler_cfg, fit_seeds):  # (seasons, retained, dim)
+            lt, le = _counts(draws, truths[:, None], axis=1)
+            below, at_or_below = below + lt, at_or_below + le
+            del draws  # before the next chain runs
     except (DataError, NumericalError):
-        yield from [None] * len(seasons)
-        return
-    for fit in draws:
-        yield fit.reshape(-1, spec.dim)
+        return [None] * len(seasons)
+    n = sampler_cfg.n_chains * sampler_cfg.n_retained
+    return [(n, b, a) for b, a in zip(below, at_or_below)]
 
 
-def _one_fit(fit_fn, dataset, spec, sampler_cfg, fit_seed):
-    """``fit_fn``'s pooled draws of one season, or None if it fails or
-    returns draws of the wrong shape."""
+def _one_fit_counts(fit_fn, dataset, truth, spec, sampler_cfg, fit_seed):
+    """``fit_fn``'s ``(draw count, below, at or below)`` of one season's
+    true coordinates, or None if it fails or returns draws of the wrong
+    shape."""
     try:
         pooled = np.asarray(fit_fn(dataset, spec, sampler_cfg, fit_seed), dtype=float)
     except (DataError, NumericalError):
         return None
-    return pooled if pooled.ndim == 2 and pooled.shape[1] == spec.dim else None
+    if pooled.ndim != 2 or pooled.shape[1] != spec.dim:
+        return None
+    return (pooled.shape[0], *_counts(pooled, truth, axis=0))
+
+
+def _covers(n: int, below, at_or_below, lo: float, hi: float):
+    """Whether the central interval between the type-1 ``lo`` and ``hi``
+    quantiles of ``n`` draws holds each truth, from the counts of draws
+    below it and at or below it (``intervals.quantile_rank``): the same
+    answer as sorting the draws, ties included."""
+    return (at_or_below >= quantile_rank(n, lo)) & (below < quantile_rank(n, hi))
 
 
 def sbc(
@@ -354,7 +376,10 @@ def sbc(
     (``sampler.run_stack``), replication r from the streams of its own fit
     seed: its draws are those of any stack that holds it, so they do not
     depend on the other replications.  A DataError or NumericalError in
-    that fit fails every replication of the stack.
+    that fit fails every replication of the stack.  The ranks and the
+    coverage need only each replication's counts of draws below and at or
+    below each truth, so the fit's chains are counted one at a time and
+    never held together.
 
     ``fit_fn(dataset, spec, sampler_cfg, fit_seed) -> (M, dim) array`` may
     replace the real sampler (used by fault-injection tests); it fits one
@@ -397,24 +422,25 @@ def sbc(
     fit_seeds = [seeds[r][2] for r, _, _ in simulated]
     seasons = [d for _, _, d in simulated]
     if fit_fn is None:
-        fits = _stacked_fits(spec, seasons, sampler_cfg, fit_seeds)
+        truths = np.array([t for _, t, _ in simulated]).reshape(len(simulated), dim)
+        fits = _stacked_counts(spec, seasons, truths, sampler_cfg, fit_seeds)
     else:
-        fits = (_one_fit(fit_fn, d, spec, sampler_cfg, s) for d, s in zip(seasons, fit_seeds))
-    for (r, truth_vec, _), pooled in zip(simulated, fits):
-        if pooled is None:
+        fits = (_one_fit_counts(fit_fn, d, t, spec, sampler_cfg, s)
+                for (_, t, d), s in zip(simulated, fit_seeds))
+    for (r, _, _), counts in zip(simulated, fits):
+        if counts is None:
             failures.append(r)
             continue
 
+        n, below, at_or_below = counts
         if n_pooled is None:
-            n_pooled = pooled.shape[0]
-        elif pooled.shape[0] != n_pooled:
+            n_pooled = n
+        elif n != n_pooled:
             raise NumericalError("replications returned differing retained draw counts")
 
-        ranks_rows.append((pooled < truth_vec).sum(axis=0))
-        srt = np.sort(pooled, axis=0)
-        lo90, lo50, hi50, hi90 = (sorted_quantile(srt, q) for q in (0.05, 0.25, 0.75, 0.95))
-        cov50_rows.append((lo50 <= truth_vec) & (truth_vec <= hi50))
-        cov90_rows.append((lo90 <= truth_vec) & (truth_vec <= hi90))
+        ranks_rows.append(below)
+        cov50_rows.append(_covers(n, below, at_or_below, 0.25, 0.75))
+        cov90_rows.append(_covers(n, below, at_or_below, 0.05, 0.95))
 
     failures.sort()
     if len(failures) > 0.1 * replications:

@@ -5,10 +5,15 @@ The effect summaries and the predictive simulators consume a
 given ``(samples, seed)``.  :func:`expand_draws` returns the pooled draws
 as one :class:`~biathlon_bayes.model.Effects` whose arrays carry a leading
 draw axis, and predictive log-odds come from
-:func:`~biathlon_bayes.model.log_odds`.  Predictive hit counts are drawn
-with one dedicated RNG stream per session template, keyed by the template's
-identity rather than its position in the schedule, so reordering templates
-permutes the output columns and changes nothing else.
+:func:`~biathlon_bayes.model.log_odds`.  The odds-ratio summaries take one
+athlete's slice of the effects at a time, so none copies a whole effect
+array.  Predictive hit counts are drawn with one dedicated RNG stream per
+session template, keyed by the template's identity rather than its
+position in the schedule, so reordering templates permutes the output
+columns and changes nothing else.  :func:`predictive_draws` expands the
+posterior in chunks of ``_CHUNK_DRAWS`` draws, each template's stream
+running on across the chunks, and stores the counts as ``int8`` (every
+count is 0..5).
 
 The predictive checks consume the joint replicates of
 :func:`simulate_schedule`, so they all summarize the same draws, and group
@@ -151,10 +156,17 @@ class BetaTrajectories:
     or_upper: np.ndarray
 
 
+def _odds_ratio_summary(effect: np.ndarray) -> list[np.ndarray]:
+    """``summary(np.exp(effect))`` of draws ``(M, S, ...)``, one athlete's
+    slice at a time: the same numbers, without a copy of the whole array."""
+    parts = [summary(np.exp(effect[:, s])) for s in range(effect.shape[1])]
+    return [np.stack(stat) for stat in zip(*parts)]
+
+
 def beta_trajectories(samples: PosteriorSamples) -> BetaTrajectories:
-    eff = expand_draws(samples)
-    mean, median, lower, upper = summary(np.exp(eff.beta))  # (M, S, T)
-    return BetaTrajectories(mean, np.exp(eff.beta.mean(axis=0)), median, lower, upper)
+    beta = expand_draws(samples).beta  # (M, S, T)
+    mean, median, lower, upper = _odds_ratio_summary(beta)
+    return BetaTrajectories(mean, np.exp(beta.mean(axis=0)), median, lower, upper)
 
 
 @dataclass(frozen=True)
@@ -192,14 +204,16 @@ class RaceEffects:
 
 
 def race_effects(samples: PosteriorSamples) -> RaceEffects:
-    eff = expand_draws(samples)
+    omega = expand_draws(samples).omega  # (M, S, Z)
     return RaceEffects(
-        eff.omega.mean(axis=0), *summary(np.exp(eff.omega)), RACE_TYPES[: samples.spec.Z]
+        omega.mean(axis=0), *_odds_ratio_summary(omega), RACE_TYPES[: samples.spec.Z]
     )
 
 
 # ---------------------------------------------------------------------------
 # posterior predictive simulation
+
+_CHUNK_DRAWS = 512  # posterior draws expanded at a time by predictive_draws
 
 
 def _template_rng(seed: int, rec: SessionRecord) -> np.random.Generator:
@@ -281,20 +295,29 @@ def predictive_draws(
 
     Returns
     -------
-    ndarray of shape (n_rep, len(templates))
+    int8 ndarray of shape (n_rep, len(templates))
         Hit counts in 0..5.  Column j corresponds to ``templates[j]`` and
         row i uses posterior draw ``i`` jointly for every column, so row
         sums are draws of schedule-level totals.
+
+    The posterior is expanded ``_CHUNK_DRAWS`` replicates at a time, so
+    one chunk's effects, not the whole posterior's, are held beside the
+    counts.  A binomial draw over a run of probabilities consumes its
+    stream exactly as the same run split in two does, so the counts do not
+    depend on the chunking.
     """
     cells = template_cells(templates, dataset, samples.spec)
-    eff = expand_draws(samples)
+    positions = [POSITIONS.index(rec.position) for rec in templates]
+    rngs = [_template_rng(seed, rec) for rec in templates]
     idx = _draw_indices(samples.total_draws, n_rep)
-    out = np.empty((idx.shape[0], len(templates)), dtype=np.int16)
-
-    for j, (rec, (s, t, z)) in enumerate(zip(templates, cells)):
-        eta = log_odds(eff, s, t, POSITIONS.index(rec.position), z)[idx]
-        rng = _template_rng(seed, rec)
-        out[:, j] = rng.binomial(SHOTS_PER_BOUT, expit(eta)).astype(np.int16)
+    pooled = samples.pooled()
+    out = np.empty((idx.shape[0], len(templates)), dtype=np.int8)
+    for lo in range(0, idx.shape[0], _CHUNK_DRAWS):
+        rows = slice(lo, lo + _CHUNK_DRAWS)
+        eff = expand(from_vector(pooled[idx[rows]], samples.spec), samples.spec)
+        for j, ((s, t, z), pos, rng) in enumerate(zip(cells, positions, rngs)):
+            out[rows, j] = rng.binomial(SHOTS_PER_BOUT, expit(log_odds(eff, s, t, pos, z)))
+        del eff  # the next chunk's effects replace this one's, not join them
     return out
 
 

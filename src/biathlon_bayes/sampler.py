@@ -82,7 +82,6 @@ import itertools
 import json
 import math
 import os
-import re
 import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -510,9 +509,10 @@ class ModelTarget:
 
     def _log_sigma(self, x: np.ndarray, k: int, slot=None):
         """Class k's log scale: one number, or in a stack one per row of
-        the class's ``slot``, each its own replication's."""
+        the class's ``slot``, each its own replication's.  A ``mu_only``
+        target's scales are fixed at 1."""
         if self.spec.mu_only:
-            return 0.0
+            return 0.0 if self.dataset is not None else np.zeros(len(self._classes[k][1]))[slot]
         if self.dataset is None:
             return x[self._scale_at[k][slot]]
         return float(x[self.lay.sigma.start + k])
@@ -784,11 +784,14 @@ def run_chains(
     )
 
 
-def run_stack(spec: ModelSpec, datasets, cfg: SamplerConfig, seeds) -> np.ndarray:
+def run_stack(spec: ModelSpec, datasets, cfg: SamplerConfig, seeds):
     """Fit every dataset of a stack of one ``spec`` with ``cfg``'s chains,
     dataset r from the streams of ``seeds[r]`` (``cfg.seed`` is not read),
     each chain one stacked chain of ``ModelTarget(spec, datasets)``.
-    Returns the draws as ``(datasets, chains, retained, spec.dim)``.
+    Builds the target, then returns an iterator that runs the chains in
+    turn and gives each one's draws as ``(datasets, retained, spec.dim)``:
+    a caller that drops a chain's draws before taking the next holds one
+    chain's at a time.
 
     Dataset r's draws are bit-identical in any stack that holds it with
     its seed.  A stack of one gives ``run_chains``' draws.  A DataError or
@@ -796,11 +799,14 @@ def run_stack(spec: ModelSpec, datasets, cfg: SamplerConfig, seeds) -> np.ndarra
     seeds = tuple(seeds)
     if len(seeds) != len(datasets):
         raise DataError(f"{len(datasets)} datasets but {len(seeds)} seeds")
-    target = ModelTarget(spec, datasets)
-    draws = np.empty((cfg.n_chains, cfg.n_retained, target.dim))
-    for c, result in enumerate(_chain_results(target, cfg, seeds)):
-        draws[c] = result.draws
-    return draws.reshape(cfg.n_chains, cfg.n_retained, len(seeds), spec.dim).transpose(2, 0, 1, 3)
+    return _stack_chains(ModelTarget(spec, datasets), cfg, seeds)
+
+
+def _stack_chains(target, cfg: SamplerConfig, seeds):
+    """``run_stack``'s chains, run as they are taken."""
+    for result in _chain_results(target, cfg, seeds):
+        yield result.draws.reshape(cfg.n_retained, len(seeds), -1).transpose(1, 0, 2)
+        del result  # before the next chain runs
 
 
 # ---------------------------------------------------------------------------
@@ -1038,49 +1044,131 @@ def _samples_from_manifest(manifest: dict, draws: np.ndarray) -> PosteriorSample
 
 def import_draws(path) -> PosteriorSamples:
     """Read the draws container at ``path`` (binary, or CSV with its
-    ``<path>.manifest.json`` sidecar); verifies checksums.  A CSV must have
-    the header ``chain,iter,<the manifest's param names>`` and one row per
-    draw in export order; any other layout, such as the one-value-per-row
-    files of earlier versions, is a DataError."""
+    ``<path>.manifest.json`` sidecar) in one pass over the file, hashing
+    every byte as it is read, and verify the checksum before anything read
+    is trusted: a file that fails it is refused for that, whatever else is
+    wrong with it.  The draws are the only draws-sized array made.  A
+    binary body is read straight into one preallocated array whose payload
+    becomes the draws.  A CSV is parsed as it streams, by one
+    ``np.loadtxt`` into an array allocated once at the expected row count,
+    and the draws are a view of it.  Neither keeps the file's bytes.  A CSV
+    with more rows than draws is read a second time to count them for its
+    refusal.  A CSV must have the header
+    ``chain,iter,<the manifest's param names>`` and one row per draw in
+    export order; any other layout, such as the one-value-per-row files of
+    earlier versions, is a DataError."""
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[: len(_MAGIC)] == _MAGIC:
-        return _import_binary(raw)
-    side = path.with_name(path.name + ".manifest.json")
-    if side.exists():
-        return _import_csv(raw, _parse_manifest(side.read_bytes()))
+    with open(path, "rb") as fh:
+        if fh.read(len(_MAGIC)) == _MAGIC:
+            return _import_binary(fh)
+        side = path.with_name(path.name + ".manifest.json")
+        if side.exists():
+            fh.seek(0)
+            return _import_csv(fh, _parse_manifest(side.read_bytes()))
     raise DataError("unrecognized draws container (bad magic, no manifest sidecar)")
 
 
-def _import_binary(raw: bytes) -> PosteriorSamples:
-    if len(raw) < len(_MAGIC) + 8 + 32:
+def _fill_hashed(fh, buf, digest):
+    """Fill ``buf`` from ``fh`` and hash what was read; DataError if the
+    file ends first."""
+    view = memoryview(buf).cast("B")
+    filled = 0
+    while filled < len(view):
+        n = fh.readinto(view[filled:])
+        if not n:
+            raise DataError("draws file truncated")
+        filled += n
+    digest.update(view)
+
+
+def _import_binary(fh) -> PosteriorSamples:
+    """The rest of a binary container, from just after its magic: the body
+    is read and hashed into a byte array sized from the file (the header's
+    lengths are not trusted before the checksum), and the payload's bytes
+    become the draws without a copy."""
+    size = os.fstat(fh.fileno()).st_size - len(_MAGIC) - 32  # between magic and trailer
+    if size < 8:
         raise DataError("draws file truncated")
-    body, trailer = memoryview(raw)[:-32], raw[-32:]  # no copy of the payload
-    if hashlib.sha256(body).digest() != trailer:
+    digest = hashlib.sha256(_MAGIC)
+    head = bytearray(8)
+    _fill_hashed(fh, head, digest)
+    (mlen,) = struct.unpack("<Q", head)
+    raw_manifest = bytearray(min(mlen, size - 8))
+    _fill_hashed(fh, raw_manifest, digest)
+    payload = np.empty(size - 8 - len(raw_manifest), dtype=np.uint8)
+    _fill_hashed(fh, payload, digest)
+    if fh.read(32) != digest.digest():
         raise DataError("draws file checksum mismatch (truncated or corrupted)")
-    off = len(_MAGIC)
-    (mlen,) = struct.unpack_from("<Q", body, off)
-    off += 8
-    manifest = _parse_manifest(bytes(body[off : off + mlen]))
-    off += mlen
+    manifest = _parse_manifest(bytes(raw_manifest))
     c, r, d = manifest["n_chains"], manifest["n_retained"], manifest["dim"]
     expected = c * r * d * 8
-    payload = body[off:]
-    if len(payload) != expected:
-        raise DataError(f"draws payload is {len(payload)} bytes, expected {expected}")
-    draws = np.frombuffer(payload, dtype=_DTYPE).reshape(c, r, d).copy()
-    return _samples_from_manifest(manifest, draws)
+    if payload.size != expected:
+        raise DataError(f"draws payload is {payload.size} bytes, expected {expected}")
+    return _samples_from_manifest(manifest, payload.view(_DTYPE).reshape(c, r, d))
 
 
-def _import_csv(raw: bytes, manifest: dict) -> PosteriorSamples:
-    if manifest.get("csv_sha256") != hashlib.sha256(raw).hexdigest():
-        raise DataError("draws CSV checksum mismatch against manifest sidecar")
+class _HashedFile(io.RawIOBase):
+    """A binary file read through ``readinto``, hashing every byte it passes
+    on, for a buffered reader to wrap."""
+
+    def __init__(self, fh):
+        self.fh, self.digest = fh, hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        n = self.fh.readinto(b)
+        self.digest.update(memoryview(b)[:n])
+        return n
+
+    def hexdigest(self) -> str:
+        """The sha256 of the whole file: what is left is read and hashed first."""
+        buf = bytearray(io.DEFAULT_BUFFER_SIZE)
+        while self.readinto(buf):
+            pass
+        return self.digest.hexdigest()
+
+
+def _import_csv(fh, manifest: dict) -> PosteriorSamples:
     c, r, d = manifest["n_chains"], manifest["n_retained"], manifest["dim"]
+    # loadtxt allocates max_rows rows at once: room for one row more than
+    # the draws, so a surplus row shows, but for no more rows than the file
+    # can hold (a row is d + 2 fields of at least two bytes each), whatever
+    # the sidecar claims
+    cap = min(c * r, os.fstat(fh.fileno()).st_size // (2 * (d + 2))) + 1
+    hashed = _HashedFile(fh)
+    try:
+        rows = _csv_rows(io.BufferedReader(hashed), manifest, max_rows=cap)
+    except DataError:
+        _check_csv_digest(hashed, manifest)  # a body that fails its checksum is refused for that
+        raise
+    _check_csv_digest(hashed, manifest)
+    if rows.shape[0] == cap:  # refused, and maybe cut short: every row is read again, to count
+        fh.seek(0)
+        rows = _csv_rows(io.BufferedReader(_HashedFile(fh)), manifest)
+    if rows.shape != (c * r, d + 2):
+        raise DataError(f"draws CSV: {rows.shape[0]} rows of {rows.shape[1]} columns, "
+                        f"expected {c * r} of {d + 2}")
+    chain, it = np.repeat(np.arange(1, c + 1), r), np.tile(np.arange(1, r + 1), c)
+    if not (np.array_equal(rows[:, 0], chain) and np.array_equal(rows[:, 1], it)):
+        raise DataError("draws CSV: chain,iter columns are not each draw once, in export order")
+    return _samples_from_manifest(manifest, rows[:, 2:].reshape(c, r, d))
+
+
+def _check_csv_digest(hashed: _HashedFile, manifest: dict):
+    if manifest.get("csv_sha256") != hashed.hexdigest():
+        raise DataError("draws CSV checksum mismatch against manifest sidecar")
+
+
+def _csv_rows(body, manifest: dict, max_rows: int | None = None) -> np.ndarray:
+    """The rows of a CSV body read from the buffered reader ``body``, after
+    its header is checked against the manifest's names: one ``np.loadtxt``
+    array of at most ``max_rows`` rows, whose columns 2.. hold the draws."""
     names = manifest.get("param_names")
     if not isinstance(names, list):
         raise DataError("bad draws manifest: param_names must be a list")
     expected = ["chain", "iter", *names]
-    body = io.BytesIO(raw)
     try:
         header = next(csv.reader([body.readline().decode()]), None)
     except (ValueError, csv.Error):  # undecodable bytes or a stray carriage return
@@ -1089,17 +1177,15 @@ def _import_csv(raw: bytes, manifest: dict) -> PosteriorSamples:
         more = f" and {len(expected) - 5} more" if len(expected) > 5 else ""
         raise DataError(f"draws CSV: missing or bad header, expected the columns "
                         f"{expected[:5]}{more}")
-    if re.compile(rb"[^\r\n]").search(raw, body.tell()) is None:  # loadtxt only warns
-        raise DataError("draws CSV: no rows")
+    text = io.TextIOWrapper(body, encoding="utf-8")  # universal newlines: "\r\n" reads "\n"
+    # loadtxt skips blank lines and counts rows without them, but warns of
+    # each under max_rows
+    lines = (line for line in text if line != "\n")
     try:
-        rows = np.loadtxt(io.TextIOWrapper(body, encoding="utf-8"), delimiter=",",
-                          comments=None, ndmin=2)
+        first = next(lines, None)
+        if first is None:  # loadtxt only warns
+            raise DataError("draws CSV: no rows")
+        return np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None,
+                          ndmin=2, max_rows=max_rows)
     except ValueError as e:  # numpy names the row (counted after the header)
         raise DataError(f"draws CSV: malformed row: {e}") from None
-    if rows.shape != (c * r, d + 2):
-        raise DataError(f"draws CSV: {rows.shape[0]} rows of {rows.shape[1]} columns, "
-                        f"expected {c * r} of {d + 2}")
-    chain, it = np.repeat(np.arange(1, c + 1), r), np.tile(np.arange(1, r + 1), c)
-    if not (np.array_equal(rows[:, 0], chain) and np.array_equal(rows[:, 1], it)):
-        raise DataError("draws CSV: chain,iter columns are not each draw once, in export order")
-    return _samples_from_manifest(manifest, rows[:, 2:].reshape(c, r, d))

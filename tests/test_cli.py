@@ -520,7 +520,7 @@ class TestValidate:
         real = oracles.run_stack
 
         def shifted(*args, **kwargs):
-            return real(*args, **kwargs) + 0.5
+            return (draws + 0.5 for draws in real(*args, **kwargs))
 
         monkeypatch.setattr(oracles, "run_stack", shifted)
         out = tmp_path / "sbc"

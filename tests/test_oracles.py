@@ -15,6 +15,7 @@ import pytest
 from biathlon_bayes import model, oracles, sampler
 from biathlon_bayes.data import Dataset, SessionRecord
 from biathlon_bayes.errors import DataError, NumericalError
+from biathlon_bayes.intervals import sorted_quantile
 from biathlon_bayes.model import ModelSpec
 from biathlon_bayes.oracles import (
     gradient_check,
@@ -214,6 +215,22 @@ def _prior_draws_fit(n_draws):
         )
 
     return fit
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20, 41])
+def test_coverage_from_counts_is_the_sorted_interval(n):
+    # integer draws tie often, and the truths include every value at the
+    # quantile positions themselves
+    rng = np.random.default_rng(n)
+    draws = rng.integers(0, 4, size=(n, 30)).astype(float)
+    srt = np.sort(draws, axis=0)
+    levels = (0.05, 0.25, 0.75, 0.95)
+    for truth in [rng.integers(-1, 5, size=30).astype(float)] + [
+            sorted_quantile(srt, q) for q in levels]:
+        below, at_or_below = (draws < truth).sum(axis=0), (draws <= truth).sum(axis=0)
+        for lo, hi in ((0.25, 0.75), (0.05, 0.95)):
+            want = (sorted_quantile(srt, lo) <= truth) & (truth <= sorted_quantile(srt, hi))
+            assert np.array_equal(oracles._covers(n, below, at_or_below, lo, hi), want)
 
 
 class TestSBCHarness:

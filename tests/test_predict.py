@@ -3,6 +3,7 @@ posterior predictive simulators."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,6 +361,65 @@ class TestPredictiveStreams:
             predictive_draws(samples, [_rec("a", 9, "sprint", "prone")], _WIRE_DATA)
         with pytest.raises(DataError, match="race type"):
             predictive_draws(samples, [_rec("a", 1, "pursuit", "prone")], _WIRE_DATA)
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak of the memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.fixture(scope="module")
+def wide_posterior(season_dataset):
+    """2100 draws of the paper-scale model: more than four chunks of
+    ``predict._CHUNK_DRAWS``, with effects of about 9 MB."""
+    spec = ModelSpec.for_dataset(season_dataset)
+    flat = 0.3 * np.random.default_rng(8).standard_normal((2100, spec.dim))
+    return _samples_from_flat(spec, flat)
+
+
+class TestBoundedMemory:
+    """The report's summaries and simulators hold at most one draws-sized
+    array beyond their input."""
+
+    def test_predictive_draws_hold_less_than_one_expansion(self, wide_posterior,
+                                                           season_dataset):
+        full = sum(a.nbytes for a in expand_draws(wide_posterior))
+        templates = season_dataset.records[:300]
+        out, peak = _traced_peak(
+            lambda: predictive_draws(wide_posterior, templates, season_dataset, seed=1))
+        assert out.dtype == np.int8 and out.shape == (2100, 300)
+        assert peak < full
+
+    @pytest.mark.parametrize("n_rep", [None, 37, 130])
+    def test_counts_do_not_depend_on_the_chunking(self, monkeypatch, n_rep):
+        flat = 0.3 * np.random.default_rng(5).standard_normal((50, _WIRE_SPEC.dim))
+        samples = _samples_from_flat(_WIRE_SPEC, flat)
+        templates = list(_WIRE_DATA.records) + [_rec("a", 2, "individual", "standing")]
+        whole = predictive_draws(samples, templates, _WIRE_DATA, n_rep=n_rep, seed=4)
+        monkeypatch.setattr(predict, "_CHUNK_DRAWS", 7)
+        chunked = predictive_draws(samples, templates, _WIRE_DATA, n_rep=n_rep, seed=4)
+        assert whole.tobytes() == chunked.tobytes()
+
+    def test_odds_ratios_are_summarized_one_athlete_at_a_time(self, wide_posterior):
+        eff = expand_draws(wide_posterior)
+        full = sum(a.nbytes for a in eff)
+        want_beta, want_omega = summary(np.exp(eff.beta)), summary(np.exp(eff.omega))
+        del eff
+        beta, beta_peak = _traced_peak(lambda: beta_trajectories(wide_posterior))
+        race, race_peak = _traced_peak(lambda: race_effects(wide_posterior))
+        # the numbers of one summary of the whole array, bit for bit
+        got_beta = (beta.or_mean, beta.or_median, beta.or_lower, beta.or_upper)
+        got_omega = (race.or_mean, race.or_median, race.or_lower, race.or_upper)
+        for got, want in zip(got_beta + got_omega, want_beta + want_omega):
+            assert got.tobytes() == want.tobytes()
+        # the expansion, and no whole-array copy beside it
+        assert max(beta_peak, race_peak) < 1.1 * full
 
 
 class TestEffectSummaries:

@@ -9,6 +9,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -783,6 +784,11 @@ def _seasons(S, T, R, seed=0):
 _STACK_CFG = SamplerConfig(n_chains=1, burn_in=30, kept_iterations=40, thin=2)
 
 
+def _stack_draws(spec, datasets, cfg, seeds):
+    """Every chain of ``sampler.run_stack`` as ``(datasets, chains, retained, dim)``."""
+    return np.stack(list(sampler.run_stack(spec, datasets, cfg, seeds)), axis=1)
+
+
 class TestStack:
     """A stack of seasons of one spec is one target: every block of the
     single-season layout steps as one class block across the stack, and
@@ -854,23 +860,49 @@ class TestStack:
     @pytest.mark.parametrize("S, T", [(3, 2), (4, 3)])
     def test_draws_do_not_depend_on_the_rest_of_the_stack(self, S, T):
         spec, seasons, seeds = _seasons(S, T, 20)
-        whole = sampler.run_stack(spec, seasons, _STACK_CFG, seeds)
-        first = sampler.run_stack(spec, seasons[:10], _STACK_CFG, seeds[:10])
+        whole = _stack_draws(spec, seasons, _STACK_CFG, seeds)
+        first = _stack_draws(spec, seasons[:10], _STACK_CFG, seeds[:10])
         assert whole.shape == (20, 1, _STACK_CFG.n_retained, spec.dim)
         assert whole[:10].tobytes() == first.tobytes()
 
     def test_another_replications_seed_leaves_the_draws_unchanged(self):
         spec, seasons, seeds = _seasons(3, 2, 6)
-        base = sampler.run_stack(spec, seasons, _STACK_CFG, seeds)
-        other = sampler.run_stack(spec, seasons, _STACK_CFG, seeds[:3] + [5] + seeds[4:])
+        base = _stack_draws(spec, seasons, _STACK_CFG, seeds)
+        other = _stack_draws(spec, seasons, _STACK_CFG, seeds[:3] + [5] + seeds[4:])
         assert np.array_equal(np.delete(base, 3, axis=0), np.delete(other, 3, axis=0))
         assert not np.array_equal(base[3], other[3])
+
+    def test_a_mu_only_stack_runs(self):
+        # the quadrature oracle's model: every stacked row has a unit scale
+        _, seasons, seeds = _seasons(3, 2, 6)
+        spec = model.ModelSpec(S=3, T=2, mu_only=True)
+        whole = _stack_draws(spec, seasons, _STACK_CFG, seeds)
+        first = _stack_draws(spec, seasons[:4], _STACK_CFG, seeds[:4])
+        assert whole.shape == (6, 1, _STACK_CFG.n_retained, spec.dim)
+        assert whole[:4].tobytes() == first.tobytes()
+        assert np.isfinite(whole).all() and (whole.std(axis=2) > 0).all()
+
+    def test_chains_come_one_at_a_time(self, monkeypatch):
+        # the second chain runs only when the first one's draws are taken
+        monkeypatch.setenv(sampler.THREADS_ENV, "1")
+        spec, seasons, seeds = _seasons(3, 2, 3)
+        cfg = dataclasses.replace(_STACK_CFG, n_chains=2)
+        ran = []
+        real = sampler.run_chain
+        monkeypatch.setattr(sampler, "run_chain", lambda *a: ran.append(a[2]) or real(*a))
+        chains = sampler.run_stack(spec, seasons, cfg, seeds)
+        assert ran == []
+        first = next(chains)
+        assert ran == [0] and first.shape == (3, cfg.n_retained, spec.dim)
+        assert np.array_equal(np.stack([first, *chains], axis=1),
+                              _stack_draws(spec, seasons, cfg, seeds))
+        assert ran == [0, 1, 0, 1]
 
     def test_a_stack_of_one_is_run_chains(self, small_dataset, monkeypatch):
         monkeypatch.setenv(sampler.THREADS_ENV, "1")
         spec = model.ModelSpec.for_dataset(small_dataset)
         cfg = dataclasses.replace(_STACK_CFG, n_chains=2, seed=4)
-        one = sampler.run_stack(spec, [small_dataset], cfg, [4])
+        one = _stack_draws(spec, [small_dataset], cfg, [4])
         assert one[0].tobytes() == run_chains(spec, small_dataset, cfg).draws.tobytes()
 
     def test_seasons_of_another_layout_do_not_stack(self):
@@ -1130,6 +1162,31 @@ class TestDrawsContainer:
             sampler._write_atomic(path, write)
         assert path.read_bytes() == b"old bytes"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["draws.bin"]
+
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    def test_import_makes_one_draws_sized_array(self, tmp_path, fmt):
+        # neither the file's bytes nor a second copy of the draws is held
+        spec = model.ModelSpec(S=8, T=4)
+        draws = np.random.default_rng(3).normal(size=(2, 1500, spec.dim))
+        samples = PosteriorSamples(
+            draws=draws,
+            param_names=model.param_names(spec),
+            spec=spec,
+            config=SamplerConfig(n_chains=2, burn_in=0, kept_iterations=1500, thin=1),
+            source_digest="x",
+            acceptance_rates={},
+            proposal_scales={},
+        )
+        path = tmp_path / "draws"
+        export_draws(samples, path, fmt=fmt)
+        tracemalloc.start()
+        try:
+            back = import_draws(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.draws.tobytes() == draws.tobytes()
+        assert peak <= 1.25 * draws.nbytes
 
     _BAD_MANIFESTS = [
         b"{not json",
