@@ -580,10 +580,11 @@ def _cmd_predict(args) -> int:
     future = load_sessions(args.future_schedule) if args.future_schedule else None
     if future is not None:
         template_cells(future.records, d, samples.spec)
+    draws_sha256 = _sha256(draws_path)  # for the manifest and the report
     _write_manifest(
         args,
         {
-            "draws": {"path": draws_path, "sha256": _sha256(draws_path)},
+            "draws": {"path": draws_path, "sha256": draws_sha256},
             "data": {"path": args.data, "sha256": d.source_digest},
         },
     )
@@ -648,7 +649,7 @@ def _cmd_predict(args) -> int:
 
     report = {
         "draws_file": draws_path,
-        "draws_sha256": _sha256(draws_path),
+        "draws_sha256": draws_sha256,
         "source_digest": d.source_digest,
         "seed": args.seed,
         "n_rep": n_rep,

@@ -125,8 +125,8 @@ def mu_summary(
     When a dataset is supplied, the observed per-stage accuracy is attached
     to stages that have at least one recorded session.
     """
-    eff = expand_draws(samples)
-    probs = expit(eff.mu)  # (M, T)
+    # mu is a view of the draws: no other effect is expanded
+    probs = expit(from_vector(samples.pooled(), samples.spec).mu)  # (M, T)
     observed: dict[int, float] = {}
     if dataset is not None:
         a = dataset.arrays

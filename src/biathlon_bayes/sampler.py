@@ -38,16 +38,18 @@ every sweep (``_gig``, after Hörmann & Leydold 2014, Stat. Comput.
 Chains draw from independent RNG streams keyed by (seed, chain index), so
 results are identical no matter how chains are scheduled across workers.
 
-Many small fits of one model shape run as one stack (``run_stack``, which
-the calibration oracle uses): one target over R datasets that share no
-record.  Every block of the single-dataset layout is one class block
-across the stack, a trajectory's rows included, so each block steps every
-replication at once by the class path, and each replication still follows
-its own fit's law and block order.  Replication r keeps its own streams,
-keyed (seed_r, chain index) as its own fit's are, and draws from them in
-its own fit's order, so its draws do not depend on which other datasets
-share its stack.  They match its own fit only to rounding: a fit of one
-dataset keeps the row path for its row blocks, whose sums round
+Every target covers a stack of R datasets of one model shape that share
+no record, and a fit of one dataset is a stack of R = 1.  Many small fits
+run as one stack (``run_stack``, which the calibration oracle uses): one
+block builder gives every target its layout, and with R >= 2 every block,
+a trajectory's rows included, is one class block across the stack, so
+each block steps every replication at once by the class path, and each
+replication still follows its own fit's law and block order.  The runner
+hands the target one RNG stream per dataset, keyed (seed_r, chain index)
+as that dataset's own fit's is, and replication r draws from its stream
+in its own fit's order, so its draws do not depend on which other
+datasets share its stack.  They match its own fit only to rounding: a fit
+of one dataset keeps the row path for its row blocks, whose sums round
 differently.
 
 Likelihood deltas are computed from cached per-record log-odds.  Each
@@ -172,11 +174,11 @@ class Block:
 # ---------------------------------------------------------------------------
 # generic chain runner over a block target
 #
-# A target provides: dim, blocks, initial_vector(rng), make_cache(x) (a
+# A target provides: dim, blocks, initial_vector(streams), make_cache(x) (a
 # finite cache.logp at every finite x), proposal_transform(x, block) -> A,
 # propose_delta(x, cache, block, prop) -> (delta_logp, stash),
-# commit(x, cache, block, prop, stash) and draw_scales(x, cache, rng); a
-# target with class blocks (2-D idx) also propose_rows(x, cache, block,
+# commit(x, cache, block, prop, stash) and draw_scales(x, cache, streams);
+# a target with class blocks (2-D idx) also propose_rows(x, cache, block,
 # prop) -> (delta per row, stash) and commit_rows(x, cache, block, prop,
 # stash, accept).  A is any matrix
 # with A @ A.T the block's proposal covariance (stacked, one per row, for a
@@ -192,13 +194,13 @@ class Block:
 # it makes.  The runner reads a block's idx, repeats and names only; its
 # payload is the target's own.
 #
-# A stack of R datasets is a target whose blocks are all class blocks, each
-# block's rows R equal runs in replication order, run from R streams, one
-# per replication (``seeds``).  rng is then the list of the R streams:
-# initial_vector and draw_scales draw replication r from stream r, in
-# replication order, and a class step draws each run of rows from its own
-# stream.  So every stream is consumed in exactly the order that its
-# replication's fit of one dataset consumes it.
+# A target covers R datasets (R = 1 for one fit), and the runner hands it
+# the list of their R streams, one per dataset (``seeds``): initial_vector
+# and draw_scales draw dataset r from stream r, in dataset order.  A class
+# block's rows are R equal runs in dataset order, and a class step draws
+# each run from its own stream; a row block exists only when R = 1 and
+# draws from the one stream.  So every stream is consumed in exactly the
+# order that its dataset's fit of one dataset consumes it.
 
 
 @dataclass
@@ -211,17 +213,12 @@ class ChainResult:
 
 def run_chain(target, cfg: SamplerConfig, chain_idx: int, seeds=None) -> ChainResult:
     """Run one chain; deterministic given (target inputs, seeds, chain_idx).
-    ``seeds`` keys one stream per dataset of a stacked target, each as
-    ``rng_for(seed, chain_idx)``; a target of one dataset has the one
-    stream of ``cfg.seed``."""
+    ``seeds`` keys one stream per dataset of the target, each as
+    ``rng_for(seed, chain_idx)``; by default the one stream of
+    ``cfg.seed``."""
     streams = [rng_for(s, chain_idx) for s in (seeds or (cfg.seed,))]
-    if len(streams) == 1:
-        rng = streams[0]
-        normals, uniforms = rng.standard_normal, rng.random
-    else:
-        rng = streams
-        normals, uniforms = _by_stream(streams, "standard_normal"), _by_stream(streams, "random")
-    x = target.initial_vector(rng)
+    normals, uniforms = _by_stream(streams, "standard_normal"), _by_stream(streams, "random")
+    x = target.initial_vector(streams)
     cache = target.make_cache(x)
     if not np.isfinite(cache.logp):
         raise NumericalError(f"chain {chain_idx}: initial log-posterior is {cache.logp}")
@@ -256,7 +253,7 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int, seeds=None) -> ChainRe
                 if block.idx.ndim == 1:
                     prop = cur + np.exp(log_scale[r.start]) * (A @ z)
                     log_alpha, stash = target.propose_delta(x, cache, block, prop)
-                    u = rng.random()  # always consumed: keeps streams aligned
+                    u = uniforms()  # always consumed: keeps streams aligned
                     accept = bool(log_alpha >= 0.0) or (u > 0.0 and np.log(u) < log_alpha)
                     if accept:
                         target.commit(x, cache, block, prop, stash)
@@ -279,7 +276,7 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int, seeds=None) -> ChainRe
                 else:
                     post_prop[b] += 1
                     post_acc[r] += accept
-        target.draw_scales(x, cache, rng)
+        target.draw_scales(x, cache, streams)
 
         if it == cfg.burn_in:
             cache = target.make_cache(x)
@@ -299,9 +296,12 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int, seeds=None) -> ChainRe
 
 
 def _by_stream(streams, method: str):
-    """A draw of a stack's rows: the leading axis of ``shape`` is one equal
+    """A draw of a block's rows: the leading axis of ``shape`` is one equal
     run of rows per stream, each run drawn by that stream's ``method``, in
-    stream order."""
+    stream order.  One stream draws by its own ``method``: the row blocks
+    of a target of one dataset draw a scalar with no shape."""
+    if len(streams) == 1:
+        return getattr(streams[0], method)
 
     def draw(shape):
         shape = np.atleast_1d(shape)
@@ -354,114 +354,106 @@ class _Stash(NamedTuple):
 class ModelTarget:
     """Posterior of the hierarchical model over its free coordinates.
 
-    The blocks cover the latent field; the four log scales are drawn by
-    ``draw_scales``.  The build makes one pass over ``model.prior_classes``
-    and stores in ``_classes[k]``, once, the eigenbases that make the rows'
-    ``fisher + lam P_k`` diagonal and the ``PriorClass`` itself, its rows
-    and unit prior precision P_k: a row's prior precision is
-    ``e^{-2 v_k} P_k``, its share of the class's sum of squares
-    ``PriorClass.shares``, and n_k is the class's coordinate count.  A
-    class whose rows touch pairwise disjoint records (the position effects,
-    the race-effect rows) is one class block
-    (``propose_rows``/``commit_rows``); any other row is a block of its own
-    (``propose_delta``/``commit``): the baseline, and the trajectories,
-    which share the constrained athlete's records.  A block's ``payload``
-    is ``(k, group, slot)``: its class, the ``_Group`` of records its move
-    touches and its slot in the class's stacks (its row, or every row).
-    Groups and Fisher matrices come from ``model.log_odds_jacobian``, so
-    the constraint expansion lives in ``model`` only.
+    ``dataset`` is one dataset or a stack of R datasets of one ``spec``,
+    and one dataset is a stack of R = 1: x holds the R vectors one after
+    another and ``cache.logp`` is the sum of the R log-posteriors.  The
+    blocks cover the latent field; the four log scales of each dataset are
+    drawn by ``draw_scales``.  The build makes one pass over
+    ``model.prior_classes`` and stores in ``_classes[k]``, once, the
+    eigenbases that make each stacked row's ``fisher + lam P_k`` diagonal,
+    in dataset-major order, and the ``PriorClass`` itself, its rows and unit
+    prior precision P_k: a row's prior precision is ``e^{-2 v_k} P_k``, its
+    share of the class's sum of squares ``PriorClass.shares``, and n_k is
+    the class's coordinate count.  ``_scale_at[k]`` is the x index of each
+    stacked row's log scale, its own dataset's.
 
-    ``dataset`` may also be a stack, a sequence of datasets of one
-    ``spec``; a stack of one is that dataset's target.  A stack of R >= 2
-    is their joint posterior: x holds the R vectors one after another,
-    ``cache.logp`` is the sum of the R log-posteriors, and block j is
-    block j of every dataset's own target as one class block, its rows in
-    replication order (a trajectory's slot is every (S - 1)-th row of its
-    class).  Each row reads its own replication's scale."""
+    One rule makes every block.  A class whose rows share records (the
+    trajectories share the constrained athlete's), or that has one row
+    (the baseline), steps row by row, each row across the R datasets;
+    any other class (the position effects, the race-effect rows) steps as
+    one.  A unit of one row is a row block (``propose_delta``/``commit``),
+    and any larger unit a class block (``propose_rows``/``commit_rows``)
+    whose rows and records run dataset by dataset.  A block's ``payload``
+    is ``(k, group, slot)``: its class, the ``_Group`` of records its move
+    touches and its slot in the class's stacks (a row, a strided slice of
+    one row in every dataset, or every row).  Groups and Fisher matrices
+    come from ``model.log_odds_jacobian``, so the constraint expansion
+    lives in ``model`` only.  Datasets whose rows share records in
+    different classes give different block layouts and do not stack."""
 
     def __init__(self, spec: ModelSpec, dataset: Dataset):
         self.spec = spec
         self.datasets = (dataset,) if isinstance(dataset, Dataset) else tuple(dataset)
         if not self.datasets:
             raise DataError("a stack needs at least one dataset")
-        self.dataset = self.datasets[0] if len(self.datasets) == 1 else None
         self.dim = spec.dim * len(self.datasets)
         self.lay = _model.layout(spec)
-        self._classes: list[tuple[np.ndarray, np.ndarray, _model.PriorClass]] = []
-        if self.dataset is not None:
-            self.hits = _model._check_indices(self.dataset, spec).hits
-            self.blocks = self._build_blocks()
-        else:
-            self.blocks = self._stack([ModelTarget(spec, d) for d in self.datasets])
+        self.blocks = self._build_blocks()
 
     # ---- layout ----------------------------------------------------------
 
     def _build_blocks(self):
-        spec, hits = self.spec, self.hits
-        shots = SHOTS_PER_BOUT * len(hits)
-        pbar = np.clip(hits.sum() / shots, 0.1, 0.9) if shots else 0.5
-        w = SHOTS_PER_BOUT * pbar * (1.0 - pbar)  # Fisher info of eta per session
+        spec, R = self.spec, len(self.datasets)
+        hits = [_model._check_indices(d, spec).hits for d in self.datasets]
+        self.hits = np.concatenate(hits)
+        first_rec = np.cumsum([0] + [len(h) for h in hits[:-1]])
+        w = []  # Fisher info of eta per session, per dataset
+        for h in hits:
+            pbar = np.clip(h.sum() / (SHOTS_PER_BOUT * len(h)), 0.1, 0.9) if len(h) else 0.5
+            w.append(SHOTS_PER_BOUT * pbar * (1.0 - pbar))
+        self._classes: list[tuple[np.ndarray, np.ndarray, _model.PriorClass]] = []
+        self._scale_at = []  # the x index of each stacked class row's log scale
         blocks = []
         for k, cls in enumerate(_model.prior_classes(spec)):
+            n_rows = len(cls.rows)
             # d eta / d x of each row; its non-zero rows are the records a move touches
-            ms = [_model.log_odds_jacobian(self.dataset, spec, i) for i in cls.rows]
+            jac = [[_model.log_odds_jacobian(d, spec, i) for i in cls.rows] for d in self.datasets]
+            touched = [np.array([m.any(axis=1) for m in ms]) for ms in jac]
             # each row's F + lam P_k made diagonal at every scale (Golub & Van
             # Loan, 8.7): P_k = L L^T, L^-1 F L^-T = U diag(e) U^T, V = L^-T U
             # with V^T F V = diag(e), V^T P_k V = I; e >= 0 up to rounding
             inv_l = np.linalg.inv(np.linalg.cholesky(cls.precision))
-            e, u = np.linalg.eigh(inv_l @ np.stack([w * (m.T @ m) for m in ms]) @ inv_l.T)
+            fisher = np.concatenate([np.stack([wd * (m.T @ m) for m in ms])
+                                     for wd, ms in zip(w, jac)])
+            e, u = np.linalg.eigh(inv_l @ fisher @ inv_l.T)
             self._classes.append((inv_l.T @ u, np.maximum(e, 0.0), cls))
-            touched = np.array([m.any(axis=1) for m in ms])
+            self._scale_at.append(np.repeat(np.arange(R) * spec.dim + self.lay.sigma.start + k,
+                                            n_rows))
             # Two tries per trajectory visit: trajectory wiggles are
             # prior-dominated, so their amplitudes (which drive the beta scale's
             # conditional) need the extra turnover to keep the scale mixing.
             repeats = 2 if cls.name == "beta" and spec.T > 1 else 1
-            # rows that share records, or a lone row (a row try is cheaper), step one by one
-            if len(ms) == 1 or touched.sum(axis=0).max(initial=0) > 1:
-                for r, (i, m) in enumerate(zip(cls.rows, ms)):
-                    name = "mu" if cls.name == "mu" else f"{cls.name}[{r + 1}]"
-                    rec = np.flatnonzero(touched[r])
-                    group = _Group(rec, hits[rec], m[rec])
-                    blocks.append(Block(name, i, cls.name, (k, group, r), repeats))
-            else:
-                rec = np.flatnonzero(touched.any(axis=0))
-                owner = touched[:, rec].argmax(axis=0)
-                group = _Group(rec, hits[rec], np.stack(ms)[owner, rec], owner)
-                blocks.append(Block(cls.name, cls.rows, cls.name, (k, group, slice(None)), repeats))
-        return blocks
-
-    def _stack(self, parts):
-        """The blocks of a stack from the targets of its datasets: block j
-        of every part, as one class block whose rows, records and
-        eigenbases are the parts' in replication order."""
-        def layout(t):
-            return [(b.name, b.repeats, b.idx.tolist()) for b in t.blocks]
-
-        if any(layout(p) != layout(parts[0]) for p in parts[1:]):
-            raise DataError("the stacked datasets give different block layouts")
-        dim = self.spec.dim
-        first_rec = np.cumsum([0] + [len(p.hits) for p in parts[:-1]])
-        for k, (_, _, cls) in enumerate(parts[0]._classes):
-            self._classes.append((np.concatenate([p._classes[k][0] for p in parts]),
-                                  np.concatenate([p._classes[k][1] for p in parts]), cls))
-        # the x index of each class row's log scale, in the class's stacked row order
-        self._scale_at = [np.repeat(np.arange(len(parts)) * dim + self.lay.sigma.start + k,
-                                    len(cls.rows)) for k, (_, _, cls) in enumerate(self._classes)]
-        blocks = []
-        for j, b in enumerate(parts[0].blocks):
-            k, _, slot = b.payload
-            groups = [p.blocks[j].payload[1] for p in parts]
-            owner = [np.zeros(len(g.rec), dtype=np.intp) if g.owner is None else g.owner
-                     for g in groups]
-            group = _Group(np.concatenate([g.rec + f for g, f in zip(groups, first_rec)]),
-                           np.concatenate([g.hits for g in groups]),
-                           np.concatenate([g.m for g in groups]),
-                           np.concatenate([o + r * b.rows for r, o in enumerate(owner)]))
-            idx = np.concatenate([np.atleast_2d(p.blocks[j].idx) + r * dim
-                                  for r, p in enumerate(parts)])
-            rows = len(self._classes[k][2].rows)
-            slot = slice(slot, None, rows) if b.idx.ndim == 1 else slot
-            blocks.append(Block(b.name, idx, b.kind, (k, group, slot), b.repeats))
+            # rows that share records, or a lone row (a row try is cheaper),
+            # step one by one, each across the stack; any other class as one
+            shared = {n_rows == 1 or t.sum(axis=0).max(initial=0) > 1 for t in touched}
+            if len(shared) > 1:
+                raise DataError("the stacked datasets give different block layouts")
+            by_row = shared.pop()
+            for unit in [slice(r, r + 1) for r in range(n_rows)] if by_row else [slice(None)]:
+                rec, m, owner = [], [], []
+                for t, ms, f in zip(touched, jac, first_rec):
+                    t = t[unit]
+                    rec.append(np.flatnonzero(t.any(axis=0)))
+                    owner.append(t[:, rec[-1]].argmax(axis=0))
+                    # the unit's (rows, records, n) matrices; one row's is a view
+                    unit_m = ms[unit.start][None] if by_row else np.stack(ms)
+                    m.append(unit_m[owner[-1], rec[-1]])
+                    rec[-1] += f
+                # the unit's rows in dataset-major order, each dataset's
+                # coordinates and records after those of the datasets before it
+                rows = len(cls.rows[unit])
+                rec = np.concatenate(rec)
+                group = _Group(rec, self.hits[rec], np.concatenate(m),
+                               np.concatenate([o + r * rows for r, o in enumerate(owner)]))
+                idx = np.concatenate([cls.rows[unit] + r * spec.dim for r in range(R)])
+                if by_row:  # its slot: the row in every dataset, a strided slice of its class
+                    name = "mu" if cls.name == "mu" else f"{cls.name}[{unit.start + 1}]"
+                    slot = slice(unit.start, None, n_rows)
+                else:
+                    name, slot = cls.name, slice(None)
+                if len(idx) == 1:  # one row: a row block
+                    idx, group, slot = idx[0], group._replace(owner=None), slot.start
+                blocks.append(Block(name, idx, cls.name, (k, group, slot), repeats))
         return blocks
 
     def proposal_transform(self, x, block):
@@ -474,20 +466,15 @@ class ModelTarget:
         k, _, slot = block.payload
         basis, e, _ = self._classes[k]
         lam = np.exp(-2.0 * self._log_sigma(x, k, slot))
-        if self.dataset is None:  # a stack: one scale per row
-            lam = lam[:, None]
-        return basis[slot] * ((e[slot] + lam) ** -0.5)[..., None, :]
+        return basis[slot] * ((e[slot] + lam[..., None]) ** -0.5)[..., None, :]
 
     # ---- state plumbing --------------------------------------------------
 
-    def _streams(self, rng) -> list:
-        """The runner's streams as a list, one per dataset of the stack."""
-        return [rng] if self.dataset is not None else rng
-
-    def initial_vector(self, rng: np.random.Generator) -> np.ndarray:
-        # overdispersed: free coords N(0, 0.5); log scales N(0, 0.25)
+    def initial_vector(self, streams) -> np.ndarray:
+        """Overdispersed: free coordinates N(0, 0.5), log scales N(0, 0.25),
+        dataset r's from stream r."""
         xs = []
-        for g in self._streams(rng):
+        for g in streams:
             x = g.normal(0.0, 0.5, self.spec.dim)
             if not self.spec.mu_only:
                 x[self.lay.sigma] = g.normal(0.0, 0.25, 4)
@@ -507,19 +494,16 @@ class ModelTarget:
             share[k][slot] = self._share(b, x[b.idx])
         return _Cache(eta=np.concatenate(eta), ll=np.concatenate(ll), logp=logp, share=share)
 
-    def _log_sigma(self, x: np.ndarray, k: int, slot=None):
-        """Class k's log scale: one number, or in a stack one per row of
-        the class's ``slot``, each its own replication's.  A ``mu_only``
-        target's scales are fixed at 1."""
+    def _log_sigma(self, x: np.ndarray, k: int, slot):
+        """The log scale of each row of class k's ``slot``, each its own
+        dataset's.  A ``mu_only`` target's scales are fixed at 1."""
         if self.spec.mu_only:
-            return 0.0 if self.dataset is not None else np.zeros(len(self._classes[k][1]))[slot]
-        if self.dataset is None:
-            return x[self._scale_at[k][slot]]
-        return float(x[self.lay.sigma.start + k])
+            return np.zeros(len(self._scale_at[k]))[slot]
+        return x[self._scale_at[k][slot]]
 
     def _share(self, block, v: np.ndarray):
         """The term ``v @ P_k @ v`` of the block's class's sum of squares,
-        for one row ``v`` or each row of a stack."""
+        for one row ``v`` or each row of a class block."""
         return self._classes[block.payload[0]][2].shares(v)
 
     # ---- block moves -------------------------------------------------------
@@ -529,8 +513,8 @@ class ModelTarget:
         eta = cache.eta[g.rec] + g.m @ (prop - x[block.idx])
         ll = _model.bout_log_likelihoods(g.hits, eta)
         share = self._share(block, prop)
-        d_prior = -0.5 * (share - cache.share[k][slot]) * np.exp(-2.0 * self._log_sigma(x, k))
-        delta = float(ll.sum() - cache.ll[g.rec].sum() + d_prior)
+        lam = np.exp(-2.0 * self._log_sigma(x, k, slot))
+        delta = float(ll.sum() - cache.ll[g.rec].sum() - 0.5 * (share - cache.share[k][slot]) * lam)
         return delta, _Stash(eta, ll, delta, share)
 
     def commit(self, x, cache, block, prop, stash):
@@ -567,32 +551,30 @@ class ModelTarget:
         cache.logp += float(stash.delta[accept].sum())
         cache.share[k][slot][accept] = stash.share[accept]
 
-    def draw_scales(self, x, cache, rng):
+    def draw_scales(self, x, cache, streams):
         """Gibbs step on the four log scales, in ``SIGMA_NAMES`` order:
         sigma_k^2 is drawn from its exact conditional GIG((1 - n_k)/2,
         1/c^2, ss_k), ss_k the sum of the class's cached shares, and
         ``cache.logp`` moves by the exact change.  A sum of squares that is
         zero or not finite leaves the conditional improper, and a draw that
         is not a positive finite number is no state: both raise
-        NumericalError.  A ``mu_only`` target has no scales.  A stack draws
-        each replication's four in turn, in replication order, from its own
-        stream and its own rows' shares."""
+        NumericalError.  A ``mu_only`` target has no scales.  Dataset r's
+        four are drawn in turn, in dataset order, from stream r and its own
+        rows' shares."""
         if self.spec.mu_only:
             return
-        c, dim = self.spec.sigma_scale, self.spec.dim
-        streams = self._streams(rng)
+        c = self.spec.sigma_scale
         for r, g in enumerate(streams):
             for k, name in enumerate(_model.SIGMA_NAMES):
-                share = cache.share[k]
-                rows = len(share) // len(streams)
-                n, ss = self._classes[k][2].rows.size, float(share[r * rows:(r + 1) * rows].sum())
+                rows = self._classes[k][2].rows
+                n, ss = rows.size, float(cache.share[k][r * len(rows):(r + 1) * len(rows)].sum())
                 if not 0.0 < ss < math.inf:
                     raise NumericalError(f"log_sigma_{name}: sum of squares {ss} leaves "
                                          "its conditional improper")
                 s = _gig(g, 0.5 * (1.0 - n), 1.0 / (c * c), ss)
                 if not 0.0 < s < math.inf:
                     raise NumericalError(f"log_sigma_{name}: scale draw sigma^2 = {s}")
-                i = r * dim + self.lay.sigma.start + k
+                i = self._scale_at[k][r * len(rows)]
                 old, new = x[i], 0.5 * math.log(s)
                 cache.logp += (_model._gauss_class_logp(n, ss, new)
                                + _model._halfnormal_log_logp(new, c)
@@ -1052,8 +1034,8 @@ def import_draws(path) -> PosteriorSamples:
     becomes the draws.  A CSV is parsed as it streams, by one
     ``np.loadtxt`` into an array allocated once at the expected row count,
     and the draws are a view of it.  Neither keeps the file's bytes.  A CSV
-    with more rows than draws is read a second time to count them for its
-    refusal.  A CSV must have the header
+    with more rows than draws is refused once the row after the last draw
+    is read.  A CSV must have the header
     ``chain,iter,<the manifest's param names>`` and one row per draw in
     export order; any other layout, such as the one-value-per-row files of
     earlier versions, is a DataError."""
@@ -1144,11 +1126,10 @@ def _import_csv(fh, manifest: dict) -> PosteriorSamples:
         _check_csv_digest(hashed, manifest)  # a body that fails its checksum is refused for that
         raise
     _check_csv_digest(hashed, manifest)
-    if rows.shape[0] == cap:  # refused, and maybe cut short: every row is read again, to count
-        fh.seek(0)
-        rows = _csv_rows(io.BufferedReader(_HashedFile(fh)), manifest)
+    # loadtxt stopped at cap rows: refused without reading on to count them
+    n = f"more than {cap - 1}" if rows.shape[0] == cap else rows.shape[0]
     if rows.shape != (c * r, d + 2):
-        raise DataError(f"draws CSV: {rows.shape[0]} rows of {rows.shape[1]} columns, "
+        raise DataError(f"draws CSV: {n} rows of {rows.shape[1]} columns, "
                         f"expected {c * r} of {d + 2}")
     chain, it = np.repeat(np.arange(1, c + 1), r), np.tile(np.arange(1, r + 1), c)
     if not (np.array_equal(rows[:, 0], chain) and np.array_equal(rows[:, 1], it)):
@@ -1161,7 +1142,7 @@ def _check_csv_digest(hashed: _HashedFile, manifest: dict):
         raise DataError("draws CSV checksum mismatch against manifest sidecar")
 
 
-def _csv_rows(body, manifest: dict, max_rows: int | None = None) -> np.ndarray:
+def _csv_rows(body, manifest: dict, max_rows: int) -> np.ndarray:
     """The rows of a CSV body read from the buffered reader ``body``, after
     its header is checked against the manifest's names: one ``np.loadtxt``
     array of at most ``max_rows`` rows, whose columns 2.. hold the draws."""

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from biathlon_bayes import model, predict, sampler
 from biathlon_bayes.data import RACE_TYPES, Dataset, SessionRecord
@@ -438,6 +439,20 @@ class TestEffectSummaries:
     def test_mu_summary_without_dataset(self, small_fit):
         rows = mu_summary(small_fit)
         assert all(r.observed is None for r in rows)
+
+    def test_mu_summary_expands_nothing(self, small_fit, small_dataset, monkeypatch):
+        # mu is a view of the draws: the summary reads it without an expansion
+        want = [summary(expit(row)) for row in predict.expand_draws(small_fit).mu.T]
+
+        def refuse(*args):
+            raise AssertionError("expanded")
+
+        for owner, name in ((predict, "expand_draws"), (predict, "expand"), (model, "expand")):
+            monkeypatch.setattr(owner, name, refuse)
+        rows = mu_summary(small_fit, small_dataset)
+        assert [(r.mean, r.median, r.lower, r.upper) for r in rows] == [
+            tuple(map(float, w)) for w in want
+        ]
 
     def test_beta_trajectories(self, small_fit):
         spec = small_fit.spec

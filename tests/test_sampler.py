@@ -56,8 +56,8 @@ class _GaussTarget:
         self.blocks = [Block(name, idx, payload=self.prec[np.ix_(idx, idx)])
                        for name, idx in named]
 
-    def initial_vector(self, rng):
-        return rng.standard_normal(self.dim)
+    def initial_vector(self, streams):
+        return streams[0].standard_normal(self.dim)
 
     def proposal_transform(self, x, block):
         return np.linalg.inv(np.linalg.cholesky(block.payload)).T
@@ -78,7 +78,7 @@ class _GaussTarget:
     def commit(self, x, cache, block, prop, stash):
         cache.logp = stash
 
-    def draw_scales(self, x, cache, rng):
+    def draw_scales(self, x, cache, streams):
         pass  # every coordinate is in a block
 
 
@@ -208,7 +208,7 @@ def target(request, small_dataset, golden):
 
 
 def _log_posterior(target, x):
-    return model.log_posterior(model.from_vector(x, target.spec), target.dataset, target.spec)
+    return model.log_posterior(model.from_vector(x, target.spec), target.datasets[0], target.spec)
 
 
 def _move(target, x, cache, block, prop, accept=None):
@@ -260,7 +260,7 @@ class TestModelTargetMoves:
     def test_delta_matches_log_posterior_difference(self, target):
         rng = np.random.default_rng(3)
         for block in [b for b in target.blocks if b.idx.ndim == 1]:  # classes: TestClassStep
-            x = target.initial_vector(rng)
+            x = target.initial_vector([rng])
             cache = target.make_cache(x)
             xp = self._step(target, x, block, rng)
             delta, _ = target.propose_delta(x, cache, block, xp[block.idx])
@@ -269,7 +269,7 @@ class TestModelTargetMoves:
 
     def test_commits_keep_the_cache_exact(self, target):
         rng = np.random.default_rng(4)
-        x = target.initial_vector(rng)
+        x = target.initial_vector([rng])
         cache = target.make_cache(x)
         for _ in range(300):
             block = target.blocks[rng.integers(len(target.blocks))]
@@ -291,16 +291,16 @@ class TestLogOddsMap:
 
     @staticmethod
     def _eta(target, x):
-        return model.linear_predictors(model.from_vector(x, target.spec), target.dataset,
+        return model.linear_predictors(model.from_vector(x, target.spec), target.datasets[0],
                                        target.spec)
 
     def test_jacobian_is_the_log_odds_difference(self, mapped):
         spec = mapped.spec
-        m = model.log_odds_jacobian(mapped.dataset, spec, np.arange(spec.dim))
+        m = model.log_odds_jacobian(mapped.datasets[0], spec, np.arange(spec.dim))
         assert m.shape == (len(mapped.hits), spec.dim)
         assert set(np.unique(m)) <= {-1.0, 0.0, 1.0}
         rng = np.random.default_rng(5)
-        x = mapped.initial_vector(rng)
+        x = mapped.initial_vector([rng])
         d = 0.3 * rng.standard_normal(spec.dim)
         want = self._eta(mapped, x + d) - self._eta(mapped, x)
         np.testing.assert_allclose(m @ d, want, rtol=0, atol=1e-12)
@@ -361,13 +361,13 @@ def test_cache_drift_between_rebuilds_at_paper_scale(season_dataset):
     target = sampler.ModelTarget(model.ModelSpec.for_dataset(season_dataset), season_dataset)
     assert {b.name for b in target.blocks if b.idx.ndim == 2} == {"gamma", "omega"}
     rng = np.random.default_rng(8)
-    x = target.initial_vector(rng)
+    x = target.initial_vector([rng])
     cache = target.make_cache(x)
     for _ in range(sampler._CACHE_REFRESH):
         for block in target.blocks:
             prop = x[block.idx] + 0.05 * rng.standard_normal(block.idx.shape)
             _move(target, x, cache, block, prop, rng.random(block.rows) < 0.5)
-        target.draw_scales(x, cache, rng)
+        target.draw_scales(x, cache, [rng])
     fresh = target.make_cache(x)
     assert abs(cache.logp - fresh.logp) <= 1e-8
     np.testing.assert_allclose(cache.eta, fresh.eta, rtol=0, atol=1e-9)
@@ -423,7 +423,7 @@ class TestScaleDraws:
     @pytest.fixture
     def scaled(self, small_dataset):
         target = sampler.ModelTarget(model.ModelSpec.for_dataset(small_dataset), small_dataset)
-        x = target.initial_vector(np.random.default_rng(13))
+        x = target.initial_vector([np.random.default_rng(13)])
         return target, x, target.make_cache(x)
 
     def test_steps_follow_the_exact_conditional(self, scaled):
@@ -433,7 +433,7 @@ class TestScaleDraws:
         i = np.arange(target.dim)[target.lay.sigma]
         draws = np.empty((n_steps, 4))
         for j in range(n_steps):
-            target.draw_scales(x, cache, rng)
+            target.draw_scales(x, cache, [rng])
             draws[j] = x[i]
         v = np.linspace(-12.0, 8.0, 200_001)
         S, T, Z = target.spec.S, target.spec.T, target.spec.Z
@@ -456,10 +456,10 @@ class TestScaleDraws:
         d, spec = golden
         target = sampler.ModelTarget(spec, d)
         rng = np.random.default_rng(15)
-        x = target.initial_vector(rng)
+        x = target.initial_vector([rng])
         cache = target.make_cache(x)
         before, state = x.copy(), rng.bit_generator.state
-        target.draw_scales(x, cache, rng)
+        target.draw_scales(x, cache, [rng])
         assert np.array_equal(x, before)
         assert rng.bit_generator.state == state  # no draw taken
 
@@ -468,11 +468,11 @@ class TestScaleDraws:
         x[target.lay.gamma] = 0.0  # every gamma term zero: ss = 0
         cache = target.make_cache(x)
         with pytest.raises(NumericalError, match="log_sigma_gamma"):
-            target.draw_scales(x, cache, np.random.default_rng(16))
+            target.draw_scales(x, cache, [np.random.default_rng(16)])
         assert np.isfinite(x).all()
         cache.share[1][0] = np.nan
         with pytest.raises(NumericalError, match="log_sigma_beta"):
-            target.draw_scales(x, cache, np.random.default_rng(16))
+            target.draw_scales(x, cache, [np.random.default_rng(16)])
         assert np.isfinite(x).all()
 
     @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
@@ -481,7 +481,7 @@ class TestScaleDraws:
         before = x.copy()
         monkeypatch.setattr(sampler, "_gig", lambda rng, p, a, b: bad)
         with pytest.raises(NumericalError, match="log_sigma_mu"):
-            target.draw_scales(x, cache, np.random.default_rng(17))
+            target.draw_scales(x, cache, [np.random.default_rng(17)])
         assert np.array_equal(x, before)
 
 
@@ -550,7 +550,7 @@ class TestProposalShape:
     def _precisions(target, x, block):
         """Each row's precision, its Fisher matrix taken from the model's
         log-odds map at the pooled hit rate (clipped to [0.1, 0.9])."""
-        hits = target.dataset.arrays.hits
+        hits = target.datasets[0].arrays.hits
         pbar = np.clip(hits.sum() / (model.SHOTS_PER_BOUT * len(hits)), 0.1, 0.9)
         w = model.SHOTS_PER_BOUT * pbar * (1.0 - pbar)
         k = model.SIGMA_NAMES.index(block.kind)
@@ -558,14 +558,14 @@ class TestProposalShape:
         prior = model.rw_precision(n) if block.kind in ("mu", "beta") else np.eye(n)
         lam = np.exp(-2.0 * x[target.lay.sigma.start + k])
         for idx in block.idx.reshape(-1, n):
-            m = model.log_odds_jacobian(target.dataset, target.spec, idx)
+            m = model.log_odds_jacobian(target.datasets[0], target.spec, idx)
             yield w * (m.T @ m) + lam * prior
 
     @pytest.mark.parametrize("log_scale", [-4.0, 0.0, 3.0, None],
                              ids=["v=-4", "v=0", "v=3", "initial"])
     def test_a_at_inverts_the_precision(self, class_target, log_scale):
         target = class_target
-        x = target.initial_vector(np.random.default_rng(2))
+        x = target.initial_vector([np.random.default_rng(2)])
         if log_scale is not None:
             x[target.lay.sigma] = log_scale
         assert {b.kind for b in target.blocks} == {"mu", "beta", "gamma", "omega"}
@@ -581,11 +581,11 @@ class TestProposalShape:
     def test_is_pure(self, class_target):
         # the same bits whatever was asked before, and after a chain ran
         target = class_target
-        x = target.initial_vector(np.random.default_rng(3))
-        other = target.initial_vector(np.random.default_rng(4))
+        x = target.initial_vector([np.random.default_rng(3)])
+        other = target.initial_vector([np.random.default_rng(4)])
         blocks = target.blocks
         first = [target.proposal_transform(x, b) for b in blocks]
-        twin = sampler.ModelTarget(target.spec, target.dataset)
+        twin = sampler.ModelTarget(target.spec, target.datasets[0])
         for b in reversed(twin.blocks):
             twin.proposal_transform(other, b)
         again = [twin.proposal_transform(x, b) for b in reversed(twin.blocks)][::-1]
@@ -606,7 +606,7 @@ class TestProposalShape:
         omega = next(b for b in target.blocks if b.kind == "omega")
         ms = [model.log_odds_jacobian(d, spec, idx) for idx in omega.idx]
         assert any(not m[:, 1].any() for m in ms) and all(m[:, 0].any() for m in ms)
-        x = target.initial_vector(np.random.default_rng(6))
+        x = target.initial_vector([np.random.default_rng(6)])
         x[target.lay.sigma] = 10.0
         assert np.isfinite(target.proposal_transform(x, omega)).all()
 
@@ -620,7 +620,7 @@ class TestBlockShares:
     def test_shares_sum_to_the_class_ss(self, class_target):
         target = class_target
         for seed in range(3):
-            x = target.initial_vector(np.random.default_rng(seed))
+            x = target.initial_vector([np.random.default_rng(seed)])
             cache = target.make_cache(x)
             ss = model.class_stats(model.from_vector(x, target.spec), target.spec)[1]
             for k, kind in enumerate(model.SIGMA_NAMES):
@@ -649,7 +649,7 @@ class TestClassStep:
         target = class_target
         rng = np.random.default_rng(21)
         for block in self._classes(target):
-            x = target.initial_vector(rng)
+            x = target.initial_vector([rng])
             cache = target.make_cache(x)
             prop = self._prop(x, block, rng)
             delta, _ = target.propose_rows(x, cache, block, prop)
@@ -664,7 +664,7 @@ class TestClassStep:
     def test_accepted_rows_add_up_to_the_joint_change(self, class_target):
         target = class_target
         rng = np.random.default_rng(22)
-        x = target.initial_vector(rng)
+        x = target.initial_vector([rng])
         cache = target.make_cache(x)
         for _ in range(3):
             for block in self._classes(target):
@@ -682,7 +682,7 @@ class TestClassStep:
         target = class_target
         rng = np.random.default_rng(23)
         for block in self._classes(target):
-            x = target.initial_vector(rng)
+            x = target.initial_vector([rng])
             cache = target.make_cache(x)
             prop = self._prop(x, block, rng, scale=0.01)  # every other row is accepted
             prop[1, 0] = np.nan
@@ -802,7 +802,7 @@ class TestStack:
     def test_layout(self, stacked):
         target, parts = stacked
         R, dim = len(parts), target.spec.dim
-        assert target.dim == R * dim and target.dataset is None
+        assert target.dim == R * dim
         assert [b.name for b in target.blocks] == [b.name for b in parts[0].blocks]
         for j, b in enumerate(target.blocks):
             assert b.idx.ndim == 2 and b.rows == R * parts[0].blocks[j].rows
@@ -810,10 +810,29 @@ class TestStack:
             # rows in replication-major order, each part's coordinates shifted by its offset
             want = [np.atleast_2d(p.blocks[j].idx) + r * dim for r, p in enumerate(parts)]
             assert np.array_equal(b.idx, np.concatenate(want))
-            # and its records: every part's, shifted by the records before it
+            # and its records: every part's, shifted by the records before it,
+            # each owned by its part's row, shifted by the rows before it
+            k, g, slot = b.payload
+            groups = [p.blocks[j].payload[1] for p in parts]
             first = np.cumsum([0] + [len(p.hits) for p in parts[:-1]])
-            rec = [p.blocks[j].payload[1].rec + f for p, f in zip(parts, first)]
-            assert np.array_equal(b.payload[1].rec, np.concatenate(rec))
+            rec = [h.rec + f for h, f in zip(groups, first)]
+            assert np.array_equal(g.rec, np.concatenate(rec))
+            assert np.array_equal(g.hits, np.concatenate([h.hits for h in groups]))
+            assert np.array_equal(g.m, np.concatenate([h.m for h in groups]))
+            rows = parts[0].blocks[j].rows
+            owner = [np.zeros(len(h.rec), int) if h.owner is None else h.owner for h in groups]
+            owner = [o + r * rows for r, o in enumerate(owner)]
+            assert np.array_equal(g.owner, np.concatenate(owner))
+            # its slot: a row's in every part (every n-th row of the class), or every row
+            part_slot = parts[0].blocks[j].payload[2]
+            assert all(p.blocks[j].payload[2] == part_slot for p in parts)
+            n_rows = len(parts[0]._classes[k][0])
+            assert slot == (slice(None) if rows > 1 else slice(part_slot, None, n_rows))
+        # each class's eigenbases and eigenvalues are the parts', part by part
+        for k, (basis, e, cls) in enumerate(target._classes):
+            assert np.array_equal(basis, np.concatenate([p._classes[k][0] for p in parts]))
+            assert np.array_equal(e, np.concatenate([p._classes[k][1] for p in parts]))
+            assert cls is parts[0]._classes[k][2]
 
     def test_each_row_sees_its_own_replications_scale(self, stacked):
         target, parts = stacked
@@ -841,7 +860,7 @@ class TestStack:
             assert np.array_equal(share, want)
         # the stack's log-posterior is the sum of its replications'
         xs = x.reshape(len(parts), -1)
-        joint = sum(model.log_posterior(model.from_vector(xr, target.spec), p.dataset,
+        joint = sum(model.log_posterior(model.from_vector(xr, target.spec), p.datasets[0],
                                         target.spec) for p, xr in zip(parts, xs))
         assert cache.logp == pytest.approx(joint, abs=1e-9)
         assert fresh.logp == pytest.approx(joint, abs=1e-9)
@@ -853,7 +872,7 @@ class TestStack:
         solo = [x.reshape(len(parts), -1)[r].copy() for r in range(len(parts))]
         target.draw_scales(x, cache, [np.random.default_rng([9, r]) for r in range(len(parts))])
         for r, (p, xr) in enumerate(zip(parts, solo)):
-            p.draw_scales(xr, p.make_cache(xr), np.random.default_rng([9, r]))
+            p.draw_scales(xr, p.make_cache(xr), [np.random.default_rng([9, r])])
             np.testing.assert_allclose(x.reshape(len(parts), -1)[r], xr, rtol=1e-12, atol=0)
         assert cache.logp == pytest.approx(target.make_cache(x).logp, abs=1e-9)
 
@@ -871,6 +890,16 @@ class TestStack:
         other = _stack_draws(spec, seasons, _STACK_CFG, seeds[:3] + [5] + seeds[4:])
         assert np.array_equal(np.delete(base, 3, axis=0), np.delete(other, 3, axis=0))
         assert not np.array_equal(base[3], other[3])
+
+    def test_pinned_draws(self, monkeypatch):
+        # the sha256 of a stack's draws, as TestPinnedDraws pins single fits'
+        monkeypatch.setenv(sampler.THREADS_ENV, "1")
+        spec, seasons, seeds = _seasons(3, 2, 20)
+        draws = _stack_draws(spec, seasons, dataclasses.replace(_STACK_CFG, n_chains=2), seeds)
+        assert draws.shape == (20, 2, _STACK_CFG.n_retained, spec.dim)
+        assert hashlib.sha256(np.ascontiguousarray(draws, "<f8").tobytes()).hexdigest() == (
+            "e99e63b5bad765c290a8c307956d698b62a6b2c7ff0a4436d2b87eedbc38c0b7"
+        )
 
     def test_a_mu_only_stack_runs(self):
         # the quadrature oracle's model: every stacked row has a unit scale
@@ -1294,7 +1323,7 @@ class TestCsvContainer:
         (lambda t: t.replace("\n1,3,", "\n1,0,"), "each draw once"),
         (lambda t: t.replace("\n1,2,", "\n1,4,"), "each draw once"),
         (lambda t: t.replace("\n1,2,", "\n1,1,"), "each draw once"),
-        (lambda t: t + t.splitlines(keepends=True)[1], "7 rows of 12 columns, expected 6 of 12"),
+        (lambda t: t + t.splitlines(keepends=True)[1], "more than 6 rows of 12 columns, expected 6 of 12"),
         (lambda t: "".join(t.splitlines(keepends=True)[:-1]), "5 rows of 12 columns"),
         (lambda t: t.replace("\n1,1,", "\n1,x,").replace("\n1,2,", "\n1,1,")
                     .replace("\n1,x,", "\n1,2,"), "each draw once"),
@@ -1306,6 +1335,22 @@ class TestCsvContainer:
         _forge_csv(path, edit(path.read_text()))
         with pytest.raises(DataError, match=match):
             import_draws(path)
+
+    def test_surplus_rows_are_refused_from_one_read(self, tiny_samples, tmp_path):
+        # the refusal names the expected count without parsing the surplus
+        path = tmp_path / "draws.csv"
+        export_draws(tiny_samples, path, fmt="csv")
+        text = path.read_text()
+        surplus = 20_000
+        _forge_csv(path, text + text.splitlines(keepends=True)[1] * surplus)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="more than 6 rows of 12 columns, expected 6 of"):
+                import_draws(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * surplus * tiny_samples.dim * 8
 
     @pytest.mark.parametrize("edit, match", [
         (lambda t: t.replace(_ROW_1_1, "\n1,1,-0.0\n"), "malformed row"),

@@ -66,7 +66,7 @@ def test_one_loglik_call_per_touched_group(short_chain, monkeypatch):
     assert calls == 1 + (S - 1) * repeats + 2
     assert tries == 1 + (S - 1) * repeats
     n = len(target.hits)
-    per_athlete = np.bincount(target.dataset.arrays.athlete, minlength=S)
+    per_athlete = np.bincount(target.datasets[0].arrays.athlete, minlength=S)
     # mu, gamma and omega touch every record once; a trajectory try touches
     # its athlete and the constrained last athlete
     assert records == 3 * n + repeats * sum(per_athlete[: S - 1] + per_athlete[S - 1])
