@@ -22,10 +22,12 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .data import (
@@ -326,6 +328,25 @@ def _write_csv(path: str, rows):
     _write_atomic(path, lambda fh: fh.write(body.getvalue().encode()))
 
 
+def _numeric_environment() -> dict:
+    """What a draw's bits depend on beyond the inputs: the Python, numpy and
+    scipy versions, numpy's compiled-in CPU baseline and the SIMD targets it
+    dispatches to on this CPU.  (The BLAS kernel matters too, but numpy
+    does not report it.)"""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "numpy_cpu_baseline": list(umath.__cpu_baseline__),
+        "numpy_cpu_dispatch": [f for f in umath.__cpu_dispatch__
+                               if umath.__cpu_features__.get(f)],
+    }
+
+
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -468,11 +489,12 @@ def _cmd_fit(args) -> int:
 
     draws_name = "draws.bin" if args.fmt == "binary" else "draws.csv"
     draws_path = os.path.join(args.out, draws_name)
-    export_draws(samples, draws_path, fmt=args.fmt)
+    draws_sha256 = export_draws(samples, draws_path, fmt=args.fmt)
 
     report = {
         "draws_file": draws_name,
-        "draws_sha256": _sha256(draws_path),
+        "draws_sha256": draws_sha256,
+        "numeric_environment": _numeric_environment(),
         "source_digest": d.source_digest,
         "model": {"S": spec.S, "T": spec.T, "Z": spec.Z, "dim": spec.dim},
         "sampler": cfg.to_json_dict(),

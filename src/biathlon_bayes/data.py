@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -28,6 +29,8 @@ from .errors import DataError, ParseError
 RACE_TYPES = ("individual", "sprint", "pursuit", "mass_start")
 POSITIONS = ("prone", "standing")
 SHOTS_PER_BOUT = 5
+# ln C(5, y) for y = 0..5
+LOG_CHOOSE = np.log([math.comb(SHOTS_PER_BOUT, y) for y in range(SHOTS_PER_BOUT + 1)])
 # sprints have a single prone and a single standing bout; all other formats
 # shoot twice from each position
 BOUTS_PER_RACE = {"individual": 4, "sprint": 2, "pursuit": 4, "mass_start": 4}
@@ -82,6 +85,19 @@ class IndexedArrays(NamedTuple):
     race: np.ndarray       # index into RACE_TYPES
     position: np.ndarray   # index into POSITIONS (0 = prone)
     hits: np.ndarray
+
+
+class CellTable(NamedTuple):
+    """The sessions grouped by (athlete, stage, position, race type), the
+    cells that share one log-odds, in order of first appearance.  A binomial
+    is closed under sums at equal p, so a cell's total hits of its total
+    shots carry all its sessions' likelihood, and ``log_choose``, the sum of
+    their ln C(5, y), makes it equal to their summed log-likelihood."""
+
+    first: np.ndarray       # record index of each cell's first session
+    hits: np.ndarray        # total hits
+    shots: np.ndarray       # total shots, 5 per session
+    log_choose: np.ndarray  # summed ln C(5, y) of the cell's sessions
 
 
 @dataclass(frozen=True)
@@ -187,6 +203,22 @@ class Dataset:
             position[i] = POSITIONS.index(r.position)
             hits[i] = r.hits
         return IndexedArrays(athlete, stage0, race, position, hits)
+
+    @cached_property
+    def cells(self) -> CellTable:
+        a = self.arrays
+        key = ((a.athlete * max(self.n_stages, 1) + a.stage0) * len(POSITIONS)
+               + a.position) * len(RACE_TYPES) + a.race
+        _, first, index = np.unique(key, return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))  # sorted key -> first appearance
+        index, n = rank[index], len(first)
+        return CellTable(
+            np.sort(first),
+            np.bincount(index, weights=a.hits, minlength=n).astype(np.int64),
+            SHOTS_PER_BOUT * np.bincount(index, minlength=n),
+            np.bincount(index, weights=LOG_CHOOSE[a.hits], minlength=n),
+        )
 
 
 def parse_sessions(source) -> Dataset:

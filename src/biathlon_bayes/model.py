@@ -46,13 +46,11 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit
 
-from .data import Dataset, RACE_TYPES, SHOTS_PER_BOUT
+from .data import LOG_CHOOSE, Dataset, RACE_TYPES, SHOTS_PER_BOUT
 from .errors import DataError
 
 LN2 = float(np.log(2.0))
 LN2PI = float(np.log(2.0 * np.pi))
-# ln C(5, y) for y = 0..5
-_LOG_CHOOSE = np.log(np.array([1.0, 5.0, 10.0, 10.0, 5.0, 1.0]))
 
 SIGMA_NAMES = ("mu", "beta", "gamma", "omega")
 
@@ -199,10 +197,17 @@ def log_odds_jacobian(d: Dataset, spec: ModelSpec, idx) -> np.ndarray:
     return np.ascontiguousarray(linear_predictors(from_vector(unit, spec), d, spec).T)
 
 
-def bout_log_likelihoods(hits: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Per-bout Binomial(5, expit(eta)) log-pmf, stable for any finite eta."""
-    # ln C(5,y) + y*eta - 5*ln(1 + e^eta); never materializes p near 0/1
-    return _LOG_CHOOSE[hits] + hits * eta - SHOTS_PER_BOUT * np.logaddexp(0.0, eta)
+def bout_log_likelihoods(hits: np.ndarray, eta: np.ndarray, shots=SHOTS_PER_BOUT,
+                         log_choose=None) -> np.ndarray:
+    """Binomial(shots, expit(eta)) log-pmf of each row, stable for any
+    finite eta.  ``log_choose`` defaults to a five-shot bout's ln C(5, y).
+    A row of a ``data.CellTable`` passes its cell's total ``shots`` and
+    ``log_choose``, its sessions' summed ln C(5, y), and gives the sum of
+    their log-pmfs."""
+    if log_choose is None:
+        log_choose = LOG_CHOOSE[hits]
+    # ln C + y*eta - n*ln(1 + e^eta); never materializes p near 0/1
+    return log_choose + hits * eta - shots * np.logaddexp(0.0, eta)
 
 
 def log_likelihood(p: ParameterState, d: Dataset, spec: ModelSpec) -> float:

@@ -5,9 +5,13 @@ The effect summaries and the predictive simulators consume a
 given ``(samples, seed)``.  :func:`expand_draws` returns the pooled draws
 as one :class:`~biathlon_bayes.model.Effects` whose arrays carry a leading
 draw axis, and predictive log-odds come from
-:func:`~biathlon_bayes.model.log_odds`.  The odds-ratio summaries take one
-athlete's slice of the effects at a time, so none copies a whole effect
-array.  Predictive hit counts are drawn with one dedicated RNG stream per
+:func:`~biathlon_bayes.model.log_odds`.  The effect summaries expand
+nothing: they read the free coordinates of
+:func:`~biathlon_bayes.model.from_vector`, views of the draws, and take one
+athlete at a time, building a constrained athlete's or race type's draws
+as the negative sum, as :func:`~biathlon_bayes.model.expand` does, so the
+numbers are those of the expanded effects without a copy of a whole
+effect array.  Predictive hit counts are drawn with one dedicated RNG stream per
 session template, keyed by the template's identity rather than its
 position in the schedule, so reordering templates permutes the output
 columns and changes nothing else.  :func:`predictive_draws` expands the
@@ -156,17 +160,20 @@ class BetaTrajectories:
     or_upper: np.ndarray
 
 
-def _odds_ratio_summary(effect: np.ndarray) -> list[np.ndarray]:
-    """``summary(np.exp(effect))`` of draws ``(M, S, ...)``, one athlete's
-    slice at a time: the same numbers, without a copy of the whole array."""
-    parts = [summary(np.exp(effect[:, s])) for s in range(effect.shape[1])]
+def _odds_ratio_summary(rows) -> list[np.ndarray]:
+    """The mean of each athlete's effect draws ``(M, ...)``, then
+    ``summary(np.exp(row))``, stacked athlete by athlete: the numbers of
+    one summary of the whole effect array, without it."""
+    parts = [(row.mean(axis=0), *summary(np.exp(row))) for row in rows]
     return [np.stack(stat) for stat in zip(*parts)]
 
 
 def beta_trajectories(samples: PosteriorSamples) -> BetaTrajectories:
-    beta = expand_draws(samples).beta  # (M, S, T)
-    mean, median, lower, upper = _odds_ratio_summary(beta)
-    return BetaTrajectories(mean, np.exp(beta.mean(axis=0)), median, lower, upper)
+    free = from_vector(samples.pooled(), samples.spec).beta_free  # (M, S - 1, T), a view
+    # each athlete's (M, T) draws, the constrained last athlete's as the negative sum
+    rows = itertools.chain((free[:, s] for s in range(free.shape[1])), [-free.sum(axis=-2)])
+    log_mean, mean, median, lower, upper = _odds_ratio_summary(rows)
+    return BetaTrajectories(mean, np.exp(log_mean), median, lower, upper)
 
 
 @dataclass(frozen=True)
@@ -186,8 +193,7 @@ class PositionEffects:
 
 
 def position_effects(samples: PosteriorSamples) -> PositionEffects:
-    eff = expand_draws(samples)
-    prone = eff.gamma[..., 0]
+    prone = from_vector(samples.pooled(), samples.spec).gamma_free  # (M, S), a view
     return PositionEffects(prone.mean(axis=0), *summary(np.exp(prone)))
 
 
@@ -204,10 +210,11 @@ class RaceEffects:
 
 
 def race_effects(samples: PosteriorSamples) -> RaceEffects:
-    omega = expand_draws(samples).omega  # (M, S, Z)
-    return RaceEffects(
-        omega.mean(axis=0), *_odds_ratio_summary(omega), RACE_TYPES[: samples.spec.Z]
-    )
+    free = from_vector(samples.pooled(), samples.spec).omega_free  # (M, S, Z - 1), a view
+    # each athlete's (M, Z) draws, the last race type's as the negative sum
+    rows = (np.concatenate([f, -f.sum(axis=-1, keepdims=True)], axis=-1)
+            for f in (free[:, s] for s in range(free.shape[1])))
+    return RaceEffects(*_odds_ratio_summary(rows), RACE_TYPES[: samples.spec.Z])
 
 
 # ---------------------------------------------------------------------------

@@ -52,20 +52,22 @@ datasets share its stack.  They match its own fit only to rounding: a fit
 of one dataset keeps the row path for its row blocks, whose sums round
 differently.
 
-Likelihood deltas are computed from cached per-record log-odds.  Each
-latent row is built from its columns ``m`` of the model's log-odds
-Jacobian (``model.log_odds_jacobian``): the records whose row of ``m`` is
-non-zero are the ones its move touches, and a step ``d`` shifts their
-log-odds by ``m @ d``.  Every block reads its records as one group, in
-record order: a trajectory its own athlete's and the constrained
-athlete's records, a class step every record its rows touch, each tagged
-with the row that owns it (the stage baseline touches every record).  The
-same columns give each row's Fisher matrix ``w * m.T @ m``, and
-``v @ P_k @ v`` is the row's share of its class's prior sum of squares.
-The cache keeps each number once: the per-record log-odds and
-log-likelihoods, the log-posterior and every row's share.  Sums are taken
-where they are read (a move sums its group, ``draw_scales`` a class's
-shares).  Scale draws touch no records.  ``propose_delta``
+Likelihood deltas are computed from cached per-cell log-odds.  A cell is
+one (athlete, stage, position, race type) of a dataset (``Dataset.cells``):
+its sessions share one log-odds, so one binomial row of its total hits and
+shots prices them all.  Each latent row is built from its columns ``m`` of
+the model's log-odds Jacobian (``model.log_odds_jacobian``) at each cell's
+first session: the cells whose row of ``m`` is non-zero are the ones its
+move touches, and a step ``d`` shifts their log-odds by ``m @ d``.  Every
+block reads its cells as one group, in cell order: a trajectory its own
+athlete's and the constrained athlete's cells, a class step every cell its
+rows touch, each tagged with the row that owns it (the stage baseline
+touches every cell).  The same columns, each cell's weighed by its session
+count, give each row's Fisher matrix, and ``v @ P_k @ v`` is the row's
+share of its class's prior sum of squares.  The cache keeps each number
+once: the per-cell log-odds and log-likelihoods, the log-posterior and
+every row's share.  Sums are taken where they are read (a move sums its
+group, ``draw_scales`` a class's shares).  ``propose_delta``
 (``propose_rows`` for a class step) returns the log-posterior delta, one
 per row, with a stash of what it computed, and ``commit`` (``commit_rows``,
 given the accepted rows) stores the stash and adds exactly that delta.
@@ -327,14 +329,16 @@ class _Cache:
 
 
 class _Group(NamedTuple):
-    """Records that one block move touches, in record order, with their
-    rows ``m`` of d eta / d x over the block's coordinates: a step ``d``
-    shifts their log-odds by ``m @ d``.  For a class block, ``owner`` is
-    the row each record belongs to, and a step ``d`` of shape
-    ``(rows, n)`` shifts record ``i`` by ``m[i] @ d[owner[i]]``."""
+    """Cells that one block move touches, in cell order, with their totals
+    and their rows ``m`` of d eta / d x over the block's coordinates: a
+    step ``d`` shifts their log-odds by ``m @ d``.  For a class block,
+    ``owner`` is the row each cell belongs to, and a step ``d`` of shape
+    ``(rows, n)`` shifts cell ``i`` by ``m[i] @ d[owner[i]]``."""
 
     rec: np.ndarray
     hits: np.ndarray
+    shots: np.ndarray
+    log_choose: np.ndarray
     m: np.ndarray
     owner: np.ndarray | None = None
 
@@ -367,19 +371,21 @@ class ModelTarget:
     the class's coordinate count.  ``_scale_at[k]`` is the x index of each
     stacked row's log scale, its own dataset's.
 
-    One rule makes every block.  A class whose rows share records (the
+    One rule makes every block.  A class whose rows share cells (the
     trajectories share the constrained athlete's), or that has one row
     (the baseline), steps row by row, each row across the R datasets;
     any other class (the position effects, the race-effect rows) steps as
     one.  A unit of one row is a row block (``propose_delta``/``commit``),
     and any larger unit a class block (``propose_rows``/``commit_rows``)
-    whose rows and records run dataset by dataset.  A block's ``payload``
-    is ``(k, group, slot)``: its class, the ``_Group`` of records its move
+    whose rows and cells run dataset by dataset.  A block's ``payload``
+    is ``(k, group, slot)``: its class, the ``_Group`` of cells its move
     touches and its slot in the class's stacks (a row, a strided slice of
-    one row in every dataset, or every row).  Groups and Fisher matrices
-    come from ``model.log_odds_jacobian``, so the constraint expansion
-    lives in ``model`` only.  Datasets whose rows share records in
-    different classes give different block layouts and do not stack."""
+    one row in every dataset, or every row).  ``hits``, ``shots`` and
+    ``log_choose`` are the stack's cells, dataset by dataset.  Groups and
+    Fisher matrices come from ``model.log_odds_jacobian``, so the
+    constraint expansion lives in ``model`` only.  Datasets whose rows
+    share cells in different classes give different block layouts and do
+    not stack."""
 
     def __init__(self, spec: ModelSpec, dataset: Dataset):
         self.spec = spec
@@ -394,27 +400,30 @@ class ModelTarget:
 
     def _build_blocks(self):
         spec, R = self.spec, len(self.datasets)
-        hits = [_model._check_indices(d, spec).hits for d in self.datasets]
-        self.hits = np.concatenate(hits)
-        first_rec = np.cumsum([0] + [len(h) for h in hits[:-1]])
-        w = []  # Fisher info of eta per session, per dataset
-        for h in hits:
-            pbar = np.clip(h.sum() / (SHOTS_PER_BOUT * len(h)), 0.1, 0.9) if len(h) else 0.5
-            w.append(SHOTS_PER_BOUT * pbar * (1.0 - pbar))
+        cells = [d.cells for d in self.datasets]  # log_odds_jacobian checks d's indices
+        self.hits, self.shots, self.log_choose = map(np.concatenate, zip(*(c[1:] for c in cells)))
+        first_rec = np.cumsum([0] + [len(c.hits) for c in cells[:-1]])
+        w = []  # per dataset: Fisher info of eta per session, and each cell's session count
+        for c in cells:
+            pbar = np.clip(c.hits.sum() / c.shots.sum(), 0.1, 0.9) if len(c.hits) else 0.5
+            w.append((SHOTS_PER_BOUT * pbar * (1.0 - pbar), c.shots / SHOTS_PER_BOUT))
         self._classes: list[tuple[np.ndarray, np.ndarray, _model.PriorClass]] = []
         self._scale_at = []  # the x index of each stacked class row's log scale
         blocks = []
         for k, cls in enumerate(_model.prior_classes(spec)):
             n_rows = len(cls.rows)
-            # d eta / d x of each row; its non-zero rows are the records a move touches
-            jac = [[_model.log_odds_jacobian(d, spec, i) for i in cls.rows] for d in self.datasets]
+            # d eta / d x of each row at each cell's first session; its
+            # non-zero rows are the cells a move touches
+            jac = [[_model.log_odds_jacobian(d, spec, i)[c.first] for i in cls.rows]
+                   for d, c in zip(self.datasets, cells)]
             touched = [np.array([m.any(axis=1) for m in ms]) for ms in jac]
             # each row's F + lam P_k made diagonal at every scale (Golub & Van
             # Loan, 8.7): P_k = L L^T, L^-1 F L^-T = U diag(e) U^T, V = L^-T U
-            # with V^T F V = diag(e), V^T P_k V = I; e >= 0 up to rounding
+            # with V^T F V = diag(e), V^T P_k V = I; e >= 0 up to rounding.  F
+            # sums over sessions: a cell's term weighed by its session count
             inv_l = np.linalg.inv(np.linalg.cholesky(cls.precision))
-            fisher = np.concatenate([np.stack([wd * (m.T @ m) for m in ms])
-                                     for wd, ms in zip(w, jac)])
+            fisher = np.concatenate([np.stack([wd * (m.T @ (n[:, None] * m)) for m in ms])
+                                     for (wd, n), ms in zip(w, jac)])
             e, u = np.linalg.eigh(inv_l @ fisher @ inv_l.T)
             self._classes.append((inv_l.T @ u, np.maximum(e, 0.0), cls))
             self._scale_at.append(np.repeat(np.arange(R) * spec.dim + self.lay.sigma.start + k,
@@ -423,7 +432,7 @@ class ModelTarget:
             # prior-dominated, so their amplitudes (which drive the beta scale's
             # conditional) need the extra turnover to keep the scale mixing.
             repeats = 2 if cls.name == "beta" and spec.T > 1 else 1
-            # rows that share records, or a lone row (a row try is cheaper),
+            # rows that share cells, or a lone row (a row try is cheaper),
             # step one by one, each across the stack; any other class as one
             shared = {n_rows == 1 or t.sum(axis=0).max(initial=0) > 1 for t in touched}
             if len(shared) > 1:
@@ -435,16 +444,17 @@ class ModelTarget:
                     t = t[unit]
                     rec.append(np.flatnonzero(t.any(axis=0)))
                     owner.append(t[:, rec[-1]].argmax(axis=0))
-                    # the unit's (rows, records, n) matrices; one row's is a view
+                    # the unit's (rows, cells, n) matrices; one row's is a view
                     unit_m = ms[unit.start][None] if by_row else np.stack(ms)
                     m.append(unit_m[owner[-1], rec[-1]])
                     rec[-1] += f
                 # the unit's rows in dataset-major order, each dataset's
-                # coordinates and records after those of the datasets before it
+                # coordinates and cells after those of the datasets before it
                 rows = len(cls.rows[unit])
                 rec = np.concatenate(rec)
-                group = _Group(rec, self.hits[rec], np.concatenate(m),
-                               np.concatenate([o + r * rows for r, o in enumerate(owner)]))
+                group = _Group(rec, self.hits[rec], self.shots[rec], self.log_choose[rec],
+                               np.concatenate(m), np.concatenate([o + r * rows
+                                                                  for r, o in enumerate(owner)]))
                 idx = np.concatenate([cls.rows[unit] + r * spec.dim for r in range(R)])
                 if by_row:  # its slot: the row in every dataset, a strided slice of its class
                     name = "mu" if cls.name == "mu" else f"{cls.name}[{unit.start + 1}]"
@@ -484,14 +494,14 @@ class ModelTarget:
     def make_cache(self, x: np.ndarray) -> _Cache:
         eta, ll, logp = [], [], 0.0
         for d, xr in zip(self.datasets, x.reshape(len(self.datasets), -1)):
-            state = _model.from_vector(xr, self.spec)
-            eta.append(_model.linear_predictors(state, d, self.spec))
-            ll.append(_model.bout_log_likelihoods(d.arrays.hits, eta[-1]))
+            state, c = _model.from_vector(xr, self.spec), d.cells
+            eta.append(_model.linear_predictors(state, d, self.spec)[c.first])
+            ll.append(_model.bout_log_likelihoods(c.hits, eta[-1], c.shots, c.log_choose))
             logp += float(ll[-1].sum()) + _model.log_prior(state, self.spec)
         share = [np.empty(len(basis)) for basis, _, _ in self._classes]
-        for b in self.blocks:  # through _share, as a move does: a rebuild matches bit for bit
+        for b in self.blocks:  # by PriorClass.shares, as a move: a rebuild matches bit for bit
             k, _, slot = b.payload
-            share[k][slot] = self._share(b, x[b.idx])
+            share[k][slot] = self._classes[k][2].shares(x[b.idx])
         return _Cache(eta=np.concatenate(eta), ll=np.concatenate(ll), logp=logp, share=share)
 
     def _log_sigma(self, x: np.ndarray, k: int, slot):
@@ -501,18 +511,13 @@ class ModelTarget:
             return np.zeros(len(self._scale_at[k]))[slot]
         return x[self._scale_at[k][slot]]
 
-    def _share(self, block, v: np.ndarray):
-        """The term ``v @ P_k @ v`` of the block's class's sum of squares,
-        for one row ``v`` or each row of a class block."""
-        return self._classes[block.payload[0]][2].shares(v)
-
     # ---- block moves -------------------------------------------------------
 
     def propose_delta(self, x, cache, block, prop):
         k, g, slot = block.payload
         eta = cache.eta[g.rec] + g.m @ (prop - x[block.idx])
-        ll = _model.bout_log_likelihoods(g.hits, eta)
-        share = self._share(block, prop)
+        ll = _model.bout_log_likelihoods(g.hits, eta, g.shots, g.log_choose)
+        share = self._classes[k][2].shares(prop)
         lam = np.exp(-2.0 * self._log_sigma(x, k, slot))
         delta = float(ll.sum() - cache.ll[g.rec].sum() - 0.5 * (share - cache.share[k][slot]) * lam)
         return delta, _Stash(eta, ll, delta, share)
@@ -534,9 +539,9 @@ class ModelTarget:
         k, g, slot = block.payload
         d = prop - x[block.idx]
         eta = cache.eta[g.rec] + (g.m * d[g.owner]).sum(axis=1)
-        ll = _model.bout_log_likelihoods(g.hits, eta)
+        ll = _model.bout_log_likelihoods(g.hits, eta, g.shots, g.log_choose)
         d_ll = np.bincount(g.owner, weights=ll - cache.ll[g.rec], minlength=len(d))
-        share = self._share(block, prop)
+        share = self._classes[k][2].shares(prop)
         lam = np.exp(-2.0 * self._log_sigma(x, k, slot))
         delta = d_ll - 0.5 * (share - cache.share[k][slot]) * lam
         return delta, _Stash(eta, ll, delta, share)
@@ -746,14 +751,9 @@ def run_chains(
     cfg = cfg or SamplerConfig()
     t0 = time.perf_counter()
     results = list(_chain_results(ModelTarget(spec, dataset), cfg, (cfg.seed,)))
-    block_names = results[0].block_names
-    acceptance = {
-        name: tuple(float(r.acceptance[i]) for r in results)
-        for i, name in enumerate(block_names)
-    }
-    scales = {
-        name: tuple(float(r.scales[i]) for r in results) for i, name in enumerate(block_names)
-    }
+    names = results[0].block_names
+    acceptance = {n: tuple(float(r.acceptance[i]) for r in results) for i, n in enumerate(names)}
+    scales = {n: tuple(float(r.scales[i]) for r in results) for i, n in enumerate(names)}
     return PosteriorSamples(
         draws=np.stack([r.draws for r in results]),
         param_names=_model.param_names(spec),
@@ -910,8 +910,9 @@ def _manifest_dict(samples: PosteriorSamples) -> dict:
     }
 
 
-def export_draws(samples: PosteriorSamples, path, fmt: str = "binary"):
-    """Write draws + manifest to the file at ``path``, atomically.
+def export_draws(samples: PosteriorSamples, path, fmt: str = "binary") -> str:
+    """Write draws + manifest to the file at ``path``, atomically, and
+    return the sha256 of the file's bytes, hashed as they were written.
     ``fmt="binary"`` streams chains into a checksummed single-file
     container.  ``fmt="csv"`` writes one row per retained draw under a
     ``chain,iter,<param names>`` header (``_csv_chunks``), plus a JSON
@@ -919,7 +920,7 @@ def export_draws(samples: PosteriorSamples, path, fmt: str = "binary"):
     CSV bytes written."""
     path = Path(path)
     if fmt == "binary":
-        _write_atomic(path, lambda fh: _export_binary(samples, fh))
+        digest = _write_atomic(path, lambda fh: _export_binary(samples, fh))
     elif fmt == "csv":
         manifest = _manifest_dict(samples)
         digest = _write_atomic(path, lambda fh: _put_hashed(fh, _csv_chunks(samples)))
@@ -928,6 +929,7 @@ def export_draws(samples: PosteriorSamples, path, fmt: str = "binary"):
         _write_atomic(path.with_name(path.name + ".manifest.json"), lambda fh: fh.write(side))
     else:
         raise DataError(f"unknown draws format {fmt!r}")
+    return digest.hexdigest()
 
 
 def _write_atomic(path, write):
@@ -956,11 +958,17 @@ def _put_hashed(fh, chunks):
 
 
 def _export_binary(samples: PosteriorSamples, fh):
+    """Write the container; returns the sha256 of the whole file, its
+    trailer (the sha256 of everything before it) included."""
     manifest = json.dumps(_manifest_dict(samples), sort_keys=True, separators=(",", ":")).encode()
     head = [_MAGIC, struct.pack("<Q", len(manifest)), manifest]
     chains = (np.ascontiguousarray(samples.draws[c], dtype=_DTYPE).tobytes()
               for c in range(samples.n_chains))  # stream chain by chain
-    fh.write(_put_hashed(fh, itertools.chain(head, chains)).digest())
+    digest = _put_hashed(fh, itertools.chain(head, chains))
+    trailer = digest.digest()
+    fh.write(trailer)
+    digest.update(trailer)
+    return digest
 
 
 def _csv_chunks(samples: PosteriorSamples):
@@ -1012,16 +1020,7 @@ def _samples_from_manifest(manifest: dict, draws: np.ndarray) -> PosteriorSample
                         f"({draws.shape[2]})")
     if names != _model.param_names(spec):
         raise DataError("manifest param_names are not the model's names in vector order")
-    return PosteriorSamples(
-        draws=draws,
-        param_names=names,
-        spec=spec,
-        config=cfg,
-        source_digest=source_digest,
-        acceptance_rates=acceptance,
-        proposal_scales=scales,
-        wall_time_s=None,
-    )
+    return PosteriorSamples(draws, names, spec, cfg, source_digest, acceptance, scales)
 
 
 def import_draws(path) -> PosteriorSamples:

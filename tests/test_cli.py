@@ -7,10 +7,12 @@ import hashlib
 import io
 import json
 import os
+import platform
 import re
 
 import numpy as np
 import pytest
+import scipy
 
 from biathlon_bayes import cli, model, oracles, sampler, synth
 from biathlon_bayes.data import Dataset, load_sessions, serialize_sessions
@@ -165,6 +167,19 @@ class TestFit:
         assert report["model"]["S"] == 4
         assert report["source_digest"]
         assert list(report["acceptance_rates"]) == sorted(report["acceptance_rates"])
+
+    def test_report_records_the_numeric_environment(self, ws):
+        # what a pinned draw's bits depend on beyond the inputs
+        report = json.loads((ws / "fit" / "fit_report.json").read_text())
+        env = report["numeric_environment"]
+        assert set(env) == {"python", "numpy", "scipy", "numpy_cpu_baseline",
+                            "numpy_cpu_dispatch"}
+        assert env["python"] == platform.python_version()
+        assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+        assert all(isinstance(f, str)
+                   for f in env["numpy_cpu_baseline"] + env["numpy_cpu_dispatch"])
+        assert report["draws_sha256"] == hashlib.sha256(
+            (ws / "fit" / "draws.bin").read_bytes()).hexdigest()
 
     def test_rerun_is_byte_identical(self, ws, tmp_path):
         fit2 = tmp_path / "fit2"
@@ -671,7 +686,7 @@ class TestConfigAndUsage:
         draws = sampler.import_draws(tmp_path / "fit" / "draws.bin").draws
         # the draws of the same fit with the removed proposal setting left out
         assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == (
-            "6b176eed21217926176461ecf0654ecff20803a6d2c293ef5f051ee507937da5"
+            "ed905044c558bfd8ee4cf73c79baf2d068c19af068372f896ac93495fd48316f"
         )
 
     def test_older_validate_manifest_replays_its_result(self, tmp_path):

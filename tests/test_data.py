@@ -1,12 +1,15 @@
 """Session records, CSV parsing, dataset invariants, validation reports."""
 
 import hashlib
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from biathlon_bayes.data import (
     BOUTS_PER_RACE,
+    LOG_CHOOSE,
     CSV_HEADER,
     Dataset,
     RACE_TYPES,
@@ -102,6 +105,63 @@ class TestDataset:
         assert a.position.tolist() == [1, 0]
         assert a.race.tolist() == [RACE_TYPES.index("sprint")] * 2
         assert a.hits.tolist() == [3, 4]
+
+
+class TestCellTable:
+    """``Dataset.cells`` groups the sessions that share one log-odds: one
+    athlete's at one stage, position and race type."""
+
+    @staticmethod
+    def _season():
+        # a's two prone individual bouts share a cell, as do b's two
+        # standing pursuit bouts; every other session is its own cell
+        return Dataset.from_records([
+            rec(athlete="a", race_type="individual", hits=3),
+            rec(athlete="b", stage=2, race_type="pursuit", position="standing", hits=1),
+            rec(athlete="a", race_type="individual", bout_seq=2, position="standing", hits=5),
+            rec(athlete="a", race_type="individual", bout_seq=3, hits=4),
+            rec(athlete="b", stage=2, race_type="pursuit", bout_seq=2, position="standing",
+                hits=0),
+            rec(athlete="b", race_type="individual", hits=2),
+            rec(athlete="a", stage=2, race_type="pursuit", hits=5),
+        ])
+
+    def test_cells_in_first_appearance_order(self):
+        c = self._season().cells
+        assert c.first.tolist() == [0, 1, 2, 5, 6]
+        assert c.hits.tolist() == [7, 1, 5, 2, 5]
+        assert c.shots.tolist() == [10, 10, 5, 5, 5]
+        want = [LOG_CHOOSE[3] + LOG_CHOOSE[4], LOG_CHOOSE[1] + LOG_CHOOSE[0],
+                LOG_CHOOSE[5], LOG_CHOOSE[2], LOG_CHOOSE[5]]
+        assert c.log_choose.tolist() == want
+        assert LOG_CHOOSE.tolist() == [math.log(math.comb(5, y)) for y in range(6)]
+
+    def test_totals_are_the_sessions_sums(self, season_dataset):
+        a, c = season_dataset.arrays, season_dataset.cells
+        assert (len(c.first), int(c.hits.sum()), int(c.shots.sum())) == (
+            1344, int(a.hits.sum()), 5 * 2088)
+        keys = list(zip(a.athlete, a.stage0, a.position, a.race))
+        cell_of = {keys[f]: i for i, f in enumerate(c.first)}
+        assert len(cell_of) == len(c.first)  # one cell per key
+        index = np.array([cell_of[k] for k in keys])  # each session's cell
+        # first appearance: a cell's first session is the first with its
+        # key, and cells come in the order of their first sessions
+        assert np.array_equal(c.first, [np.flatnonzero(index == i)[0] for i in range(len(c.first))])
+        assert np.all(np.diff(c.first) > 0)
+        assert np.array_equal(c.hits, np.bincount(index, weights=a.hits))
+        assert np.array_equal(c.shots, 5 * np.bincount(index))
+        np.testing.assert_allclose(c.log_choose, np.bincount(index, weights=LOG_CHOOSE[a.hits]),
+                                   rtol=0, atol=0)
+        assert np.bincount(c.shots).tolist()[5::5] == [600, 744]
+
+    def test_built_when_first_read(self):
+        d = self._season()
+        assert "cells" not in vars(d)
+        assert d.cells is d.cells
+
+    def test_empty_dataset_has_no_cells(self):
+        c = Dataset.from_records([]).cells
+        assert all(len(col) == 0 for col in c)
 
 
 class TestCsv:

@@ -111,6 +111,29 @@ class TestLikelihood:
         )
         assert log_likelihood(p, d, spec) == pytest.approx(expected, abs=1e-12)
 
+    def test_a_cell_row_is_the_sum_of_its_sessions(self, season_dataset):
+        # a cell's sessions share one log-odds: one row of its totals, its
+        # shots and its summed ln C(5, y) gives their summed log-pmf
+        a, c = season_dataset.arrays, season_dataset.cells
+        rng = np.random.default_rng(9)
+        eta = rng.normal(0.0, 3.0, len(c.first))
+        keys = list(zip(a.athlete, a.stage0, a.position, a.race))
+        cell_of = {keys[f]: i for i, f in enumerate(c.first)}
+        index = np.array([cell_of[k] for k in keys])  # each session's cell
+        cells = bout_log_likelihoods(c.hits, eta, c.shots, c.log_choose)
+        sessions = bout_log_likelihoods(a.hits, eta[index])
+        assert len(cells) == 1344 and len(sessions) == 2088
+        np.testing.assert_allclose(cells, np.bincount(index, weights=sessions), rtol=0, atol=1e-9)
+        assert cells.sum() == pytest.approx(sessions.sum(), abs=1e-9)
+
+    def test_a_cell_of_one_session_is_that_session_bit_for_bit(self, season_dataset):
+        a, c = season_dataset.arrays, season_dataset.cells
+        one = c.shots == 5
+        eta = np.random.default_rng(10).normal(0.0, 3.0, len(c.first))
+        cells = bout_log_likelihoods(c.hits, eta, c.shots, c.log_choose)
+        sessions = bout_log_likelihoods(a.hits[c.first], eta)
+        assert one.sum() == 600 and np.array_equal(cells[one], sessions[one])
+
     def test_link_function_is_logistic(self):
         # eta = 1.671 corresponds to ~84.2% hit probability
         assert expit(1.671) == pytest.approx(0.8417, abs=5e-5)

@@ -419,8 +419,17 @@ class TestBoundedMemory:
         got_omega = (race.or_mean, race.or_median, race.or_lower, race.or_upper)
         for got, want in zip(got_beta + got_omega, want_beta + want_omega):
             assert got.tobytes() == want.tobytes()
-        # the expansion, and no whole-array copy beside it
+        # no whole-array copy (and far less: the next test)
         assert max(beta_peak, race_peak) < 1.1 * full
+
+    @pytest.mark.parametrize("summarize", ["beta_trajectories", "position_effects",
+                                           "race_effects"])
+    def test_effect_summaries_hold_far_less_than_one_expansion(self, wide_posterior,
+                                                               summarize):
+        # each reads views of the draws, one athlete at a time
+        full = sum(a.nbytes for a in expand_draws(wide_posterior))
+        _, peak = _traced_peak(lambda: getattr(predict, summarize)(wide_posterior))
+        assert peak < 0.2 * full
 
 
 class TestEffectSummaries:

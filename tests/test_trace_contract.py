@@ -42,8 +42,8 @@ def short_chain(small_dataset):
 
 
 def _per_sweep(target):
-    """(traced tries, log-likelihood calls, records) per sweep: every block
-    step reads its one record group with one call.  The tracer counts a try
+    """(traced tries, log-likelihood calls, rows) per sweep: every block
+    step reads its one group of cells with one call.  The tracer counts a try
     per ``propose_delta`` call, which a class step does not make
     (``propose_rows``), and the scale draws make no try and touch no
     record."""
@@ -65,19 +65,22 @@ def test_one_loglik_call_per_touched_group(short_chain, monkeypatch):
     # and omega
     assert calls == 1 + (S - 1) * repeats + 2
     assert tries == 1 + (S - 1) * repeats
+    # the small season's 4 athletes shoot two race types at each of 3
+    # stages: 12 (stage, position, race type) cells each, 48 in all, and
+    # the tracer counts cells, not its 72 sessions
     n = len(target.hits)
-    per_athlete = np.bincount(target.datasets[0].arrays.athlete, minlength=S)
-    # mu, gamma and omega touch every record once; a trajectory try touches
-    # its athlete and the constrained last athlete
-    assert records == 3 * n + repeats * sum(per_athlete[: S - 1] + per_athlete[S - 1])
+    assert (n, target.datasets[0].n_records) == (48, 72)
+    # mu, gamma and omega touch every cell once; a trajectory try touches
+    # its athlete's and the constrained last athlete's
+    assert records == 3 * 48 + repeats * (S - 1) * (12 + 12) == 288
 
     seen, rebuilds = [], []
     original = model.bout_log_likelihoods
     make_cache = target.make_cache
 
-    def counting(hits, eta):
+    def counting(hits, eta, *shots):
         seen.append(len(hits))
-        return original(hits, eta)
+        return original(hits, eta, *shots)
 
     def rebuilding(x):
         rebuilds.append(1)
