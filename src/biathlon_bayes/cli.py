@@ -76,10 +76,10 @@ from .predict import (
 )
 from .sampler import (
     SamplerConfig,
+    _read_draws,
     _write_atomic,
     ess,
     export_draws,
-    import_draws,
     run_chains,
     summarize,
     worker_cap,
@@ -516,7 +516,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     draws_path = _find_draws(args.fit)
-    samples = import_draws(draws_path)
+    samples, draws_sha256 = _read_draws(draws_path)
     # every diagnostic is computed before the first output is written
     rows = [["param", "mean", "sd", "q2.5", "median", "q97.5", "rhat", "ess"]]
     max_rhat = (-math.inf, "")
@@ -539,7 +539,7 @@ def _cmd_diagnose(args) -> int:
         "min_ess_param": min_ess[1],
         "converged": bool(max_rhat[0] < 1.05 and min_ess[0] > 100),
     }
-    _write_manifest(args, {"draws": {"path": draws_path, "sha256": _sha256(draws_path)}})
+    _write_manifest(args, {"draws": {"path": draws_path, "sha256": draws_sha256}})
     _write_csv(os.path.join(args.out, "diagnostics.csv"), rows)
     _write_json(os.path.join(args.out, "diagnostics.json"), summary)
     print(
@@ -583,7 +583,7 @@ def _replicate_rows(columns, summaries):
 
 def _cmd_predict(args) -> int:
     draws_path = _find_draws(args.fit)
-    samples = import_draws(draws_path)
+    samples, draws_sha256 = _read_draws(draws_path)
     d = load_sessions(args.data)
     _check_digest(samples, d)
     # every input is checked before the first output is written
@@ -602,7 +602,6 @@ def _cmd_predict(args) -> int:
     future = load_sessions(args.future_schedule) if args.future_schedule else None
     if future is not None:
         template_cells(future.records, d, samples.spec)
-    draws_sha256 = _sha256(draws_path)  # for the manifest and the report
     _write_manifest(
         args,
         {

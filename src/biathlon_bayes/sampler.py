@@ -31,9 +31,12 @@ through the constrained last athlete's records and step one at a time.
 The scales need no Metropolis step: given the latent field, sigma_k^2 of
 prior class k is exactly GIG((1 - n_k)/2, 1/c^2, ss_k), for n_k iid
 N(0, sigma_k^2) terms with sum of squares ss_k under a half-normal(c)
-prior.  ``ModelTarget.draw_scales`` draws the four in turn at the end of
-every sweep (``_gig``, after Hörmann & Leydold 2014, Stat. Comput.
-24:547).
+prior.  At the end of every sweep ``ModelTarget.draw_scales`` draws every
+dataset's four (``_gig``, after Hörmann & Leydold 2014, Stat. Comput.
+24:547) in (dataset, class) order, from one sum of shares per class and
+dataset; then it writes the new log scales into x at once and moves the
+log-posterior by their closed-form change, exact to rounding.  A draw
+that fails leaves the state as it was.
 
 Chains draw from independent RNG streams keyed by (seed, chain index), so
 results are identical no matter how chains are scheduled across workers.
@@ -67,7 +70,7 @@ count, give each row's Fisher matrix, and ``v @ P_k @ v`` is the row's
 share of its class's prior sum of squares.  The cache keeps each number
 once: the per-cell log-odds and log-likelihoods, the log-posterior and
 every row's share.  Sums are taken where they are read (a move sums its
-group, ``draw_scales`` a class's shares).  ``propose_delta``
+group, ``draw_scales`` each class's shares by dataset).  ``propose_delta``
 (``propose_rows`` for a class step) returns the log-posterior delta, one
 per row, with a stash of what it computed, and ``commit`` (``commit_rows``,
 given the accepted rows) stores the stash and adds exactly that delta.
@@ -192,9 +195,12 @@ class Block:
 # x changes with the mask of accepted rows (at least one), by exactly the
 # sum of their deltas.  draw_scales, called once at the end of every sweep,
 # is an exact Gibbs step on coordinates that no block covers (a no-op if
-# there are none): it updates x and raises cache.logp by exactly the change
-# it makes.  The runner reads a block's idx, repeats and names only; its
-# payload is the target's own.
+# there are none): it updates x and raises cache.logp by the change it
+# makes, exact to rounding, which the periodic rebuild clears.
+# ModelTarget's takes every draw first, in (dataset, class) order, and then
+# writes x and cache.logp once, so a draw that fails changes neither.  The
+# runner reads a block's idx, repeats and names only; its payload is the
+# target's own.
 #
 # A target covers R datasets (R = 1 for one fit), and the runner hands it
 # the list of their R streams, one per dataset (``seeds``): initial_vector
@@ -394,6 +400,9 @@ class ModelTarget:
             raise DataError("a stack needs at least one dataset")
         self.dim = spec.dim * len(self.datasets)
         self.lay = _model.layout(spec)
+        # the x index of each dataset's four log scales, dataset by dataset
+        self._sigma_at = (np.arange(len(self.datasets))[:, None] * spec.dim
+                          + np.arange(self.lay.sigma.start, self.lay.sigma.stop)).ravel()
         self.blocks = self._build_blocks()
 
     # ---- layout ----------------------------------------------------------
@@ -557,35 +566,40 @@ class ModelTarget:
         cache.share[k][slot][accept] = stash.share[accept]
 
     def draw_scales(self, x, cache, streams):
-        """Gibbs step on the four log scales, in ``SIGMA_NAMES`` order:
-        sigma_k^2 is drawn from its exact conditional GIG((1 - n_k)/2,
-        1/c^2, ss_k), ss_k the sum of the class's cached shares, and
-        ``cache.logp`` moves by the exact change.  A sum of squares that is
-        zero or not finite leaves the conditional improper, and a draw that
-        is not a positive finite number is no state: both raise
-        NumericalError.  A ``mu_only`` target has no scales.  Dataset r's
-        four are drawn in turn, in dataset order, from stream r and its own
-        rows' shares."""
+        """Gibbs step on the four log scales of every dataset: sigma_k^2 is
+        drawn from its exact conditional GIG((1 - n_k)/2, 1/c^2, ss_k), ss_k
+        the sum of the class's cached shares in that dataset, one row sum
+        per class.  The draws run in (dataset, class) order, dataset r's
+        four in ``SIGMA_NAMES`` order from stream r.  A sum of squares that
+        is zero or not finite leaves the conditional improper, and a draw
+        that is not a positive finite number is no state: both raise
+        NumericalError before anything is written.  Then x takes the new log
+        scales at once, and ``cache.logp`` moves by their summed closed-form
+        change, (1 - n_k)(v' - v) - ss_k (e^{-2v'} - e^{-2v})/2
+        - (e^{2v'} - e^{2v})/(2c^2) per scale, exact but for rounding.  A
+        ``mu_only`` target has no scales."""
         if self.spec.mu_only:
             return
-        c = self.spec.sigma_scale
+        R, c2 = len(streams), self.spec.sigma_scale * self.spec.sigma_scale
+        terms = [(cls.name, cls.rows.size) for _, _, cls in self._classes]
+        ss = [share.reshape(R, -1).sum(axis=1).tolist() for share in cache.share]
+        old, new, delta = x[self._sigma_at].tolist(), [], 0.0
         for r, g in enumerate(streams):
-            for k, name in enumerate(_model.SIGMA_NAMES):
-                rows = self._classes[k][2].rows
-                n, ss = rows.size, float(cache.share[k][r * len(rows):(r + 1) * len(rows)].sum())
-                if not 0.0 < ss < math.inf:
-                    raise NumericalError(f"log_sigma_{name}: sum of squares {ss} leaves "
+            for k, (name, n) in enumerate(terms):
+                s2 = ss[k][r]
+                if not 0.0 < s2 < math.inf:
+                    raise NumericalError(f"log_sigma_{name}: sum of squares {s2} leaves "
                                          "its conditional improper")
-                s = _gig(g, 0.5 * (1.0 - n), 1.0 / (c * c), ss)
+                s = _gig(g, 0.5 * (1.0 - n), 1.0 / c2, s2)
                 if not 0.0 < s < math.inf:
                     raise NumericalError(f"log_sigma_{name}: scale draw sigma^2 = {s}")
-                i = self._scale_at[k][r * len(rows)]
-                old, new = x[i], 0.5 * math.log(s)
-                cache.logp += (_model._gauss_class_logp(n, ss, new)
-                               + _model._halfnormal_log_logp(new, c)
-                               - _model._gauss_class_logp(n, ss, old)
-                               - _model._halfnormal_log_logp(old, c))
-                x[i] = new
+                v, v1 = old[4 * r + k], 0.5 * math.log(s)
+                e, e1 = math.exp(2.0 * v), math.exp(2.0 * v1)
+                delta += ((1 - n) * (v1 - v) - 0.5 * s2 * (1.0 / e1 - 1.0 / e)
+                          - 0.5 * (e1 - e) / c2)
+                new.append(v1)
+        x[self._sigma_at] = new
+        cache.logp += delta
 
 
 def _gig(rng, p: float, a: float, b: float) -> float:
@@ -600,14 +614,14 @@ def _gig(rng, p: float, a: float, b: float) -> float:
     at the origin for moderate w, and by the dominating density of
     their section 2 for small w."""
     w, q = math.sqrt(a * b), abs(p)
-
-    def lq(y):  # log quasi-density of GIG(q, w, w)
-        return (q - 1.0) * math.log(y) - 0.5 * w * (y + 1.0 / y) if y > 0.0 else -math.inf
-
+    # the log quasi-density of GIG(q, w, w), written out at each use:
+    # (q - 1) log y - w (y + 1/y) / 2 for y > 0, -inf otherwise
+    qm, hw = q - 1.0, 0.5 * w
     if q < 1.0:  # the mode, written to avoid cancellation
         m = w / (math.sqrt((q - 1.0) ** 2 + w * w) + 1.0 - q)
     else:
         m = (math.sqrt((1.0 - q) ** 2 + w * w) - (1.0 - q)) / w
+    lm = qm * math.log(m) - hw * (m + 1.0 / m) if m > 0.0 else -math.inf
     if q >= 1.0 or w >= min(0.5, 2.0 * math.sqrt(1.0 - q) / 3.0):
         if q >= 1.0 or w > 1.0:  # ratio of uniforms with mode shift
             # vmin, vmax at the two roots of x^3 + a2 x^2 + a1 x + m (Cardano)
@@ -617,23 +631,26 @@ def _gig(rng, p: float, a: float, b: float) -> float:
             s1 = -math.sqrt(-4.0 * p1 / 3.0)
             r1 = s1 * math.cos(phi / 3.0 + math.pi / 3.0) - a2 / 3.0
             r2 = -s1 * math.cos(phi / 3.0) - a2 / 3.0
-            shift, top = m, lq(m)
-            vmin = (r1 - m) * math.exp(0.5 * (lq(r1) - top))
-            vmax = (r2 - m) * math.exp(0.5 * (lq(r2) - top))
+            shift, top, umax = m, lm, 1.0  # umax = exp((lq(m) - top) / 2)
+            l1 = qm * math.log(r1) - hw * (r1 + 1.0 / r1) if r1 > 0.0 else -math.inf
+            l2 = qm * math.log(r2) - hw * (r2 + 1.0 / r2) if r2 > 0.0 else -math.inf
+            vmin = (r1 - m) * math.exp(0.5 * (l1 - top))
+            vmax = (r2 - m) * math.exp(0.5 * (l2 - top))
         else:  # ratio of uniforms without mode shift
             xp = (1.0 + q + math.sqrt((1.0 + q) ** 2 + w * w)) / w
             shift, top, vmin = 0.0, 0.0, 0.0
-            vmax = xp * math.exp(0.5 * lq(xp))
-        umax = math.exp(0.5 * (lq(m) - top))
+            vmax = xp * math.exp(0.5 * (qm * math.log(xp) - hw * (xp + 1.0 / xp)))
+            umax = math.exp(0.5 * lm)
         while True:
             u, v = umax * rng.random(), vmin + (vmax - vmin) * rng.random()
-            if u > 0.0 and 2.0 * math.log(u) <= lq(shift + v / u) - top:
+            if u > 0.0:
                 y = shift + v / u
-                break
+                if y > 0.0 and 2.0 * math.log(u) <= qm * math.log(y) - hw * (y + 1.0 / y) - top:
+                    break
     else:  # dominating density on (0, x0), (x0, 2/w) and (2/w, inf)
         x0 = w / (1.0 - q)
         xs = max(x0, 2.0 / w)
-        k1 = math.exp(lq(m))
+        k1 = math.exp(lm)
         a1 = k1 * x0
         k2 = a2 = 0.0
         if x0 < 2.0 / w:
@@ -657,7 +674,7 @@ def _gig(rng, p: float, a: float, b: float) -> float:
                     continue
                 y = -2.0 / w * math.log(z)
                 h = k3 * math.exp(-0.5 * y * w)
-            if u * h <= math.exp(lq(y)):
+            if u * h <= (math.exp(qm * math.log(y) - hw * (y + 1.0 / y)) if y > 0.0 else 0.0):
                 break
     return math.sqrt(b / a) * (y if p >= 0.0 else 1.0 / y)
 
@@ -1038,6 +1055,13 @@ def import_draws(path) -> PosteriorSamples:
     ``chain,iter,<the manifest's param names>`` and one row per draw in
     export order; any other layout, such as the one-value-per-row files of
     earlier versions, is a DataError."""
+    return _read_draws(path)[0]
+
+
+def _read_draws(path) -> tuple[PosteriorSamples, str]:
+    """``import_draws``, and the sha256 of the file from the same read: a
+    binary container's checksum updated with its trailer, a CSV's the
+    digest that its sidecar's checksum was checked against."""
     path = Path(path)
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) == _MAGIC:
@@ -1062,11 +1086,11 @@ def _fill_hashed(fh, buf, digest):
     digest.update(view)
 
 
-def _import_binary(fh) -> PosteriorSamples:
+def _import_binary(fh) -> tuple[PosteriorSamples, str]:
     """The rest of a binary container, from just after its magic: the body
     is read and hashed into a byte array sized from the file (the header's
     lengths are not trusted before the checksum), and the payload's bytes
-    become the draws without a copy."""
+    become the draws without a copy.  Returns them with the file's sha256."""
     size = os.fstat(fh.fileno()).st_size - len(_MAGIC) - 32  # between magic and trailer
     if size < 8:
         raise DataError("draws file truncated")
@@ -1078,14 +1102,17 @@ def _import_binary(fh) -> PosteriorSamples:
     _fill_hashed(fh, raw_manifest, digest)
     payload = np.empty(size - 8 - len(raw_manifest), dtype=np.uint8)
     _fill_hashed(fh, payload, digest)
-    if fh.read(32) != digest.digest():
+    trailer = fh.read(32)
+    if trailer != digest.digest():
         raise DataError("draws file checksum mismatch (truncated or corrupted)")
+    digest.update(trailer)
     manifest = _parse_manifest(bytes(raw_manifest))
     c, r, d = manifest["n_chains"], manifest["n_retained"], manifest["dim"]
     expected = c * r * d * 8
     if payload.size != expected:
         raise DataError(f"draws payload is {payload.size} bytes, expected {expected}")
-    return _samples_from_manifest(manifest, payload.view(_DTYPE).reshape(c, r, d))
+    samples = _samples_from_manifest(manifest, payload.view(_DTYPE).reshape(c, r, d))
+    return samples, digest.hexdigest()
 
 
 class _HashedFile(io.RawIOBase):
@@ -1111,7 +1138,7 @@ class _HashedFile(io.RawIOBase):
         return self.digest.hexdigest()
 
 
-def _import_csv(fh, manifest: dict) -> PosteriorSamples:
+def _import_csv(fh, manifest: dict) -> tuple[PosteriorSamples, str]:
     c, r, d = manifest["n_chains"], manifest["n_retained"], manifest["dim"]
     # loadtxt allocates max_rows rows at once: room for one row more than
     # the draws, so a surplus row shows, but for no more rows than the file
@@ -1124,7 +1151,7 @@ def _import_csv(fh, manifest: dict) -> PosteriorSamples:
     except DataError:
         _check_csv_digest(hashed, manifest)  # a body that fails its checksum is refused for that
         raise
-    _check_csv_digest(hashed, manifest)
+    file_sha256 = _check_csv_digest(hashed, manifest)
     # loadtxt stopped at cap rows: refused without reading on to count them
     n = f"more than {cap - 1}" if rows.shape[0] == cap else rows.shape[0]
     if rows.shape != (c * r, d + 2):
@@ -1133,12 +1160,15 @@ def _import_csv(fh, manifest: dict) -> PosteriorSamples:
     chain, it = np.repeat(np.arange(1, c + 1), r), np.tile(np.arange(1, r + 1), c)
     if not (np.array_equal(rows[:, 0], chain) and np.array_equal(rows[:, 1], it)):
         raise DataError("draws CSV: chain,iter columns are not each draw once, in export order")
-    return _samples_from_manifest(manifest, rows[:, 2:].reshape(c, r, d))
+    return _samples_from_manifest(manifest, rows[:, 2:].reshape(c, r, d)), file_sha256
 
 
-def _check_csv_digest(hashed: _HashedFile, manifest: dict):
-    if manifest.get("csv_sha256") != hashed.hexdigest():
+def _check_csv_digest(hashed: _HashedFile, manifest: dict) -> str:
+    """The CSV file's sha256, once it equals the sidecar's checksum."""
+    file_sha256 = hashed.hexdigest()
+    if manifest.get("csv_sha256") != file_sha256:
         raise DataError("draws CSV checksum mismatch against manifest sidecar")
+    return file_sha256
 
 
 def _csv_rows(body, manifest: dict, max_rows: int) -> np.ndarray:

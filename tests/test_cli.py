@@ -499,6 +499,34 @@ class TestPredict:
         ).read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+@pytest.mark.parametrize("command", ["diagnose", "predict"])
+def test_a_report_reads_its_draws_file_once(ws, tmp_path, monkeypatch, command, fmt):
+    # the digest in the manifest (and predict's report.json) comes from the
+    # read that imports the draws, not from a second pass over the file
+    fitdir = tmp_path / "fit"
+    fitdir.mkdir()
+    draws = fitdir / ("draws.bin" if fmt == "binary" else "draws.csv")
+    sampler.export_draws(sampler.import_draws(ws / "fit" / "draws.bin"), draws, fmt=fmt)
+    real_open, opened = open, []
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.path.abspath(file) == str(draws):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    out = tmp_path / "out"
+    extra = ["--data", _data(ws), "--reps", "10"] if command == "predict" else []
+    assert cli.main([command, "--fit", str(fitdir), "--out", str(out)] + extra) == 0
+    monkeypatch.undo()
+    assert len(opened) == 1
+    want = hashlib.sha256(draws.read_bytes()).hexdigest()
+    assert json.loads((out / "manifest.json").read_text())["inputs"]["draws"]["sha256"] == want
+    if command == "predict":
+        assert json.loads((out / "report.json").read_text())["draws_sha256"] == want
+
+
 class TestValidate:
     def test_oracle_passes(self, tmp_path, capsys):
         out = tmp_path / "oracle"

@@ -7,10 +7,15 @@ import hashlib
 import io
 import json
 import math
+import os
+import pickle
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -410,14 +415,78 @@ def _gig_moments(p, w):
     return [float(np.exp(logsumexp(lw + r * u) - l0)) for r in (1, 2, 3, 4)]
 
 
+# q = |p| >= 1 or w > 1: ratio of uniforms about the mode; moderate w:
+# ratio of uniforms at 0; small w with q < 1: the dominating density
+_GIG_P = [0.0, 0.3, -0.3, -0.5, -1.5, -4.5, -44.5, -159.0]
+_GIG_W = [1e-3, 0.05, 0.3, 0.8, 2.0, 7.0]
+
+_GIG_PINS = {  # (p, w): sha256 of 1000 draws of GIG(p, w, w), stream default_rng(11)
+    (0.0, 0.001): "257862ad5808c3c21b295558bf8822afb05167764cbe1a96007c939bf51ca2e7",
+    (0.0, 0.05): "925b80af5c4d7d9777afc03c9b93a168ae46b32bf4b43238085bf611592f6921",
+    (0.0, 0.3): "9e7e8f3b933ebe7692a3138157ddbf1ec90519e00d8a07d6c3188d0034efa59c",
+    (0.0, 0.8): "a554bfb20573e8c0424da48e18711074a9579c496121518c55e99ec26bcdc665",
+    (0.0, 2.0): "190e141d278d51b017dd516e1656146e4c92ac8bcd39513179fc512a32373cb8",
+    (0.0, 7.0): "31e6becce4c556afa53c3ad6c953167804e0405b3859750d7014f3e3db3f3157",
+    (0.3, 0.001): "ea8e3ed0980ee9ebbd4454527183afaf96e6e80a3f036344c53dd6ee70c126e7",
+    (0.3, 0.05): "fb4cff3a53d8d77aa23831bf351a1458a6d0f2912a6fa448f8f8f21034ecc93c",
+    (0.3, 0.3): "2797b666be67d684890652380d7a727a91614997e74260bb791cb98727970564",
+    (0.3, 0.8): "1501b6c85886b362283ed08bae2b4c14ba32b79b5c15ca4e6a440c593890c690",
+    (0.3, 2.0): "09da06580e7f09e6babf429e213bb7f060fb3b65cded2fef998fe80bd79295a5",
+    (0.3, 7.0): "14fafe3cc1193e13637dfa34e8747884880eb9ebe845fcad11669ff201d25023",
+    (-0.3, 0.001): "beecc86596c199335d4c38974683e0ef17cc6e4927e0a9a0a0cfe2ce9b7d85b5",
+    (-0.3, 0.05): "799f6e61fb8bd0dd2626a62a6c84f820fbbaac341c38ee2d8fae9e02905b2af8",
+    (-0.3, 0.3): "0c2f7d067a53901a1ce96ad3fa2ccc9a8264eeca2ce15f62f24059ab441b1834",
+    (-0.3, 0.8): "d1b3bd17c3ebd5f7925c4f10c82f8181987a9a6531fd2e7553e30902f81fc09a",
+    (-0.3, 2.0): "dfe973be45fe4d7d7e6f0cdf93ee5f24252731ca9ac1e02e7320f3027cd5f61d",
+    (-0.3, 7.0): "ccac75c815db3ae51ac545cf1c470a6e67009d6662a0f0c0a67697381f72bfc3",
+    (-0.5, 0.001): "50de2af8ace446112dd0094bb434da92861bcc2d23e568e7164a4ddd32eb9ddf",
+    (-0.5, 0.05): "9f9692ebfdf4269badcc3b54b97e81b99d2b52eb9478447962e554b860296b37",
+    (-0.5, 0.3): "86b1efaece6cb40e21b2b7383234f5c0e2bbb3dbc8ffb4eb360265ba56a0566e",
+    (-0.5, 0.8): "bff9185aac58013ceb11a7aa89a7832c5c4d34f4b6a33e71afce8d8cb0a878a5",
+    (-0.5, 2.0): "3d9a0223ffc0d4903e7b00a79173300c80923e25b1a443e688eb256b09035965",
+    (-0.5, 7.0): "7f4a2696531a452417e44d14fa78ad18bf5b43163f772079324f726157eeb6a1",
+    (-1.5, 0.001): "eee266cd72017f5e260cdf7f12a79489dc06cd5d084662b964ec0b7514c02884",
+    (-1.5, 0.05): "890f58265b2b20e2e7f0a875a0571c4b44bee37e41a2660dfd494d5d615a2794",
+    (-1.5, 0.3): "2d70b99d91d0f542b45495eadbd54d85f6b4931e24d5a464de0027ade6a7b30f",
+    (-1.5, 0.8): "73985c8d1e502fdfbea0bfeb810604f3ab187b468b7c5c4443b008df2ad1008a",
+    (-1.5, 2.0): "12e454e41063119331088e9de7e53ed4417956ccc3dc273d48b3f7b313f8cb09",
+    (-1.5, 7.0): "77b4aa207e95c4acc09415cfde480aa7cea4243bfb2eab14fb4f6b65e713743e",
+    (-4.5, 0.001): "0c9f4e798ac2bb9a7262348d66f2d6319b10fb39ae895c0b4745ae13f6d55572",
+    (-4.5, 0.05): "9519d739ccf25e9068949f0a78faa6e90220c7f03e579fffaeed75c7688a6d68",
+    (-4.5, 0.3): "38d9e3537396fdcc86d4412d1ebeded8e6309f797f563e751cdd7854c7b7160e",
+    (-4.5, 0.8): "e54d30477a4f0ae00e4353918d5e5b2e90340f9c51cac2f3a4b2581daa8396dd",
+    (-4.5, 2.0): "3abdf2e5a9eec4e2dccda697d2592dccbf633bb9dad07748d7ec080dd7dd8106",
+    (-4.5, 7.0): "cd45e7e6134acb6c7bdcba07e9a9c1778cfb7d888e71294bd7855cd8ab557725",
+    (-44.5, 0.001): "87768e6567c52ebc619346fd38395d570263c4e563855002997abe7ded3a9362",
+    (-44.5, 0.05): "d8274747dcf1617b75dc1c48f4d4189c0c1737db3eb85620188c1dc94fecadb5",
+    (-44.5, 0.3): "7bd060f9170d9210d36719a96bc57915533c63e8f74da9d3aad600b6a6bbfc3c",
+    (-44.5, 0.8): "5f422693c5d9ec084ee6dc47e0a16bbe65bee4258bf9cabe4c1b2253b15dabd0",
+    (-44.5, 2.0): "1e42d6b52e65da58b65173d7040321bdccbc78d0b78608be570ee66a35a458ce",
+    (-44.5, 7.0): "02e82d97024c3e560b4e1da607c8fab8febca9eef7f64775f0056a48eca8a34b",
+    (-159.0, 0.001): "17b5fd2036145ebe02df3dce5608a2db3f746fef6b2c9b5828fa9a58ba643a12",
+    (-159.0, 0.05): "1576b5436cbf85bd729526ef38fdbb0af9f26a6ad769768db719f32595422f19",
+    (-159.0, 0.3): "cb1fb849ae4736ef181f52b7773099bea534a09896f56d85e4dfa1c22c2b7b80",
+    (-159.0, 0.8): "75770826a561c0e3e5b6e5bb483c59ed97a52c1995692faefb8e7484aeb43b77",
+    (-159.0, 2.0): "fdacb656bbfca6bc8a277830691fd9345033a2f8a61ccff4122b0ee429e88df4",
+    (-159.0, 7.0): "447ef5ed1ba88235f45d6c2e1962e9595a94594b33e32f7a2cb73153e913ed3f",
+}
+
+
 class TestScaleDraws:
     """``_gig`` draws GIG(p, a, b), and ``draw_scales`` draws each log scale
     from its exact full conditional."""
 
-    # q = |p| >= 1 or w > 1: ratio of uniforms about the mode; moderate w:
-    # ratio of uniforms at 0; small w with q < 1: the dominating density
-    @pytest.mark.parametrize("p", [0.0, 0.3, -0.3, -0.5, -1.5, -4.5, -44.5, -159.0])
-    @pytest.mark.parametrize("w", [1e-3, 0.05, 0.3, 0.8, 2.0, 7.0])
+    @pytest.mark.parametrize("p", _GIG_P)
+    @pytest.mark.parametrize("w", _GIG_W)
+    def test_gig_draws_are_pinned(self, p, w):
+        # every draw of every fit's scale step comes from _gig: a rewrite or
+        # a move of it must keep each sampler's bits
+        rng = np.random.default_rng(11)
+        x = np.array([sampler._gig(rng, p, w, w) for _ in range(1000)], dtype="<f8")
+        assert hashlib.sha256(x.tobytes()).hexdigest() == _GIG_PINS[(p, w)]
+
+    @pytest.mark.parametrize("p", _GIG_P)
+    @pytest.mark.parametrize("w", _GIG_W)
     def test_gig_matches_scipy(self, p, w):
         n = 5000
         rng = np.random.default_rng(11)
@@ -505,6 +574,44 @@ class TestScaleDraws:
             target.draw_scales(x, cache, [np.random.default_rng(17)])
         assert np.array_equal(x, before)
 
+    @pytest.fixture
+    def stacked(self):
+        spec, seasons, _ = _seasons(3, 2, 3)
+        target = sampler.ModelTarget(spec, seasons)
+        x = target.initial_vector([np.random.default_rng([18, r]) for r in range(3)])
+        return target, x, target.make_cache(x)
+
+    def test_an_improper_conditional_in_a_stack_changes_nothing(self, stacked):
+        # replication 1's gamma sum of squares is zero: no scale of any
+        # replication moves, though replication 0's four come first
+        target, x, cache = stacked
+        cache.share[2].reshape(3, -1)[1] = 0.0
+        before, logp = x.copy(), cache.logp
+        streams = [np.random.default_rng([19, r]) for r in range(3)]
+        with pytest.raises(NumericalError, match="log_sigma_gamma: sum of squares 0.0"):
+            target.draw_scales(x, cache, streams)
+        assert np.array_equal(x, before)
+        assert cache.logp == logp
+
+    @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+    def test_a_bad_draw_in_a_stack_changes_nothing(self, stacked, monkeypatch, bad):
+        # the tenth draw is replication 2's beta scale (four a replication)
+        target, x, cache = stacked
+        real, calls = sampler._gig, []
+
+        def failing(rng, p, a, b):
+            calls.append(1)
+            return bad if len(calls) == 10 else real(rng, p, a, b)
+
+        monkeypatch.setattr(sampler, "_gig", failing)
+        before, logp = x.copy(), cache.logp
+        streams = [np.random.default_rng([20, r]) for r in range(3)]
+        with pytest.raises(NumericalError, match="log_sigma_beta: scale draw"):
+            target.draw_scales(x, cache, streams)
+        assert len(calls) == 10
+        assert np.array_equal(x, before)
+        assert cache.logp == logp
+
 
 def _three_race_season():
     """S=4 T=3 Z=3: mu, beta and omega are all vector blocks."""
@@ -513,6 +620,34 @@ def _three_race_season():
         synth.SynthConfig(n_athletes=4, n_stages=3, schedule=schedule, seed=5)
     )
     return d, model.ModelSpec(S=4, T=3, Z=3)
+
+
+def _cpu_has_avx512() -> bool:
+    """Whether the CPU itself has AVX-512F.  numpy's ``__cpu_features__``
+    would not tell: it reports AVX512F even with its AVX-512 targets
+    disabled."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return any(line.startswith("flags") and "avx512f" in line.split() for line in fh)
+    except OSError:
+        return False
+
+
+# numpy's SIMD paths and OpenBLAS's kernels of an AVX2-only CPU, set by
+# environment alone on an AVX-512 one
+_EMULATED_AVX2 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR",
+                  "OPENBLAS_CORETYPE": "Haswell"}
+
+# fit the pickled (spec, dataset, config), write the draws container, and
+# print the SIMD targets numpy dispatched to
+_FIT_IN_SUBPROCESS = """
+import json, pickle, sys
+from biathlon_bayes import cli, sampler
+with open(sys.argv[1], "rb") as fh:
+    spec, d, cfg = pickle.load(fh)
+sampler.export_draws(sampler.run_chains(spec, d, cfg), sys.argv[2])
+print(json.dumps(cli._numeric_environment()["numpy_cpu_dispatch"]))
+"""
 
 
 class TestPinnedDraws:
@@ -541,6 +676,27 @@ class TestPinnedDraws:
         d, spec = _three_race_season()
         cfg = SamplerConfig(n_chains=2, burn_in=50, kept_iterations=150, thin=2, seed=7)
         assert self._sha(run_chains(spec, d, cfg)) == digest
+
+    @pytest.mark.skipif(not _cpu_has_avx512(), reason="emulating AVX2 needs an AVX-512 CPU")
+    def test_multi_stage_fit_on_an_emulated_avx2_cpu(self, tmp_path, monkeypatch):
+        # the pin above need not hold on an AVX2-only CPU, but the fit must
+        # take the same accept/reject path and agree to rounding
+        monkeypatch.setenv(sampler.THREADS_ENV, "1")
+        d, spec = _three_race_season()
+        cfg = SamplerConfig(n_chains=2, burn_in=50, kept_iterations=150, thin=2, seed=7)
+        (tmp_path / "fit.pkl").write_bytes(pickle.dumps((spec, d, cfg)))
+        src = str(Path(sampler.__file__).parents[1])
+        env = dict(os.environ, **_EMULATED_AVX2,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _FIT_IN_SUBPROCESS, str(tmp_path / "fit.pkl"),
+                              str(tmp_path / "draws.bin")],
+                             env=env, capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stderr
+        dispatched = json.loads(run.stdout)
+        assert "X86_V3" in dispatched and "X86_V4" not in dispatched  # the emulation took
+        emulated, here = import_draws(tmp_path / "draws.bin"), run_chains(spec, d, cfg)
+        assert emulated.acceptance_rates == here.acceptance_rates
+        assert np.abs(emulated.draws - here.draws).max() <= 1e-12
 
     def test_golden_mu_only_fit(self, golden, monkeypatch):
         monkeypatch.setenv(sampler.THREADS_ENV, "1")
