@@ -38,8 +38,19 @@ dataset; then it writes the new log scales into x at once and moves the
 log-posterior by their closed-form change, exact to rounding.  A draw
 that fails leaves the state as it was.
 
-Chains draw from independent RNG streams keyed by (seed, chain index), so
-results are identical no matter how chains are scheduled across workers.
+Chains draw from independent RNG streams keyed by (seed, chain index).  On
+one machine and one numeric environment (the Python, numpy and scipy
+versions, numpy's SIMD targets and the BLAS kernel), reruns are
+byte-identical and the draws do not depend on the worker count.  On another
+CPU, with other SIMD targets or another BLAS kernel, draws agree only to
+rounding, and only until some branch flips: an accept/reject, or a ``_gig``
+rejection loop.  After that, a long fit is equal in law, not in value.
+Under an emulated AVX2 CPU the measured difference was at most 3.8e-14.
+
+``run_chain``, the runner, owns the streams, the sweep count, thinning and
+retention.  One sweep is the kernel's (``_Metropolis``): it owns the step
+sizes and their adaptation, the acceptance counts, the block tries and the
+cache with its rebuilds.
 
 Every target covers a stack of R datasets of one model shape that share
 no record, and a fit of one dataset is a stack of R = 1.  Many small fits
@@ -48,12 +59,12 @@ block builder gives every target its layout, and with R >= 2 every block,
 a trajectory's rows included, is one class block across the stack, so
 each block steps every replication at once by the class path, and each
 replication still follows its own fit's law and block order.  The runner
-hands the target one RNG stream per dataset, keyed (seed_r, chain index)
-as that dataset's own fit's is, and replication r draws from its stream
-in its own fit's order, so its draws do not depend on which other
-datasets share its stack.  They match its own fit only to rounding: a fit
-of one dataset keeps the row path for its row blocks, whose sums round
-differently.
+hands the kernel, and the kernel the target, one RNG stream per dataset,
+keyed (seed_r, chain index) as that dataset's own fit's is, and
+replication r draws from its stream in its own fit's order, so its draws
+do not depend on which other datasets share its stack.  They match its own
+fit only to rounding: a fit of one dataset keeps the row path for its row
+blocks, whose sums round differently.
 
 Likelihood deltas are computed from cached per-cell log-odds.  A cell is
 one (athlete, stage, position, race type) of a dataset (``Dataset.cells``):
@@ -156,14 +167,16 @@ class Block:
     on its own, and row ``r`` reports as ``f"{name}[{r + 1}]"``.  A row of
     one coordinate is a scalar row: it starts from a larger step and adapts
     toward a higher acceptance rate than a vector row.  The target gives
-    each block its proposal shape (``proposal_transform``).
+    each block its proposal shape (``proposal_transform``).  The kernel
+    reads a block's idx, repeats and names only; its payload is the
+    target's own.
     """
 
     name: str
     idx: np.ndarray
     kind: str = "generic"
     payload: object = None
-    repeats: int = 1  # MH tries per sweep visit
+    repeats: int = 1  # the kernel's MH tries per sweep visit
 
     @property
     def rows(self) -> int:
@@ -177,38 +190,28 @@ class Block:
 
 
 # ---------------------------------------------------------------------------
-# generic chain runner over a block target
+# the chain runner and the Metropolis kernel
 #
-# A target provides: dim, blocks, initial_vector(streams), make_cache(x) (a
-# finite cache.logp at every finite x), proposal_transform(x, block) -> A,
-# propose_delta(x, cache, block, prop) -> (delta_logp, stash),
-# commit(x, cache, block, prop, stash) and draw_scales(x, cache, streams);
-# a target with class blocks (2-D idx) also propose_rows(x, cache, block,
-# prop) -> (delta per row, stash) and commit_rows(x, cache, block, prop,
-# stash, accept).  A is any matrix
-# with A @ A.T the block's proposal covariance (stacked, one per row, for a
-# class block), so the step A @ z has that covariance; it is asked for once
-# per block visit, so it may depend only on coordinates no block covers.
-# The stash is the target's own record of the proposal: commit, called
-# only on acceptance and before x changes, must raise cache.logp by exactly
-# the delta that propose_delta returned with it; commit_rows, called before
-# x changes with the mask of accepted rows (at least one), by exactly the
-# sum of their deltas.  draw_scales, called once at the end of every sweep,
-# is an exact Gibbs step on coordinates that no block covers (a no-op if
-# there are none): it updates x and raises cache.logp by the change it
-# makes, exact to rounding, which the periodic rebuild clears.
-# ModelTarget's takes every draw first, in (dataset, class) order, and then
-# writes x and cache.logp once, so a draw that fails changes neither.  The
-# runner reads a block's idx, repeats and names only; its payload is the
-# target's own.
+# Runner and kernel.  ``run_chain`` owns the RNG streams (one per dataset of
+# the target), the sweep count, thinning and retention.  The kernel's
+# ``init(streams)`` returns the initial state x; ``sweep(x, streams)``, handed
+# the same stream list every sweep, moves x one sweep in place; ``record()``
+# returns the kernel's per-row report for ``ChainResult``.  The runner reads
+# nothing of the target but ``target.dim``.
 #
-# A target covers R datasets (R = 1 for one fit), and the runner hands it
-# the list of their R streams, one per dataset (``seeds``): initial_vector
-# and draw_scales draw dataset r from stream r, in dataset order.  A class
-# block's rows are R equal runs in dataset order, and a class step draws
-# each run from its own stream; a row block exists only when R = 1 and
-# draws from the one stream.  So every stream is consumed in exactly the
-# order that its dataset's fit of one dataset consumes it.
+# Kernel and block target.  The target provides dim, blocks,
+# initial_vector(streams), make_cache(x) (a finite cache.logp at every finite
+# x), proposal_transform(x, block) -> A with A @ A.T the proposal covariance
+# (one per row of a class block; it may depend only on coordinates no block
+# covers), propose_delta(x, cache, block, prop) -> (delta, stash) and
+# commit(x, cache, block, prop, stash), called before x changes, which raises
+# cache.logp by exactly that delta; with class blocks (2-D idx) also
+# propose_rows -> (delta per row, stash) and commit_rows(..., stash, accept),
+# by exactly the sum of the accepted rows' deltas; and draw_scales(x, cache,
+# streams), an exact Gibbs step on the coordinates no block covers, which
+# ends every sweep.  Dataset r draws from stream r: a class block's rows are
+# R equal runs in dataset order, and a row block exists only when R = 1, so
+# every stream is consumed in its dataset's own fit's order.
 
 
 @dataclass
@@ -225,34 +228,61 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int, seeds=None) -> ChainRe
     ``rng_for(seed, chain_idx)``; by default the one stream of
     ``cfg.seed``."""
     streams = [rng_for(s, chain_idx) for s in (seeds or (cfg.seed,))]
-    normals, uniforms = _by_stream(streams, "standard_normal"), _by_stream(streams, "random")
-    x = target.initial_vector(streams)
-    cache = target.make_cache(x)
-    if not np.isfinite(cache.logp):
-        raise NumericalError(f"chain {chain_idx}: initial log-posterior is {cache.logp}")
-
-    blocks = target.blocks
-    counts = [b.rows for b in blocks]
-    ends = np.cumsum(counts)
-    rows = [slice(e - c, e) for c, e in zip(counts, ends)]  # each block's rows
-    size = [b.idx.shape[-1] for b in blocks]
-    # every row adapts its own step size; the rows of a block share its try
-    # count, and with it the Robbins-Monro gain
-    log_scale = np.repeat(
-        [0.875 if n == 1 else np.log(2.38 / np.sqrt(n)) for n in size], counts
-    )  # 0.875 = ln 2.4
-    adapt_count = np.zeros(len(blocks))
-    post_prop = np.zeros(len(blocks))
-    post_acc = np.zeros(len(log_scale))
-
-    total = cfg.burn_in + cfg.kept_iterations
+    kernel = _Metropolis(target, cfg.burn_in, chain_idx)
+    x = kernel.init(streams)
+    for _ in range(cfg.burn_in):
+        kernel.sweep(x, streams)
     retained = np.empty((cfg.n_retained, target.dim))
-    r_i = 0
+    for draw in retained:
+        for _ in range(cfg.thin):
+            kernel.sweep(x, streams)
+        draw[:] = x
+    return ChainResult(draws=retained, **kernel.record())
 
-    for it in range(1, total + 1):
-        for b, block in enumerate(blocks):
-            r = rows[b]
-            rate = _TARGET_RATE_SCALAR if size[b] == 1 else _TARGET_RATE_VECTOR
+
+class _Metropolis:
+    """Adaptive Metropolis-within-Gibbs over a block target.  Each sweep
+    visits every block ``repeats`` times, each row stepping by its own step
+    size, adapted by Robbins-Monro through the first ``burn_in`` sweeps and
+    frozen after; then the target draws its scales.  The kernel keeps the
+    target's cache and rebuilds it at the burn-in boundary and every
+    ``_CACHE_REFRESH`` sweeps."""
+
+    def __init__(self, target, burn_in: int, chain_idx: int):
+        self.target, self.burn_in, self.chain_idx = target, burn_in, chain_idx
+        self.blocks = target.blocks
+        self.counts = [b.rows for b in self.blocks]
+        ends = np.cumsum(self.counts)
+        rows = [slice(e - c, e) for c, e in zip(self.counts, ends)]  # each block's rows
+        size = [b.idx.shape[-1] for b in self.blocks]
+        # per block: its index, its rows and its target acceptance rate
+        self.plan = [(b, block, r, _TARGET_RATE_SCALAR if n == 1 else _TARGET_RATE_VECTOR)
+                     for b, (block, r, n) in enumerate(zip(self.blocks, rows, size))]
+        # every row adapts its own step size; the rows of a block share its try
+        # count, and with it the Robbins-Monro gain
+        self.log_scale = np.repeat(
+            [0.875 if n == 1 else np.log(2.38 / np.sqrt(n)) for n in size], self.counts
+        )  # 0.875 = ln 2.4
+        self.adapt_count = np.zeros(len(self.blocks))
+        self.post_prop = np.zeros(len(self.blocks))
+        self.post_acc = np.zeros(len(self.log_scale))
+        self.it = 0  # sweeps done
+
+    def init(self, streams) -> np.ndarray:
+        self.normals = _by_stream(streams, "standard_normal")
+        self.uniforms = _by_stream(streams, "random")
+        x = self.target.initial_vector(streams)
+        self.cache = cache = self.target.make_cache(x)
+        if not np.isfinite(cache.logp):
+            raise NumericalError(f"chain {self.chain_idx}: initial log-posterior is {cache.logp}")
+        return x
+
+    def sweep(self, x, streams):
+        target, cache, burn_in, log_scale = self.target, self.cache, self.burn_in, self.log_scale
+        adapt_count, post_prop, post_acc = self.adapt_count, self.post_prop, self.post_acc
+        normals, uniforms = self.normals, self.uniforms
+        self.it = it = self.it + 1
+        for b, block, r, rate in self.plan:
             A = target.proposal_transform(x, block)  # no try of the visit moves a scale
             for _try in range(block.repeats):
                 cur = x[block.idx]
@@ -276,7 +306,7 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int, seeds=None) -> ChainRe
                         target.commit_rows(x, cache, block, prop, stash, accept)
                         x[block.idx[accept]] = prop[accept]
 
-                if it <= cfg.burn_in:
+                if it <= burn_in:
                     adapt_count[b] += 1
                     alpha_prob = np.where(np.isfinite(log_alpha),
                                           np.exp(np.minimum(log_alpha, 0.0)), 0.0)
@@ -286,21 +316,18 @@ def run_chain(target, cfg: SamplerConfig, chain_idx: int, seeds=None) -> ChainRe
                     post_acc[r] += accept
         target.draw_scales(x, cache, streams)
 
-        if it == cfg.burn_in:
-            cache = target.make_cache(x)
-        if it > cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-            retained[r_i] = x
-            r_i += 1
+        if it == burn_in:
+            self.cache = target.make_cache(x)
         if it % _CACHE_REFRESH == 0:
-            cache = target.make_cache(x)
+            self.cache = target.make_cache(x)
 
-    acceptance = post_acc / np.maximum(np.repeat(post_prop, counts), 1.0)
-    return ChainResult(
-        draws=retained,
-        acceptance=acceptance,
-        scales=np.exp(log_scale),
-        block_names=tuple(n for b in blocks for n in b.row_names),
-    )
+    def record(self) -> dict:
+        """Each row's post-burn-in acceptance rate and frozen step size, by name."""
+        return dict(
+            acceptance=self.post_acc / np.maximum(np.repeat(self.post_prop, self.counts), 1.0),
+            scales=np.exp(self.log_scale),
+            block_names=tuple(n for b in self.blocks for n in b.row_names),
+        )
 
 
 def _by_stream(streams, method: str):

@@ -1,5 +1,6 @@
-"""Sampler tests: the generic block runner on analytically known targets,
-adaptation bookkeeping, convergence diagnostics, and the draws container."""
+"""Sampler tests: the chain runner and the Metropolis kernel on
+analytically known targets, adaptation bookkeeping, convergence
+diagnostics, and the draws container."""
 
 import csv
 import dataclasses
@@ -40,10 +41,11 @@ from biathlon_bayes.sampler import (
     summarize,
     worker_cap,
 )
+from biathlon_bayes.streams import rng_for
 
 
 class _GaussTarget:
-    """Correlated-normal toy target driven through the generic runner.
+    """Correlated-normal toy target driven through the runner and kernel.
 
     ``block_mode`` picks one joint vector block or one scalar block per
     coordinate, so both adaptation targets get exercised.  Each block's
@@ -129,6 +131,64 @@ class TestRunnerOnKnownTarget:
         short = run_chain(target, cfg_short, 0)
         long = run_chain(target, cfg_long, 0)
         assert np.array_equal(long.scales, short.scales)
+
+    def test_the_runner_keeps_every_thin_th_state_after_burn_in(self, monkeypatch):
+        # a stub kernel writes its sweep count into x: the runner sweeps
+        # burn_in + kept_iterations times, keeps the state after sweeps 5, 7
+        # and 9, and hands the kernel one stream list, stream r keyed by
+        # seeds[r]; a target of nothing but dim is all it reads
+        handed = []
+
+        class Stub:
+            def __init__(self, target, burn_in, chain_idx):
+                self.sweeps = 0
+
+            def init(self, streams):
+                handed.append(streams)
+                return np.zeros(1)
+
+            def sweep(self, x, streams):
+                handed.append(streams)
+                self.sweeps += 1
+                x[0] = self.sweeps
+
+            def record(self):
+                return dict(acceptance=np.empty(0), scales=np.empty(0), block_names=())
+
+        monkeypatch.setattr(sampler, "_Metropolis", Stub)
+        cfg = SamplerConfig(n_chains=1, burn_in=3, kept_iterations=6, thin=2, seed=0)
+        res = run_chain(SimpleNamespace(dim=1), cfg, 4, seeds=(11, 12))
+        assert res.draws.tolist() == [[5.0], [7.0], [9.0]]
+        assert len(handed) == 1 + 9 and all(s is handed[0] for s in handed)
+        assert [g.bit_generator.state for g in handed[0]] == [
+            rng_for(s, 4).bit_generator.state for s in (11, 12)]
+
+    def test_the_cache_is_rebuilt_at_burn_in_and_every_refresh(self):
+        # the first cache, the burn-in boundary and every _CACHE_REFRESH
+        # sweeps; every move and scale draw after a rebuild reads the new one
+        class Counting(_GaussTarget):
+            def __init__(self, mean, cov):
+                super().__init__(mean, cov)
+                self.sweeps, self.rebuilt_at, self.latest = 0, [], None
+
+            def make_cache(self, x):
+                self.rebuilt_at.append(self.sweeps)
+                self.latest = super().make_cache(x)
+                return self.latest
+
+            def propose_delta(self, x, cache, block, prop):
+                assert cache is self.latest
+                return super().propose_delta(x, cache, block, prop)
+
+            def draw_scales(self, x, cache, streams):
+                assert cache is self.latest
+                self.sweeps += 1
+
+        target = Counting(_TOY_MEAN, _TOY_COV)
+        run_chain(target, SamplerConfig(n_chains=1, burn_in=300, kept_iterations=1200,
+                                        thin=1, seed=5), 0)
+        assert sampler._CACHE_REFRESH == 500
+        assert target.rebuilt_at == [0, 300, 500, 1000, 1500]
 
 
 class TestSamplerConfig:
@@ -217,7 +277,7 @@ def _log_posterior(target, x):
 
 
 def _move(target, x, cache, block, prop, accept=None):
-    """Commit a move of ``block`` to ``prop`` the way ``run_chain`` does: a
+    """Commit a move of ``block`` to ``prop`` the way the kernel does: a
     row block whole, a class block's rows where ``accept`` (default: all)
     is true.  Returns the deltas ``propose_delta``/``propose_rows`` gave."""
     if block.idx.ndim == 1:
@@ -381,7 +441,7 @@ def test_a_target_has_one_row_per_cell(season_dataset):
 
 
 def test_cache_drift_between_rebuilds_at_paper_scale(season_dataset):
-    # run_chain rebuilds the running cache every _CACHE_REFRESH sweeps; in
+    # the kernel rebuilds the running cache every _CACHE_REFRESH sweeps; in
     # between, every accepted move and scale draw adds its rounding to eta
     # and logp, while the shares are stored and stay exact
     target = sampler.ModelTarget(model.ModelSpec.for_dataset(season_dataset), season_dataset)
@@ -874,7 +934,7 @@ class TestClassStep:
                 delta, stash = target.propose_rows(x, cache, block, prop)
             assert np.isnan(delta[1]) and np.isfinite(np.delete(delta, 1)).all(), block.name
             with np.errstate(divide="ignore"):
-                accept = (delta >= 0.0) | (np.log(0.0) < delta)  # u = 0 in run_chain's test
+                accept = (delta >= 0.0) | (np.log(0.0) < delta)  # u = 0 in the kernel's test
             assert np.flatnonzero(~accept).tolist() == [1], block.name
             target.commit_rows(x, cache, block, prop, stash, accept)
             x[block.idx[accept]] = prop[accept]
