@@ -337,8 +337,11 @@ class PriorClass(NamedTuple):
     precision: np.ndarray
 
     def shares(self, v: np.ndarray) -> np.ndarray:
-        """``v @ P @ v`` of one row ``v``, or of each row of a stack."""
-        return ((v @ self.precision) * v).sum(axis=-1)
+        """``v @ P @ v`` of one row ``v``, or of each row of a stack.  Each
+        row is its own ``(1, n) @ P`` product, so a row has the same bits
+        alone as in any stack: ``v @ P`` of a stack goes through another
+        BLAS routine than of one row, and the two round differently."""
+        return (np.matmul(v[..., None, :], self.precision)[..., 0, :] * v).sum(axis=-1)
 
 
 @functools.cache

@@ -372,14 +372,15 @@ def sbc(
     rank is uniform, so per-parameter chi-square tests on the binned ranks
     should not reject and central intervals should cover at nominal rates.
 
-    The real sampler fits every simulated season as one stacked chain
-    (``sampler.run_stack``), replication r from the streams of its own fit
-    seed: its draws are those of any stack that holds it, so they do not
-    depend on the other replications.  A DataError or NumericalError in
-    that fit fails every replication of the stack.  The ranks and the
-    coverage need only each replication's counts of draws below and at or
-    below each truth, so the fit's chains are counted one at a time and
-    never held together.
+    The real sampler fits the simulated seasons together
+    (``sampler.run_stack``: a unit per season and chain, stacked on each
+    worker), replication r from the streams of its own fit seed: its draws
+    are bit for bit those of its own fit, so they depend neither on the
+    other replications nor on the worker count.  A DataError or
+    NumericalError in that fit fails every replication of the stack.  The
+    ranks and the coverage need only each replication's counts of draws
+    below and at or below each truth, so the fit's chains are counted one
+    at a time and never held together.
 
     ``fit_fn(dataset, spec, sampler_cfg, fit_seed) -> (M, dim) array`` may
     replace the real sampler (used by fault-injection tests); it fits one

@@ -47,24 +47,30 @@ rounding, and only until some branch flips: an accept/reject, or a ``_gig``
 rejection loop.  After that, a long fit is equal in law, not in value.
 Under an emulated AVX2 CPU the measured difference was at most 3.8e-14.
 
-``run_chain``, the runner, owns the streams, the sweep count, thinning and
-retention.  One sweep is the kernel's (``_Metropolis``): it owns the step
-sizes and their adaptation, the acceptance counts, the block tries and the
-cache with its rebuilds.
+A unit is one chain of one dataset: a (dataset, seed, chain) triple, whose
+draws come from the stream ``rng_for(seed, chain)``.  Every fit is a list of
+units: ``run_chains`` makes one unit per chain of its dataset, ``run_stack``
+one per dataset and chain.  The units split over at most ``worker_cap()``
+processes.  If every unit's dataset has at most ``_STACK_CELLS`` cells, a
+worker runs its share of them as one stack, one target over their datasets;
+larger units run one at a time, where a stack costs more per sweep than the
+calls it saves.  ``run_chain``, the runner, owns the streams, the sweep
+count, thinning and retention.  One sweep is the kernel's
+(``_Metropolis``): it owns the step sizes and their adaptation, the
+acceptance counts, the block tries and the cache with its rebuilds.
 
 Every target covers a stack of R datasets of one model shape that share
-no record, and a fit of one dataset is a stack of R = 1.  Many small fits
-run as one stack (``run_stack``, which the calibration oracle uses): one
-block builder gives every target its layout, and with R >= 2 every block,
-a trajectory's rows included, is one class block across the stack, so
-each block steps every replication at once by the class path, and each
-replication still follows its own fit's law and block order.  The runner
-hands the kernel, and the kernel the target, one RNG stream per dataset,
-keyed (seed_r, chain index) as that dataset's own fit's is, and
-replication r draws from its stream in its own fit's order, so its draws
-do not depend on which other datasets share its stack.  They match its own
-fit only to rounding: a fit of one dataset keeps the row path for its row
-blocks, whose sums round differently.
+no record, and a fit of one dataset is a stack of R = 1.  One block
+builder gives every target its layout, and with R >= 2 every block, a
+trajectory's rows included, is one class block across the stack, so each
+block steps every unit at once by the class path, and each unit still
+follows its own fit's law and block order.  The runner hands the kernel,
+and the kernel the target, one RNG stream per dataset, and unit r draws
+from its stream in its own fit's order.  A row block (R = 1) does the
+arithmetic of one row of a class block: the same matrix-vector product
+per row, the same per-row prior share, and its cells' log-likelihood
+change summed in cell order.  So a unit's draws are bit-identical alone,
+in any stack, in any order within it and on any worker split.
 
 Likelihood deltas are computed from cached per-cell log-odds.  A cell is
 one (athlete, stage, position, race type) of a dataset (``Dataset.cells``):
@@ -122,6 +128,8 @@ _TARGET_RATE_VECTOR = 0.35
 _TARGET_RATE_SCALAR = 0.44
 _ADAPT_DECAY = 0.6
 _CACHE_REFRESH = 500  # sweeps between full cache rebuilds
+# a unit whose dataset has at most this many cells runs in a stack
+_STACK_CELLS = 512
 
 
 @dataclass(frozen=True)
@@ -192,12 +200,13 @@ class Block:
 # ---------------------------------------------------------------------------
 # the chain runner and the Metropolis kernel
 #
-# Runner and kernel.  ``run_chain`` owns the RNG streams (one per dataset of
-# the target), the sweep count, thinning and retention.  The kernel's
-# ``init(streams)`` returns the initial state x; ``sweep(x, streams)``, handed
-# the same stream list every sweep, moves x one sweep in place; ``record()``
-# returns the kernel's per-row report for ``ChainResult``.  The runner reads
-# nothing of the target but ``target.dim``.
+# Runner and kernel.  ``run_chain`` owns the RNG streams (one per unit, that
+# is per dataset of the target), the sweep count, thinning and retention.
+# The kernel's ``init(streams)`` returns the initial state x;
+# ``sweep(x, streams)``, handed the same stream list every sweep, moves x one
+# sweep in place; ``record()`` returns the kernel's per-row report for
+# ``ChainResult``, unit by unit.  The runner reads nothing of the target but
+# ``target.dim``, and a unit's draws depend on its own stream alone.
 #
 # Kernel and block target.  The target provides dim, blocks,
 # initial_vector(streams), make_cache(x) (a finite cache.logp at every finite
@@ -211,23 +220,32 @@ class Block:
 # streams), an exact Gibbs step on the coordinates no block covers, which
 # ends every sweep.  Dataset r draws from stream r: a class block's rows are
 # R equal runs in dataset order, and a row block exists only when R = 1, so
-# every stream is consumed in its dataset's own fit's order.
+# every stream is consumed in its dataset's own fit's order.  A row's delta
+# has the same bits from propose_delta as from propose_rows.
 
 
 @dataclass
 class ChainResult:
+    """One ``run_chain``: the retained draws ``(retained, target.dim)``, and
+    each row's post-burn-in acceptance rate and frozen step size, named by
+    ``block_names``.  A stack of R units lists its rows unit by unit, each
+    unit's named as in a fit of its dataset alone (``_by_unit``)."""
+
     draws: np.ndarray
     acceptance: np.ndarray       # post-burn-in acceptance rate per block
     scales: np.ndarray           # proposal scales, frozen since burn-in ended
     block_names: tuple[str, ...]
 
 
-def run_chain(target, cfg: SamplerConfig, chain_idx: int, seeds=None) -> ChainResult:
-    """Run one chain; deterministic given (target inputs, seeds, chain_idx).
-    ``seeds`` keys one stream per dataset of the target, each as
-    ``rng_for(seed, chain_idx)``; by default the one stream of
-    ``cfg.seed``."""
-    streams = [rng_for(s, chain_idx) for s in (seeds or (cfg.seed,))]
+def run_chain(target, cfg: SamplerConfig, chain_idx, seeds=None) -> ChainResult:
+    """Run one chain of ``target``; deterministic given (target inputs,
+    seeds, chain indices).  Dataset r of the target is one unit, and draws
+    from the stream ``rng_for(seeds[r], chains[r])``: ``chain_idx`` is one
+    chain index for every dataset or one per dataset, and ``seeds`` is by
+    default the one seed ``cfg.seed``."""
+    seeds = tuple(seeds or (cfg.seed,))
+    chains = (chain_idx,) * len(seeds) if np.ndim(chain_idx) == 0 else tuple(chain_idx)
+    streams = [rng_for(s, c) for s, c in zip(seeds, chains, strict=True)]
     kernel = _Metropolis(target, cfg.burn_in, chain_idx)
     x = kernel.init(streams)
     for _ in range(cfg.burn_in):
@@ -246,18 +264,18 @@ class _Metropolis:
     size, adapted by Robbins-Monro through the first ``burn_in`` sweeps and
     frozen after; then the target draws its scales.  The kernel keeps the
     target's cache and rebuilds it at the burn-in boundary and every
-    ``_CACHE_REFRESH`` sweeps."""
+    ``_CACHE_REFRESH`` sweeps, once where the two meet."""
 
-    def __init__(self, target, burn_in: int, chain_idx: int):
+    def __init__(self, target, burn_in: int, chain_idx):
         self.target, self.burn_in, self.chain_idx = target, burn_in, chain_idx
         self.blocks = target.blocks
         self.counts = [b.rows for b in self.blocks]
         ends = np.cumsum(self.counts)
-        rows = [slice(e - c, e) for c, e in zip(self.counts, ends)]  # each block's rows
+        self.rows = [slice(e - c, e) for c, e in zip(self.counts, ends)]  # each block's rows
         size = [b.idx.shape[-1] for b in self.blocks]
         # per block: its index, its rows and its target acceptance rate
         self.plan = [(b, block, r, _TARGET_RATE_SCALAR if n == 1 else _TARGET_RATE_VECTOR)
-                     for b, (block, r, n) in enumerate(zip(self.blocks, rows, size))]
+                     for b, (block, r, n) in enumerate(zip(self.blocks, self.rows, size))]
         # every row adapts its own step size; the rows of a block share its try
         # count, and with it the Robbins-Monro gain
         self.log_scale = np.repeat(
@@ -269,12 +287,15 @@ class _Metropolis:
         self.it = 0  # sweeps done
 
     def init(self, streams) -> np.ndarray:
+        self.units = len(streams)
         self.normals = _by_stream(streams, "standard_normal")
         self.uniforms = _by_stream(streams, "random")
         x = self.target.initial_vector(streams)
         self.cache = cache = self.target.make_cache(x)
         if not np.isfinite(cache.logp):
-            raise NumericalError(f"chain {self.chain_idx}: initial log-posterior is {cache.logp}")
+            c = self.chain_idx
+            chains = f"chain {c}" if np.ndim(c) == 0 else "chains " + ", ".join(map(str, c))
+            raise NumericalError(f"{chains}: initial log-posterior is {cache.logp}")
         return x
 
     def sweep(self, x, streams):
@@ -297,7 +318,8 @@ class _Metropolis:
                         target.commit(x, cache, block, prop, stash)
                         x[block.idx] = prop
                 else:  # a class: every row proposed, tested and committed on its own
-                    prop = cur + np.exp(log_scale[r])[:, None] * np.einsum("rij,rj->ri", A, z)
+                    # one matrix-vector product per row: A @ z's bits, as a row alone
+                    prop = cur + np.exp(log_scale[r])[:, None] * np.matmul(A, z[..., None])[..., 0]
                     log_alpha, stash = target.propose_rows(x, cache, block, prop)
                     u = uniforms(block.rows)
                     with np.errstate(divide="ignore"):  # log(0) is masked by u > 0
@@ -316,32 +338,39 @@ class _Metropolis:
                     post_acc[r] += accept
         target.draw_scales(x, cache, streams)
 
-        if it == burn_in:
-            self.cache = target.make_cache(x)
-        if it % _CACHE_REFRESH == 0:
+        if it == burn_in or it % _CACHE_REFRESH == 0:
             self.cache = target.make_cache(x)
 
     def record(self) -> dict:
-        """Each row's post-burn-in acceptance rate and frozen step size, by name."""
-        return dict(
-            acceptance=self.post_acc / np.maximum(np.repeat(self.post_prop, self.counts), 1.0),
-            scales=np.exp(self.log_scale),
-            block_names=tuple(n for b in self.blocks for n in b.row_names),
-        )
+        """Each row's post-burn-in acceptance rate and frozen step size, by
+        name, unit by unit: every block's rows are one equal run per unit
+        (stream), and unit u's rows are named as in a fit of its dataset
+        alone."""
+        R = self.units
+        rate = self.post_acc / np.maximum(np.repeat(self.post_prop, self.counts), 1.0)
+        order = np.concatenate([np.arange(r.start, r.stop).reshape(R, -1) for r in self.rows],
+                               axis=1).ravel()
+        names = [n for b in self.blocks
+                 for n in ([b.name] if b.rows == R else b.row_names[:b.rows // R])]
+        return dict(acceptance=rate[order], scales=np.exp(self.log_scale)[order],
+                    block_names=tuple(names) * R)
 
 
 def _by_stream(streams, method: str):
     """A draw of a block's rows: the leading axis of ``shape`` is one equal
-    run of rows per stream, each run drawn by that stream's ``method``, in
-    stream order.  One stream draws by its own ``method``: the row blocks
-    of a target of one dataset draw a scalar with no shape."""
+    run of rows per stream, each run filled in place by that stream's
+    ``method``, in stream order.  One stream draws by its own ``method``:
+    the row blocks of a target of one dataset draw a scalar with no shape."""
     if len(streams) == 1:
         return getattr(streams[0], method)
+    fills = [getattr(g, method) for g in streams]
 
     def draw(shape):
-        shape = np.atleast_1d(shape)
-        run = (shape[0] // len(streams), *shape[1:])
-        return np.concatenate([getattr(g, method)(run) for g in streams])
+        out = np.empty(shape)
+        run = len(out) // len(fills)
+        for i, fill in enumerate(fills):
+            fill(out=out[i * run:(i + 1) * run])
+        return out
 
     return draw
 
@@ -551,11 +580,15 @@ class ModelTarget:
 
     def propose_delta(self, x, cache, block, prop):
         k, g, slot = block.payload
+        # m holds 0 and +-1 only, one non-zero a cell for mu and for a
+        # trajectory, so m @ d is exact and has propose_rows' bits
         eta = cache.eta[g.rec] + g.m @ (prop - x[block.idx])
         ll = _model.bout_log_likelihoods(g.hits, eta, g.shots, g.log_choose)
+        # summed in cell order, as propose_rows sums each row's cells
+        d_ll = np.bincount(np.zeros(len(ll), np.intp), ll - cache.ll[g.rec], minlength=1)[0]
         share = self._classes[k][2].shares(prop)
         lam = np.exp(-2.0 * self._log_sigma(x, k, slot))
-        delta = float(ll.sum() - cache.ll[g.rec].sum() - 0.5 * (share - cache.share[k][slot]) * lam)
+        delta = float(d_ll - 0.5 * (share - cache.share[k][slot]) * lam)
         return delta, _Stash(eta, ll, delta, share)
 
     def commit(self, x, cache, block, prop, stash):
@@ -771,30 +804,56 @@ def worker_cap() -> int:
         raise DataError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
 
 
-def _chain_results(target, cfg: SamplerConfig, seeds):
-    """Each chain of ``target``, in chain order, run on at most
-    :func:`worker_cap` processes (a worker process on its own copy of the
-    target).  Draws are identical for any worker count because every chain
-    owns its streams, and nothing in the target changes after the build, so
-    sharing it does not change a bit."""
-    n = cfg.n_chains
-    workers = min(worker_cap(), n)
-    if workers == 1:
-        yield from (run_chain(target, cfg, c, seeds) for c in range(n))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            yield from ex.map(run_chain, [target] * n, [cfg] * n, range(n), [seeds] * n)
+def _runs(units) -> list[range]:
+    """How a list of units, each a ``(dataset, seed, chain)`` triple, runs:
+    as consecutive ranges of units, each one ``run_chain`` in one worker
+    process.  If every unit's dataset has at most ``_STACK_CELLS`` cells,
+    the units split into at most :func:`worker_cap` ranges, each run as one
+    stacked target; otherwise each unit runs alone."""
+    n, w = len(units), min(worker_cap(), len(units))
+    if max(len(d.cells.hits) for d, _, _ in units) > _STACK_CELLS:
+        return [range(u, u + 1) for u in range(n)]
+    return [range(i * n // w, (i + 1) * n // w) for i in range(w)]
+
+
+def _run(spec: ModelSpec, units, cfg: SamplerConfig, targets: dict):
+    """Run ``units`` by :func:`_runs` on at most :func:`worker_cap`
+    processes, each on its own copy of its run's target, and yield each
+    run's units and ``ChainResult`` in order.  ``targets`` keeps the
+    targets built, by their datasets.  Unit u draws from ``rng_for(seed_u,
+    chain_u)`` whatever run it is in, and its draws are bit-identical alone
+    and in any stack, so they do not depend on the worker count."""
+    runs, jobs = _runs(units), []
+    for run in runs:
+        datasets, seeds, chains = zip(*(units[u] for u in run))
+        key = tuple(map(id, datasets))
+        if key not in targets:
+            targets[key] = ModelTarget(spec, datasets)
+        jobs.append((targets[key], cfg, chains[0] if len(set(chains)) == 1 else chains, seeds))
+    workers = min(worker_cap(), len(runs))
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        yield from zip(runs, (pool.map if pool else map)(run_chain, *zip(*jobs)))
+
+
+def _by_unit(result: ChainResult, R: int) -> list[ChainResult]:
+    """A ``run_chain`` result of a stack of R units as one result per unit,
+    in stack order, each unit's draws a view of the stack's."""
+    dim, n = result.draws.shape[1] // R, len(result.block_names) // R
+    return [ChainResult(result.draws[:, u * dim:(u + 1) * dim], result.acceptance[u * n:(u + 1) * n],
+                        result.scales[u * n:(u + 1) * n], result.block_names[:n])
+            for u in range(R)]
 
 
 def run_chains(
     spec: ModelSpec, dataset: Dataset, cfg: SamplerConfig | None = None
 ) -> PosteriorSamples:
     """Sample the posterior with ``cfg.n_chains`` independent chains, from
-    the streams of ``cfg.seed``: :func:`run_stack`'s runner on one dataset,
-    with every chain's acceptance rates and proposal scales."""
+    the streams of ``cfg.seed``: one unit per chain, with every chain's
+    acceptance rates and proposal scales."""
     cfg = cfg or SamplerConfig()
     t0 = time.perf_counter()
-    results = list(_chain_results(ModelTarget(spec, dataset), cfg, (cfg.seed,)))
+    units = [(dataset, cfg.seed, c) for c in range(cfg.n_chains)]
+    results = [u for run, r in _run(spec, units, cfg, {}) for u in _by_unit(r, len(run))]
     names = results[0].block_names
     acceptance = {n: tuple(float(r.acceptance[i]) for r in results) for i, n in enumerate(names)}
     scales = {n: tuple(float(r.scales[i]) for r in results) for i, n in enumerate(names)}
@@ -812,27 +871,31 @@ def run_chains(
 
 def run_stack(spec: ModelSpec, datasets, cfg: SamplerConfig, seeds):
     """Fit every dataset of a stack of one ``spec`` with ``cfg``'s chains,
-    dataset r from the streams of ``seeds[r]`` (``cfg.seed`` is not read),
-    each chain one stacked chain of ``ModelTarget(spec, datasets)``.
-    Builds the target, then returns an iterator that runs the chains in
-    turn and gives each one's draws as ``(datasets, retained, spec.dim)``:
-    a caller that drops a chain's draws before taking the next holds one
-    chain's at a time.
+    dataset r from the streams of ``seeds[r]`` (``cfg.seed`` is not read):
+    chain c is the units ``(datasets[r], seeds[r], c)``.  Returns an
+    iterator that runs the chains in turn, on targets built once, and gives
+    each one's draws as ``(datasets, retained, spec.dim)``: a caller that
+    drops a chain's draws before taking the next holds one chain's at a
+    time.
 
-    Dataset r's draws are bit-identical in any stack that holds it with
-    its seed.  A stack of one gives ``run_chains``' draws.  A DataError or
+    Dataset r's draws are bit for bit those of its own fit: of any stack
+    that holds it with its seed, and of ``run_chains``.  A DataError or
     NumericalError anywhere in the stack is the whole stack's."""
     seeds = tuple(seeds)
+    if not datasets:
+        raise DataError("a stack needs at least one dataset")
     if len(seeds) != len(datasets):
         raise DataError(f"{len(datasets)} datasets but {len(seeds)} seeds")
-    return _stack_chains(ModelTarget(spec, datasets), cfg, seeds)
+    targets = {}
+    return (_chain_draws(_run(spec, [(d, s, c) for d, s in zip(datasets, seeds)], cfg, targets), cfg)
+            for c in range(cfg.n_chains))
 
 
-def _stack_chains(target, cfg: SamplerConfig, seeds):
-    """``run_stack``'s chains, run as they are taken."""
-    for result in _chain_results(target, cfg, seeds):
-        yield result.draws.reshape(cfg.n_retained, len(seeds), -1).transpose(1, 0, 2)
-        del result  # before the next chain runs
+def _chain_draws(runs, cfg: SamplerConfig) -> np.ndarray:
+    """One chain's draws of a stack, ``(datasets, retained, dim)``: one
+    run's are a view of its draws."""
+    parts = [r.draws.reshape(cfg.n_retained, len(run), -1).transpose(1, 0, 2) for run, r in runs]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -714,7 +714,7 @@ class TestConfigAndUsage:
         draws = sampler.import_draws(tmp_path / "fit" / "draws.bin").draws
         # the draws of the same fit with the removed proposal setting left out
         assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == (
-            "ed905044c558bfd8ee4cf73c79baf2d068c19af068372f896ac93495fd48316f"
+            "17450de7d5093062a16cce4dfc0e1eb853e63632d379bbc78933a8a9d7940a6f"
         )
 
     def test_older_validate_manifest_replays_its_result(self, tmp_path):

@@ -89,6 +89,33 @@ class _GaussTarget:
         pass  # every coordinate is in a block
 
 
+class _NanTarget(_GaussTarget):
+    def make_cache(self, x):
+        return SimpleNamespace(logp=np.nan)
+
+
+class _CountingRebuilds(_GaussTarget):
+    """Records the sweep count at every cache build, and checks that every
+    move and scale draw reads the latest cache."""
+
+    def __init__(self, mean, cov):
+        super().__init__(mean, cov)
+        self.sweeps, self.rebuilt_at, self.latest = 0, [], None
+
+    def make_cache(self, x):
+        self.rebuilt_at.append(self.sweeps)
+        self.latest = super().make_cache(x)
+        return self.latest
+
+    def propose_delta(self, x, cache, block, prop):
+        assert cache is self.latest
+        return super().propose_delta(x, cache, block, prop)
+
+    def draw_scales(self, x, cache, streams):
+        assert cache is self.latest
+        self.sweeps += 1
+
+
 _TOY_MEAN = np.array([1.0, -1.0])
 _TOY_COV = np.array([[1.0, 0.6], [0.6, 1.0]])
 
@@ -114,13 +141,14 @@ class TestRunnerOnKnownTarget:
     def test_a_nonfinite_initial_log_posterior_is_a_numerical_error(self):
         # make_cache gives a finite logp at every finite x, so a chain draws
         # one initial vector and stops, naming itself, if the target does not
-        class NanTarget(_GaussTarget):
-            def make_cache(self, x):
-                return SimpleNamespace(logp=np.nan)
-
         cfg = SamplerConfig(n_chains=1, burn_in=1, kept_iterations=1, thin=1, seed=3)
         with pytest.raises(NumericalError, match="chain 2: initial log-posterior is nan"):
-            run_chain(NanTarget(_TOY_MEAN, _TOY_COV), cfg, 2)
+            run_chain(_NanTarget(_TOY_MEAN, _TOY_COV), cfg, 2)
+
+    def test_a_stacks_nonfinite_initial_log_posterior_names_its_chains(self):
+        cfg = SamplerConfig(n_chains=1, burn_in=1, kept_iterations=1, thin=1, seed=3)
+        with pytest.raises(NumericalError, match="chains 0, 1, 3: initial log-posterior is nan"):
+            run_chain(_NanTarget(_TOY_MEAN, _TOY_COV), cfg, (0, 1, 3), seeds=(3, 3, 3))
 
     def test_adaptation_stops_at_burn_in(self):
         # scales reported at termination must be the ones frozen when
@@ -166,29 +194,20 @@ class TestRunnerOnKnownTarget:
     def test_the_cache_is_rebuilt_at_burn_in_and_every_refresh(self):
         # the first cache, the burn-in boundary and every _CACHE_REFRESH
         # sweeps; every move and scale draw after a rebuild reads the new one
-        class Counting(_GaussTarget):
-            def __init__(self, mean, cov):
-                super().__init__(mean, cov)
-                self.sweeps, self.rebuilt_at, self.latest = 0, [], None
-
-            def make_cache(self, x):
-                self.rebuilt_at.append(self.sweeps)
-                self.latest = super().make_cache(x)
-                return self.latest
-
-            def propose_delta(self, x, cache, block, prop):
-                assert cache is self.latest
-                return super().propose_delta(x, cache, block, prop)
-
-            def draw_scales(self, x, cache, streams):
-                assert cache is self.latest
-                self.sweeps += 1
-
-        target = Counting(_TOY_MEAN, _TOY_COV)
+        target = _CountingRebuilds(_TOY_MEAN, _TOY_COV)
         run_chain(target, SamplerConfig(n_chains=1, burn_in=300, kept_iterations=1200,
                                         thin=1, seed=5), 0)
         assert sampler._CACHE_REFRESH == 500
         assert target.rebuilt_at == [0, 300, 500, 1000, 1500]
+
+    def test_the_cache_is_rebuilt_once_where_burn_in_ends_on_a_refresh(self):
+        # the defaults end burn-in at sweep 1000, a refresh sweep: one rebuild
+        target = _CountingRebuilds(_TOY_MEAN, _TOY_COV)
+        cfg = SamplerConfig()
+        run_chain(target, cfg, 0)
+        assert cfg.burn_in % sampler._CACHE_REFRESH == 0
+        sweeps = cfg.burn_in + cfg.kept_iterations
+        assert target.rebuilt_at == list(range(0, sweeps + 1, sampler._CACHE_REFRESH))
 
 
 class TestSamplerConfig:
@@ -729,7 +748,7 @@ class TestPinnedDraws:
         return hashlib.sha256(draws.tobytes()).hexdigest()
 
     @pytest.mark.parametrize("digest", [
-        "4f72553f6aba30ebf7c9ef19e89f65c1f15df8fe030b00aec279146e69c760d7",
+        "9579bc5e2bb3e8714087d6fd621fe0631106b4b3b305d5411f0f53cb8134b946",
     ], ids=["random_walk"])
     def test_multi_stage_fit(self, digest, monkeypatch):
         monkeypatch.setenv(sampler.THREADS_ENV, "1")
@@ -763,7 +782,7 @@ class TestPinnedDraws:
         d, spec = golden
         cfg = SamplerConfig(n_chains=2, burn_in=100, kept_iterations=300, thin=1, seed=7)
         assert self._sha(run_chains(spec, d, cfg)) == (
-            "21ad0c025624245769efb7adc2322e3f0a6ef23c032b8119443a37bdd14f21e0"
+            "9876e0f26c4da99de34a3e86499b2f847098380b4c87749c0a38a699d9c90976"
         )
 
 
@@ -1142,7 +1161,7 @@ class TestStack:
         draws = _stack_draws(spec, seasons, dataclasses.replace(_STACK_CFG, n_chains=2), seeds)
         assert draws.shape == (20, 2, _STACK_CFG.n_retained, spec.dim)
         assert hashlib.sha256(np.ascontiguousarray(draws, "<f8").tobytes()).hexdigest() == (
-            "f5d9c0f5f801552e0dbb9490d865729a7bfec94ef01d3a1f2dc05655fbb36a0d"
+            "bbd84ce59d89f83a0eb90837880a0d2b63c38f90e0d5dea0059fc4d8efcd4fce"
         )
 
     def test_a_mu_only_stack_runs(self):
@@ -1187,6 +1206,102 @@ class TestStack:
             sampler.ModelTarget(spec, [seasons[0], short])
         with pytest.raises(DataError, match="2 datasets but 1 seeds"):
             sampler.run_stack(spec, seasons, _STACK_CFG, seeds[:1])
+
+
+def _unit_cases(case, golden):
+    """``(spec, units, cfg)``: four units, each a (dataset, seed, chain)."""
+    if case == "golden_mu_only":  # the quadrature oracle's four chains, 3000 sweeps each
+        d, spec = golden
+        cfg = SamplerConfig(n_chains=4, burn_in=1000, kept_iterations=2000, thin=1, seed=7)
+        return spec, [(d, 7, c) for c in range(4)], cfg
+    S, T = map(int, case.split("x"))
+    spec, seasons, seeds = _seasons(S, T, 4)
+    return spec, [(d, s, u % 2) for u, (d, s) in enumerate(zip(seasons, seeds))], _STACK_CFG
+
+
+def _unit_fits(spec, units, cfg, stacks):
+    """Each unit's ``ChainResult`` by unit index, each stack of unit indices
+    run as one ``run_chain`` of one stacked target."""
+    fits = {}
+    for stack in stacks:
+        datasets, seeds, chains = zip(*(units[u] for u in stack))
+        result = run_chain(sampler.ModelTarget(spec, datasets), cfg, chains, seeds)
+        fits.update(zip(stack, sampler._by_unit(result, len(stack))))
+    return fits
+
+
+class TestUnits:
+    """A unit is one chain of one dataset.  Its draws, acceptance rates and
+    step sizes are bit-identical alone, in any stack, in any order within
+    it, and on any split of a unit list over worker processes."""
+
+    @pytest.mark.parametrize("case", ["golden_mu_only", "3x2", "4x3", "3x11"])
+    def test_a_unit_is_bit_identical_alone_and_in_any_stack(self, case, golden):
+        spec, units, cfg = _unit_cases(case, golden)
+        alone = _unit_fits(spec, units, cfg, [[0], [1], [2], [3]])
+        for stacks in ([[0, 1], [2, 3]], [[0, 1, 2, 3]], [[3, 2, 1, 0]]):
+            fits = _unit_fits(spec, units, cfg, stacks)
+            for u, want in alone.items():
+                got = fits[u]
+                assert got.draws.tobytes() == want.draws.tobytes(), (stacks, u)
+                assert got.acceptance.tobytes() == want.acceptance.tobytes(), (stacks, u)
+                assert got.scales.tobytes() == want.scales.tobytes(), (stacks, u)
+                assert got.block_names == want.block_names
+        assert alone[0].block_names == tuple(
+            n for b in sampler.ModelTarget(spec, units[0][0]).blocks for n in b.row_names)
+
+    def test_the_worker_split_changes_nothing(self, small_dataset, monkeypatch):
+        # one unit list, run as one stack, on two workers, and one unit a worker
+        spec = model.ModelSpec.for_dataset(small_dataset)
+        cfg = SamplerConfig(n_chains=4, burn_in=60, kept_iterations=40, thin=2, seed=5)
+        units = [(small_dataset, cfg.seed, c) for c in range(cfg.n_chains)]
+        splits = []
+        for workers, sizes in ((1, [4]), (2, [2, 2]), (4, [1, 1, 1, 1])):
+            monkeypatch.setenv(sampler.THREADS_ENV, str(workers))
+            runs = list(sampler._run(spec, units, cfg, {}))
+            assert [len(run) for run, _ in runs] == sizes
+            splits.append([u for run, r in runs for u in sampler._by_unit(r, len(run))])
+        for fits in splits[1:]:
+            for got, want in zip(fits, splits[0]):
+                assert got.draws.tobytes() == want.draws.tobytes()
+                assert got.acceptance.tobytes() == want.acceptance.tobytes()
+                assert got.scales.tobytes() == want.scales.tobytes()
+                assert got.block_names == want.block_names
+
+    def test_a_stacks_worker_split_changes_nothing(self, monkeypatch):
+        spec, seasons, seeds = _seasons(3, 2, 3)
+        cfg = dataclasses.replace(_STACK_CFG, n_chains=2)
+        draws = []
+        for workers in (1, 2, 3):
+            monkeypatch.setenv(sampler.THREADS_ENV, str(workers))
+            draws.append(_stack_draws(spec, seasons, cfg, seeds).tobytes())
+        assert draws[1] == draws[0] and draws[2] == draws[0]
+
+    def test_small_datasets_stack_and_large_ones_run_alone(self, golden, season_dataset,
+                                                            monkeypatch):
+        monkeypatch.setenv(sampler.THREADS_ENV, "1")
+
+        def sizes(datasets, chains):
+            return [len(run) for run in sampler._runs([(d, 0, c) for c in range(chains)
+                                                       for d in datasets])]
+
+        d, _ = golden  # the quadrature oracle: 3 cells
+        assert len(d.cells.hits) == 3 and sizes([d], 4) == [4]
+        _, seasons, _ = _seasons(3, 2, 20)  # the SBC's shape: 48 cells a season
+        assert sizes(seasons, 1) == [20]
+        assert len(season_dataset.cells.hits) == 1344  # paper scale
+        assert sizes([season_dataset], 2) == [1, 1]
+        assert 48 < sampler._STACK_CELLS < 1344
+
+    def test_a_stacked_draw_fills_each_streams_run(self):
+        # each stream draws its equal run of the rows, in stream order
+        streams = [rng_for(s, 0) for s in (1, 2, 3)]
+        z = sampler._by_stream(streams, "standard_normal")((6, 4))
+        u = sampler._by_stream(streams, "random")(6)
+        for r, s in enumerate((1, 2, 3)):
+            g = rng_for(s, 0)
+            assert z[2 * r:2 * r + 2].tobytes() == g.standard_normal((2, 4)).tobytes()
+            assert u[2 * r:2 * r + 2].tobytes() == g.random(2).tobytes()
 
 
 class TestWorkerCap:

@@ -130,9 +130,12 @@ def test_the_tracer_sees_every_layer_of_a_fit(short_chain):
     assert tracer.counts["sampler.sweeps"] == sweeps
 
 
-def test_the_tracer_reads_a_stacked_sbc():
+def test_the_tracer_reads_a_stacked_sbc(monkeypatch):
     # a stack steps by class moves only (propose_rows, commit_rows), and
-    # its cache.logp is one number, the sum over its replications
+    # its cache.logp is one number, the sum over its replications; the
+    # tracer sees only its own process, so the fit runs on one worker, as
+    # the benchmark's do
+    monkeypatch.setenv(sampler.THREADS_ENV, "1")
     spec = model.ModelSpec(S=3, T=2)
     synth_cfg = synth.SynthConfig(n_athletes=3, n_stages=2,
                                   schedule={1: ("sprint",), 2: ("pursuit", "individual")})
